@@ -56,6 +56,7 @@ from .placement import (
 from .privacy import PrivacyTestResult, transcript_distribution_test
 from .protocol import (
     QueryPlan,
+    StoreQueries,
     SumQuery,
     answer_queries,
     decode_desired,

@@ -203,6 +203,10 @@ def cmd_sweep(args) -> int:
     else:
         if args.k is None or args.n is None:
             raise ValueError("sweeping mu requires --k and --n")
+        if args.points < 2:
+            raise ValueError(
+                f"sweeping mu needs --points >= 2 to span [0, 1], got {args.points}"
+            )
         points = [Fraction(i, args.points - 1) for i in range(args.points)]
         env = centralized_envelope(args.k, args.n) if args.envelope else None
 

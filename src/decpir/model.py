@@ -238,6 +238,19 @@ def padded_length(max_len: int, set_size: int, num_files: int) -> int:
     return ((max_len + block - 1) // block) * block
 
 
+# Partitioning keys each address by an int64 mask with one bit per database.
+MAX_DBS = 63
+
+
+def check_num_dbs(num_dbs: int) -> None:
+    """Refuse database counts the storage-set mask cannot represent."""
+    if num_dbs > MAX_DBS:
+        raise ValueError(
+            f"at most {MAX_DBS} databases are supported (one bit each in a "
+            f"64-bit storage-set mask), got {num_dbs}"
+        )
+
+
 def partition_by_storage_set(realization: CacheRealization) -> StorageSetPartition:
     """Assign each address to the exact set of nodes that store it.
 
@@ -246,6 +259,7 @@ def partition_by_storage_set(realization: CacheRealization) -> StorageSetPartiti
     all addresses by construction.
     """
     k, length, n = realization.num_files, realization.file_len, realization.num_dbs
+    check_num_dbs(n)
     total = k * length
     membership = np.zeros(total, dtype=np.int64)
     for d, addrs in enumerate(realization.sets):

@@ -1,8 +1,7 @@
 """Private retrieval from replicated stores with XOR sum queries.
 
 One protocol instance runs over ``n`` stores that each hold the same ``K``
-files of ``lam`` symbols.  For ``n >= 2`` the plan is built per block of
-``n**K`` symbols:
+files of ``lam`` symbols.  The plan is built per block of ``n**K`` symbols:
 
 * round 1 sends every store one fresh singleton per file;
 * in round ``k`` each store receives, for every purely-undesired
@@ -15,7 +14,17 @@ Fresh symbols are handed out by per-file counters and addressed through
 per-file uniform random permutations, so the indices a store sees are
 uniformly random; the count of ``k``-sums per file subset at each store is
 the same for every choice of desired file, which is what makes the request
-pattern uninformative.  ``n = 1`` degenerates to downloading everything.
+pattern uninformative.  ``n = 1`` needs no special case: its block is one
+symbol and its plan downloads every symbol of every file.
+
+A plan is integer arrays only.  The block structure depends on ``(n, K,
+desired)`` alone, so the rounds above run once per shape over one block of
+counters and the result is cached as a read-only template: per store the
+flat term files, term counters and per-query term counts, plus a table of
+where each desired counter is decoded from.  A plan for ``lam`` symbols
+tiles the template over ``lam / n**K`` blocks, offsetting counters by the
+block start, and maps each (file, counter) term to its symbol index through
+the plan's ``(K, lam)`` permutation array.
 
 Query symbol indices refer to positions in each store's symbol array after
 the plan's permutation has been applied at construction time; stores never
@@ -25,8 +34,9 @@ need the permutations to answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -74,25 +84,84 @@ class DesiredSource(NamedTuple):
 
 
 @dataclass(frozen=True)
-class QueryPlan:
-    """A full retrieval session: per-store query lists plus decoding state.
+class StoreQueries:
+    """One store's sum queries in order, as flat term arrays.
 
-    ``desired_sources[c]`` tells how the desired file's symbol with counter
-    ``c`` is recovered; ``permutations[j][c]`` is the symbol array position
-    that counter ``c`` of file ``j`` was mapped to.
+    Query ``q`` covers the next ``orders[q]`` entries of ``files`` and
+    ``indices``, which give each term's file and symbol index, files
+    ascending within a query.
+    """
+
+    files: np.ndarray
+    indices: np.ndarray
+    orders: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.orders)
+
+    def sum_queries(self) -> tuple[SumQuery, ...]:
+        """The queries as :class:`SumQuery` objects, for inspection."""
+        terms = list(zip(self.files.tolist(), self.indices.tolist()))
+        ends = np.cumsum(self.orders).tolist()
+        return tuple(
+            SumQuery(tuple(terms[end - order : end]))
+            for order, end in zip(self.orders.tolist(), ends)
+        )
+
+
+QueryList = Union[StoreQueries, Sequence[SumQuery]]
+
+
+def as_store_queries(queries: QueryList) -> StoreQueries:
+    """Return ``queries`` as a :class:`StoreQueries` record."""
+    if isinstance(queries, StoreQueries):
+        return queries
+    orders = np.fromiter((q.order for q in queries), dtype=np.int64, count=len(queries))
+    total = int(orders.sum())
+    files = np.fromiter((f for q in queries for f, _ in q.terms), dtype=np.int64, count=total)
+    indices = np.fromiter((i for q in queries for _, i in q.terms), dtype=np.int64, count=total)
+    return StoreQueries(files, indices, orders)
+
+
+def download_everything(lengths: Sequence[int]) -> StoreQueries:
+    """One singleton per symbol of every file, files in order."""
+    return StoreQueries(
+        np.repeat(np.arange(len(lengths), dtype=np.int64), lengths),
+        np.concatenate([np.arange(n, dtype=np.int64) for n in lengths]),
+        np.ones(sum(lengths), dtype=np.int64),
+    )
+
+
+@dataclass(frozen=True)
+class QueryPlan:
+    """A full retrieval session: per-store query arrays plus decoding state.
+
+    ``sources[c]`` is the :class:`DesiredSource` row telling how the desired
+    file's symbol with counter ``c`` is recovered; ``permutations[j, c]`` is
+    the symbol array position that counter ``c`` of file ``j`` was mapped to.
     """
 
     num_replicas: int
     num_files: int
     desired: int
     num_symbols: int
-    permutations: tuple[np.ndarray, ...]
-    per_database: tuple[tuple[SumQuery, ...], ...]
-    desired_sources: tuple[DesiredSource, ...]
+    permutations: np.ndarray
+    stores: tuple[StoreQueries, ...]
+    sources: np.ndarray
 
     @property
     def total_queries(self) -> int:
-        return sum(len(q) for q in self.per_database)
+        return sum(len(s) for s in self.stores)
+
+    @cached_property
+    def per_database(self) -> tuple[tuple[SumQuery, ...], ...]:
+        """Each store's queries as :class:`SumQuery` objects."""
+        return tuple(s.sum_queries() for s in self.stores)
+
+    @cached_property
+    def desired_sources(self) -> tuple[DesiredSource, ...]:
+        """Each row of ``sources`` as a :class:`DesiredSource`."""
+        return tuple(DesiredSource(*row) for row in self.sources.tolist())
 
     def side_info_links(self) -> dict[tuple[int, int], tuple[int, int]]:
         """Map (db, query index) of each desired sum to its reused sum."""
@@ -101,6 +170,102 @@ class QueryPlan:
             for s in self.desired_sources
             if s.side_db >= 0
         }
+
+
+class _BlockTemplate(NamedTuple):
+    """The plan for one block of counters, ``n**K`` per file.
+
+    Every store gets the same query shapes, so ``files`` and ``orders`` are
+    shared; ``counters[d]`` holds store ``d``'s term counters.  ``steps`` is
+    what each further block adds to ``sources``: the per-store query count
+    in the query-index columns (the side one only where a side sum exists).
+    """
+
+    files: np.ndarray
+    counters: np.ndarray
+    orders: np.ndarray
+    sources: np.ndarray
+    steps: np.ndarray
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=256)
+def _block_template(n: int, k: int, desired: int) -> _BlockTemplate:
+    block = n**k
+    files: list[list[int]] = [[] for _ in range(n)]
+    counters_of: list[list[int]] = [[] for _ in range(n)]
+    orders: list[list[int]] = [[] for _ in range(n)]
+    sources = np.full((block, 4), -1, dtype=np.int64)
+    counters = [0] * k
+    undesired_files = [j for j in range(k) if j != desired]
+
+    def fresh(j: int) -> tuple[int, int]:
+        c = counters[j]
+        counters[j] += 1
+        return (j, c)
+
+    def add(d: int, terms) -> int:
+        for f, c in terms:
+            files[d].append(f)
+            counters_of[d].append(c)
+        orders[d].append(len(terms))
+        return len(orders[d]) - 1
+
+    # Round 1: one fresh singleton per file at every store.
+    pool: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
+    for d in range(n):
+        for j in range(k):
+            t = fresh(j)
+            idx = add(d, (t,))
+            if j == desired:
+                sources[t[1]] = (d, idx, -1, -1)
+            else:
+                pool[d].append((idx, (t,)))
+
+    # Rounds 2..K.
+    for order in range(2, k + 1):
+        new_pool: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
+        for d in range(n):
+            # Desired sums: one fresh desired symbol mixed with each
+            # purely-undesired (order-1)-sum from every other store, taken
+            # in ascending (store, creation order).
+            for dp in range(n):
+                if dp == d:
+                    continue
+                for src_idx, src_terms in pool[dp]:
+                    t = fresh(desired)
+                    idx = add(d, sorted(src_terms + (t,)))
+                    sources[t[1]] = (d, idx, dp, src_idx)
+            # Undesired sums: fresh counters, one per file of each subset.
+            for subset in combinations(undesired_files, order):
+                for _ in range((n - 1) ** (order - 1)):
+                    terms = tuple(fresh(j) for j in subset)
+                    new_pool[d].append((add(d, terms), terms))
+        pool = new_pool
+
+    if counters[desired] != block:
+        raise ProtocolError(
+            f"desired counter ended at {counters[desired]}, expected {block}"
+        )
+    if any(counters[j] > block for j in undesired_files):
+        raise ProtocolError("an undesired counter overran its block")
+
+    if any(f != files[0] for f in files) or any(o != orders[0] for o in orders):
+        raise ProtocolError("stores received differently shaped queries")
+
+    steps = np.zeros_like(sources)
+    steps[:, 1] = len(orders[0])
+    steps[:, 3] = np.where(sources[:, 2] >= 0, len(orders[0]), 0)
+    return _BlockTemplate(
+        *(
+            _read_only(np.asarray(a, dtype=np.int64))
+            for a in (files[0], counters_of, orders[0], sources, steps)
+        )
+    )
 
 
 def generate_query_plan(
@@ -113,11 +278,10 @@ def generate_query_plan(
 ) -> QueryPlan:
     """Build the query plan for one retrieval session.
 
-    For ``num_replicas >= 2``, ``num_symbols`` must be a multiple of
-    ``num_replicas ** num_files``; the plan then consists of that many
-    independent blocks over consecutive counter ranges.  ``permute=False``
-    skips the per-file permutations and exists only as a negative control
-    for privacy tests.
+    ``num_symbols`` must be a multiple of ``num_replicas ** num_files``; the
+    plan then consists of that many independent blocks over consecutive
+    counter ranges.  ``permute=False`` skips the per-file permutations and
+    exists only as a negative control for privacy tests.
     """
     n, k = num_replicas, num_files
     if n < 1:
@@ -128,18 +292,6 @@ def generate_query_plan(
         raise ValueError(f"desired file {desired} out of range for K={k}")
     if num_symbols < 0:
         raise ValueError(f"symbol count must be non-negative, got {num_symbols}")
-
-    if n == 1:
-        perms = tuple(np.arange(num_symbols) for _ in range(k))
-        queries = tuple(
-            SumQuery(((j, i),)) for j in range(k) for i in range(num_symbols)
-        )
-        sources = tuple(
-            DesiredSource(0, desired * num_symbols + i, -1, -1)
-            for i in range(num_symbols)
-        )
-        return QueryPlan(n, k, desired, num_symbols, perms, (queries,), sources)
-
     block = n**k
     if num_symbols % block != 0:
         raise ValueError(
@@ -147,125 +299,49 @@ def generate_query_plan(
             f"{block}-symbol block size for n={n}, K={k}"
         )
 
-    rng = generator(seed)
     if permute:
-        perms = tuple(rng.permutation(num_symbols) for _ in range(k))
+        rng = generator(seed)
+        perms = np.array([rng.permutation(num_symbols) for _ in range(k)])
     else:
-        perms = tuple(np.arange(num_symbols) for _ in range(k))
+        perms = np.tile(np.arange(num_symbols), (k, 1))
 
-    per_db: list[list[SumQuery]] = [[] for _ in range(n)]
-    sources: list[DesiredSource | None] = [None] * num_symbols
-    undesired_files = [j for j in range(k) if j != desired]
-
-    for base in range(0, num_symbols, block):
-        counters = [base] * k
-
-        def fresh(j: int) -> int:
-            c = counters[j]
-            counters[j] += 1
-            return c
-
-        def term(j: int) -> tuple[int, int]:
-            return (j, int(perms[j][fresh(j)]))
-
-        # Round 1: one fresh singleton per file at every store.
-        pool: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [
-            [] for _ in range(n)
-        ]
-        for d in range(n):
-            for j in range(k):
-                c = counters[j]
-                t = term(j)
-                idx = len(per_db[d])
-                per_db[d].append(SumQuery((t,)))
-                if j == desired:
-                    sources[c] = DesiredSource(d, idx, -1, -1)
-                else:
-                    pool[d].append((idx, (t,)))
-
-        # Rounds 2..K.
-        for order in range(2, k + 1):
-            new_pool: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [
-                [] for _ in range(n)
-            ]
-            for d in range(n):
-                # Desired sums: one fresh desired symbol mixed with each
-                # purely-undesired (order-1)-sum from every other store,
-                # taken in ascending (store, creation order).
-                for dp in range(n):
-                    if dp == d:
-                        continue
-                    for src_idx, src_terms in pool[dp]:
-                        c = counters[desired]
-                        t = term(desired)
-                        idx = len(per_db[d])
-                        per_db[d].append(
-                            SumQuery(tuple(sorted(src_terms + (t,))))
-                        )
-                        sources[c] = DesiredSource(d, idx, dp, src_idx)
-                # Undesired sums: fresh indices, one per file of each subset.
-                for subset in combinations(undesired_files, order):
-                    for _ in range((n - 1) ** (order - 1)):
-                        terms = tuple(term(j) for j in subset)
-                        idx = len(per_db[d])
-                        per_db[d].append(SumQuery(terms))
-                        new_pool[d].append((idx, terms))
-            pool = new_pool
-
-        if counters[desired] != base + block:
-            raise ProtocolError(
-                f"desired counter ended at {counters[desired]}, "
-                f"expected {base + block}"
-            )
-        if any(counters[j] > base + block for j in undesired_files):
-            raise ProtocolError("an undesired counter overran its block")
-
-    return QueryPlan(
-        n,
-        k,
-        desired,
-        num_symbols,
-        perms,
-        tuple(tuple(qs) for qs in per_db),
-        tuple(sources),  # type: ignore[arg-type]
-    )
+    t = _block_template(n, k, desired)
+    blocks = num_symbols // block
+    b = np.arange(blocks)[:, None, None]
+    files = np.tile(t.files, blocks)
+    orders = np.tile(t.orders, blocks)
+    counters = (t.counters[:, None, :] + b[:, 0] * block).reshape(n, -1)
+    indices = perms[files, counters]
+    stores = tuple(StoreQueries(files, indices[d], orders) for d in range(n))
+    sources = t.sources + b * t.steps
+    return QueryPlan(n, k, desired, num_symbols, perms, stores, sources.reshape(-1, 4))
 
 
-def answer_queries(
-    queries: Sequence[SumQuery], symbols: Sequence[np.ndarray]
-) -> np.ndarray:
+def answer_queries(queries: QueryList, symbols: Sequence[np.ndarray]) -> np.ndarray:
     """Evaluate a store's answer string: one GF(2) sum per query, in order.
 
-    ``symbols[j]`` is file ``j``'s symbol array (zero padding included);
-    per-file lengths may differ.  Raises :class:`ProtocolError` on a
-    reference to a symbol the store cannot resolve.
+    ``queries`` is a store's :class:`StoreQueries` record or a sequence of
+    :class:`SumQuery`.  ``symbols[j]`` is file ``j``'s symbol array (zero
+    padding included); per-file lengths may differ.  Raises
+    :class:`ProtocolError` on a reference to a symbol the store cannot
+    resolve.
     """
+    q = as_store_queries(queries)
     arrays = [np.asarray(a, dtype=np.uint8) for a in symbols]
-    if not queries:
+    if not len(q):
         return np.zeros(0, dtype=np.uint8)
-    lengths = np.asarray([len(a) for a in arrays])
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    flat = (
-        np.concatenate(arrays)
-        if offsets[-1] > 0
-        else np.zeros(0, dtype=np.uint8)
-    )
+    lengths = np.array([len(a) for a in arrays])
+    offsets = np.cumsum(lengths) - lengths
+    flat = np.concatenate(arrays)
 
-    counts = np.fromiter((q.order for q in queries), dtype=np.int64, count=len(queries))
-    files = np.fromiter(
-        (f for q in queries for f, _ in q.terms), dtype=np.int64, count=counts.sum()
-    )
-    idx = np.fromiter(
-        (i for q in queries for _, i in q.terms), dtype=np.int64, count=counts.sum()
-    )
-    if (files < 0).any() or (files >= len(arrays)).any():
+    files, idx = q.files, q.indices
+    if files.min() < 0 or files.max() >= len(arrays):
         raise ProtocolError("query references an unknown file")
-    if (idx < 0).any() or (idx >= lengths[files]).any():
+    if idx.min() < 0 or (idx >= lengths[files]).any():
         raise ProtocolError("query references a symbol outside the stored range")
 
     values = flat[offsets[files] + idx]
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return np.bitwise_xor.reduceat(values, starts).astype(np.uint8)
+    return np.bitwise_xor.reduceat(values, np.cumsum(q.orders) - q.orders)
 
 
 def decode_desired(plan: QueryPlan, answers: Sequence[np.ndarray]) -> np.ndarray:
@@ -280,7 +356,7 @@ def decode_desired(plan: QueryPlan, answers: Sequence[np.ndarray]) -> np.ndarray
             f"expected {plan.num_replicas} answer strings, got {len(answers)}"
         )
     arrays = [np.asarray(a, dtype=np.uint8) for a in answers]
-    for d, (a, qs) in enumerate(zip(arrays, plan.per_database)):
+    for d, (a, qs) in enumerate(zip(arrays, plan.stores)):
         if len(a) != len(qs):
             raise ProtocolError(
                 f"store {d} answered {len(a)} bits for {len(qs)} queries"
@@ -288,13 +364,12 @@ def decode_desired(plan: QueryPlan, answers: Sequence[np.ndarray]) -> np.ndarray
     if plan.num_symbols == 0:
         return np.zeros(0, dtype=np.uint8)
 
-    offsets = np.concatenate(([0], np.cumsum([len(a) for a in arrays])))
-    flat = np.concatenate(arrays) if offsets[-1] > 0 else np.zeros(0, dtype=np.uint8)
-    src = np.asarray(plan.desired_sources, dtype=np.int64)
-    bits = flat[offsets[src[:, 0]] + src[:, 1]].copy()
+    offsets = np.cumsum([0] + [len(a) for a in arrays])
+    flat = np.concatenate(arrays)
+    src = plan.sources
+    bits = flat[offsets[src[:, 0]] + src[:, 1]]
     linked = src[:, 2] >= 0
-    if linked.any():
-        bits[linked] ^= flat[offsets[src[linked, 2]] + src[linked, 3]]
+    bits[linked] ^= flat[offsets[src[linked, 2]] + src[linked, 3]]
 
     out = np.empty(plan.num_symbols, dtype=np.uint8)
     out[plan.permutations[plan.desired]] = bits
@@ -308,30 +383,38 @@ def structural_privacy_histogram(plan: QueryPlan) -> tuple[dict[frozenset, int],
     does not depend on which file is desired.
     """
     out = []
-    for queries in plan.per_database:
-        counts: dict[frozenset, int] = {}
-        for q in queries:
-            counts[q.files] = counts.get(q.files, 0) + 1
-        out.append(counts)
+    for q in plan.stores:
+        member = np.zeros((len(q), plan.num_files), dtype=bool)
+        member[np.repeat(np.arange(len(q)), q.orders), q.files] = True
+        rows, counts = np.unique(member, axis=0, return_counts=True)
+        out.append(
+            {
+                frozenset(np.flatnonzero(row).tolist()): int(count)
+                for row, count in zip(rows, counts)
+            }
+        )
     return tuple(out)
 
 
-def serialize_query(query: SumQuery) -> str:
-    return " ".join(f"{f}:{i}" for f, i in query.terms)
-
-
-def serialize_transcript(queries: Sequence[SumQuery], sort: bool = False) -> str:
+def serialize_transcript(queries: QueryList, sort: bool = False) -> str:
     """Canonical text form of one store's query list, one query per line.
 
-    Queries appear in generation order (the wire/golden-file format); with
-    ``sort=True`` the lines are sorted, which drops the ordering and is the
-    store-visible view used for distribution testing.
+    Terms are ``file:index`` separated by spaces.  Queries appear in
+    generation order (the wire/golden-file format); with ``sort=True`` the
+    lines are sorted, which drops the ordering and is the store-visible view
+    used for distribution testing.
     """
-    lines = [serialize_query(q) for q in queries]
+    q = as_store_queries(queries)
+    terms = [f"{f}:{i}" for f, i in zip(q.files.tolist(), q.indices.tolist())]
+    lines = []
+    end = 0
+    for order in q.orders.tolist():
+        lines.append(" ".join(terms[end : end + order]))
+        end += order
     if sort:
         lines.sort()
     return "\n".join(lines)
 
 
 def plan_transcripts(plan: QueryPlan, sort: bool = False) -> tuple[str, ...]:
-    return tuple(serialize_transcript(qs, sort=sort) for qs in plan.per_database)
+    return tuple(serialize_transcript(qs, sort=sort) for qs in plan.stores)

@@ -2,10 +2,11 @@
 
 For each storage-set partition entry the retriever runs one protocol session
 over exactly the nodes of that set: padded replicated arrays for sets of two
-or more nodes, plain download-everything at raw per-file lengths for the
-data-center-only set.  Decoded pieces are scattered back to their original
-addresses; the result must equal the requested file bit-for-bit, and every
-downloaded bit (padding included) is charged to the cost report.
+or more nodes.  The data-center-only set is downloaded whole at raw per-file
+lengths: its answer string is the stored bits themselves, one per bit.
+Decoded pieces are scattered back to their original addresses; the result
+must equal the requested file bit-for-bit, and every downloaded bit (padding
+included) is charged to the cost report.
 """
 
 from __future__ import annotations
@@ -27,14 +28,17 @@ from .model import (
     FileStore,
     StorageSetPartition,
     build_file_store,
+    check_num_dbs,
     partition_by_storage_set,
 )
 from .placement import PlacementPolicy, sample_placement
 from .protocol import (
     QueryPlan,
+    StoreQueries,
     SumQuery,
     answer_queries,
     decode_desired,
+    download_everything,
     generate_query_plan,
 )
 from .rng import derive_seed
@@ -71,9 +75,14 @@ class PartitionSession:
 
     storage_set: frozenset
     nodes: tuple[int, ...]
-    queries: tuple[tuple[SumQuery, ...], ...]
+    stores: tuple[StoreQueries, ...]  # each node's queries, as in ``nodes``
     answers: tuple[np.ndarray, ...]
     plan: Optional[QueryPlan]  # None for the download-everything set {0}
+
+    @property
+    def queries(self) -> tuple[tuple[SumQuery, ...], ...]:
+        """Each node's queries as :class:`SumQuery` objects."""
+        return tuple(q.sum_queries() for q in self.stores)
 
 
 @dataclass(frozen=True)
@@ -131,22 +140,22 @@ def retrieve_file(
         lengths = entry.lengths
         if len(s) == 1:
             # Data-center-only bits: download every stored bit of every file.
-            queries = tuple(
-                SumQuery(((j, i),)) for j in range(k) for i in range(lengths[j])
+            answers = np.concatenate(
+                [store.bits[j][entry.positions[j]] for j in range(k)]
             )
-            arrays = [store.bits[j][entry.positions[j]] for j in range(k)]
-            answers = answer_queries(queries, arrays)
             start = sum(lengths[:desired])
             recovered[entry.positions[desired]] = answers[
                 start : start + lengths[desired]
             ]
-            cost = len(queries)
+            cost = len(answers)
             per_db[0] += cost
             per_partition[s] = cost
             ideal += cost
             if keep_sessions:
                 sessions.append(
-                    PartitionSession(s, nodes, (queries,), (answers,), None)
+                    PartitionSession(
+                        s, nodes, (download_everything(lengths),), (answers,), None
+                    )
                 )
             continue
 
@@ -157,14 +166,10 @@ def retrieve_file(
         plan = generate_query_plan(
             len(s), k, desired, lam, derive_seed(seed, index)
         )
-        arrays = []
+        padded = np.zeros((k, lam), dtype=np.uint8)
         for j in range(k):
-            padded = np.zeros(lam, dtype=np.uint8)
-            padded[: lengths[j]] = store.bits[j][entry.positions[j]]
-            arrays.append(padded)
-        answers = tuple(
-            answer_queries(plan.per_database[r], arrays) for r in range(len(s))
-        )
+            padded[j, : lengths[j]] = store.bits[j][entry.positions[j]]
+        answers = tuple(answer_queries(q, padded) for q in plan.stores)
         decoded = decode_desired(plan, answers)
         if (decoded[lengths[desired] :] != 0).any():
             raise ReliabilityError(
@@ -173,15 +178,14 @@ def retrieve_file(
         recovered[entry.positions[desired]] = decoded[: lengths[desired]]
 
         cost = 0
-        for r, node in enumerate(nodes):
-            db_cost = len(plan.per_database[r])
-            per_db[node] += db_cost
-            cost += db_cost
+        for node, answer in zip(nodes, answers):
+            per_db[node] += len(answer)
+            cost += len(answer)
         per_partition[s] = cost
         ideal += entry.max_len * capacity_classical(k, len(s))
         if keep_sessions:
             sessions.append(
-                PartitionSession(s, nodes, plan.per_database, answers, plan)
+                PartitionSession(s, nodes, plan.stores, answers, plan)
             )
 
     if not np.array_equal(recovered, store.bits[desired]):
@@ -236,6 +240,7 @@ def simulate_trials(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    check_num_dbs(num_dbs)
     rows = []
     for t in range(trials):
         trial_seed = derive_seed(seed, t)

@@ -301,3 +301,32 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "184/81" in proc.stdout
+
+
+@pytest.mark.parametrize("points", ["1", "0"])
+def test_sweep_needs_two_points(tmp_path, capsys, points):
+    out = tmp_path / "sweep.csv"
+    code = main(
+        [
+            "sweep", "--vary", "mu", "--k", "3", "--n", "2",
+            "--points", points, "--out", str(out),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--points" in err
+    assert not out.exists()
+
+
+def test_simulate_refuses_64_databases(capsys):
+    code = main(
+        [
+            "simulate", "--k", "2", "--n", "64", "--mu", "1/2",
+            "--file-bits", "4", "--trials", "1",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "at most 63 databases" in err

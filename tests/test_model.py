@@ -172,3 +172,10 @@ def test_realization_json_round_trip():
     assert back.file_len == real.file_len
     for a, b in zip(back.sets, real.sets):
         assert np.array_equal(a, b)
+
+
+def test_partition_database_limit():
+    part = partition_by_storage_set(_uniform_realization(1, 4, 63, Fraction(1, 2), 4))
+    assert sum(e.total_bits for e in part.entries.values()) == 4
+    with pytest.raises(ValueError, match="at most 63 databases"):
+        partition_by_storage_set(_uniform_realization(1, 4, 64, Fraction(1, 2), 4))

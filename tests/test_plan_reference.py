@@ -1,0 +1,145 @@
+"""Array plans against a nested-loop reference builder.
+
+``reference_plan`` builds the Sun-Jafar block plan one query at a time, over
+every block in turn, with per-file counters mapped through the same
+permutations :func:`generate_query_plan` draws.  The array plan must give the
+same transcripts (in generation order and sorted), the same decode sources
+and the same answer strings.  A second group of tests shows that the simulate
+and privacy paths never build a per-query :class:`SumQuery`.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from decpir.placement import UniformRandomPlacement
+from decpir.privacy import transcript_distribution_test
+from decpir.protocol import (
+    SumQuery,
+    answer_queries,
+    decode_desired,
+    generate_query_plan,
+    plan_transcripts,
+)
+from decpir.retrieval import simulate_trials
+from decpir.rng import generator
+
+
+def reference_plan(n, k, desired, num_symbols, seed):
+    """Per-store term lists and (db, query, side db, side query) sources."""
+    block = n**k
+    assert n >= 2 and num_symbols % block == 0
+    rng = generator(seed)
+    perms = tuple(rng.permutation(num_symbols) for _ in range(k))
+    per_db = [[] for _ in range(n)]
+    sources = [None] * num_symbols
+    undesired_files = [j for j in range(k) if j != desired]
+
+    for base in range(0, num_symbols, block):
+        counters = [base] * k
+
+        def fresh(j):
+            c = counters[j]
+            counters[j] += 1
+            return c
+
+        def term(j):
+            return (j, int(perms[j][fresh(j)]))
+
+        pool = [[] for _ in range(n)]
+        for d in range(n):
+            for j in range(k):
+                c = counters[j]
+                t = term(j)
+                idx = len(per_db[d])
+                per_db[d].append((t,))
+                if j == desired:
+                    sources[c] = (d, idx, -1, -1)
+                else:
+                    pool[d].append((idx, (t,)))
+
+        for order in range(2, k + 1):
+            new_pool = [[] for _ in range(n)]
+            for d in range(n):
+                for dp in range(n):
+                    if dp == d:
+                        continue
+                    for src_idx, src_terms in pool[dp]:
+                        c = counters[desired]
+                        t = term(desired)
+                        idx = len(per_db[d])
+                        per_db[d].append(tuple(sorted(src_terms + (t,))))
+                        sources[c] = (d, idx, dp, src_idx)
+                for subset in combinations(undesired_files, order):
+                    for _ in range((n - 1) ** (order - 1)):
+                        terms = tuple(term(j) for j in subset)
+                        idx = len(per_db[d])
+                        per_db[d].append(terms)
+                        new_pool[d].append((idx, terms))
+            pool = new_pool
+        assert counters[desired] == base + block
+    return per_db, sources
+
+
+def reference_transcript(queries, sort):
+    lines = [" ".join(f"{f}:{i}" for f, i in q) for q in queries]
+    return "\n".join(sorted(lines) if sort else lines)
+
+
+def reference_answers(queries, symbols):
+    out = []
+    for q in queries:
+        bit = 0
+        for f, i in q:
+            bit ^= int(symbols[f][i])
+        out.append(bit)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_array_plan_matches_reference(n, k):
+    for blocks in (1, 2, 3):
+        lam = blocks * n**k
+        symbols = generator(1000 * n + k).integers(0, 2, (k, lam), dtype=np.uint8)
+        for desired in range(k):
+            seed = 97 * blocks + desired
+            plan = generate_query_plan(n, k, desired, lam, seed)
+            per_db, sources = reference_plan(n, k, desired, lam, seed)
+            for sort in (False, True):
+                assert plan_transcripts(plan, sort=sort) == tuple(
+                    reference_transcript(qs, sort) for qs in per_db
+                )
+            assert plan.sources.tolist() == [list(s) for s in sources]
+            answers = [answer_queries(q, symbols) for q in plan.stores]
+            for got, qs in zip(answers, per_db):
+                assert got.tolist() == reference_answers(qs, symbols)
+            assert np.array_equal(decode_desired(plan, answers), symbols[desired])
+
+
+def test_views_match_arrays():
+    plan = generate_query_plan(3, 3, 1, 54, seed=5)
+    per_db, sources = reference_plan(3, 3, 1, 54, seed=5)
+    assert [[q.terms for q in qs] for qs in plan.per_database] == per_db
+    assert [tuple(s) for s in plan.desired_sources] == sources
+
+
+@pytest.fixture
+def no_sum_queries(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a SumQuery was built on an array-only path")
+
+    monkeypatch.setattr(SumQuery, "__post_init__", refuse)
+
+
+def test_simulate_builds_no_sum_query(no_sum_queries):
+    mu = Fraction(1, 3)
+    result = simulate_trials(3, 9000, 2, mu, UniformRandomPlacement(mu), 2, seed=1)
+    assert len(result.rows) == 2
+
+
+def test_privacy_test_builds_no_sum_query(no_sum_queries):
+    result = transcript_distribution_test(3, 3, 54, sessions=5, seed=2)
+    assert result.structural_ok
