@@ -57,7 +57,6 @@ from .privacy import PrivacyTestResult, transcript_distribution_test
 from .protocol import (
     QueryPlan,
     StoreQueries,
-    SumQuery,
     answer_queries,
     decode_desired,
     generate_query_plan,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Callable
 
@@ -20,6 +21,7 @@ from .errors import BudgetViolation
 from .model import StorageSetPartition
 
 
+@lru_cache(maxsize=None)
 def capacity_classical(num_files: int, num_replicas: int) -> Fraction:
     """Optimal normalized download cost for fully replicated stores.
 

@@ -198,6 +198,11 @@ def cmd_sweep(args) -> int:
     if args.vary == "n":
         if args.k is None or mu is None:
             raise ValueError("sweeping N requires --k and --mu")
+        if args.to < args.start:
+            raise ValueError(
+                f"sweeping N needs --to >= --start, got --start {args.start} "
+                f"--to {args.to}"
+            )
         points = list(range(args.start, args.to + 1))
         env = None
     else:

@@ -109,8 +109,11 @@ class CacheRealization:
             )
         total = self.num_files * self.file_len
         for d, addrs in enumerate(self.sets):
-            if len(addrs) != len(np.unique(addrs)):
-                raise ValueError(f"database {d + 1} caches a duplicate address")
+            if (np.diff(addrs) <= 0).any():
+                raise ValueError(
+                    f"database {d + 1} caches addresses that are not strictly "
+                    "increasing (unsorted or duplicate)"
+                )
             if len(addrs) and (addrs.min() < 0 or addrs.max() >= total):
                 raise ValueError(f"database {d + 1} caches an out-of-range address")
             if len(addrs) > self.budget:

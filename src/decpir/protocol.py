@@ -17,14 +17,20 @@ the same for every choice of desired file, which is what makes the request
 pattern uninformative.  ``n = 1`` needs no special case: its block is one
 symbol and its plan downloads every symbol of every file.
 
-A plan is integer arrays only.  The block structure depends on ``(n, K,
-desired)`` alone, so the rounds above run once per shape over one block of
-counters and the result is cached as a read-only template: per store the
-flat term files, term counters and per-query term counts, plus a table of
-where each desired counter is decoded from.  A plan for ``lam`` symbols
-tiles the template over ``lam / n**K`` blocks, offsetting counters by the
-block start, and maps each (file, counter) term to its symbol index through
-the plan's ``(K, lam)`` permutation array.
+A plan is integer arrays only: each store's queries are one
+:class:`StoreQueries` record of flat term files, term indices and per-query
+term counts, and the decode sources are one ``(lam, 4)`` table.  This is the
+single form every function here reads and writes; a store answers it against
+its ``(K, lam)`` symbol matrix with one gather and one XOR reduction.
+
+The block structure depends on ``(n, K, desired)`` alone, so the rounds
+above run once per shape over one block of counters and the result is cached
+as a read-only template: per store the flat term files, term counters and
+per-query term counts, plus a table of where each desired counter is decoded
+from.  A plan for ``lam`` symbols tiles the template over ``lam / n**K``
+blocks, offsetting counters by the block start, and maps each (file,
+counter) term to its symbol index through the plan's ``(K, lam)``
+permutation array.
 
 Query symbol indices refer to positions in each store's symbol array after
 the plan's permutation has been applied at construction time; stores never
@@ -34,53 +40,14 @@ need the permutations to answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ProtocolError
 from .rng import generator
-
-
-@dataclass(frozen=True)
-class SumQuery:
-    """A GF(2) sum over one symbol from each of ``order`` distinct files.
-
-    ``terms`` are (file, symbol index) pairs sorted by file.
-    """
-
-    terms: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        files = [f for f, _ in self.terms]
-        if not files:
-            raise ValueError("a sum query needs at least one term")
-        if sorted(set(files)) != files:
-            raise ValueError(f"query terms must have distinct, sorted files: {self.terms}")
-
-    @property
-    def order(self) -> int:
-        return len(self.terms)
-
-    @property
-    def files(self) -> frozenset:
-        return frozenset(f for f, _ in self.terms)
-
-
-class DesiredSource(NamedTuple):
-    """Where one desired symbol is recovered from.
-
-    ``(db, query_index)`` locate the query carrying the symbol; for sums of
-    order >= 2, ``(side_db, side_query_index)`` locate the reused undesired
-    sum whose answer bit cancels the interference (-1, -1 for singletons).
-    """
-
-    db: int
-    query_index: int
-    side_db: int
-    side_query_index: int
 
 
 @dataclass(frozen=True)
@@ -99,29 +66,6 @@ class StoreQueries:
     def __len__(self) -> int:
         return len(self.orders)
 
-    def sum_queries(self) -> tuple[SumQuery, ...]:
-        """The queries as :class:`SumQuery` objects, for inspection."""
-        terms = list(zip(self.files.tolist(), self.indices.tolist()))
-        ends = np.cumsum(self.orders).tolist()
-        return tuple(
-            SumQuery(tuple(terms[end - order : end]))
-            for order, end in zip(self.orders.tolist(), ends)
-        )
-
-
-QueryList = Union[StoreQueries, Sequence[SumQuery]]
-
-
-def as_store_queries(queries: QueryList) -> StoreQueries:
-    """Return ``queries`` as a :class:`StoreQueries` record."""
-    if isinstance(queries, StoreQueries):
-        return queries
-    orders = np.fromiter((q.order for q in queries), dtype=np.int64, count=len(queries))
-    total = int(orders.sum())
-    files = np.fromiter((f for q in queries for f, _ in q.terms), dtype=np.int64, count=total)
-    indices = np.fromiter((i for q in queries for _, i in q.terms), dtype=np.int64, count=total)
-    return StoreQueries(files, indices, orders)
-
 
 def download_everything(lengths: Sequence[int]) -> StoreQueries:
     """One singleton per symbol of every file, files in order."""
@@ -136,9 +80,12 @@ def download_everything(lengths: Sequence[int]) -> StoreQueries:
 class QueryPlan:
     """A full retrieval session: per-store query arrays plus decoding state.
 
-    ``sources[c]`` is the :class:`DesiredSource` row telling how the desired
-    file's symbol with counter ``c`` is recovered; ``permutations[j, c]`` is
-    the symbol array position that counter ``c`` of file ``j`` was mapped to.
+    ``sources[c]`` is the ``(db, query index, side db, side query index)``
+    row telling how the desired file's symbol with counter ``c`` is
+    recovered: the query carrying it and, for sums of order >= 2, the reused
+    undesired sum whose answer bit cancels the interference (-1, -1 for
+    singletons).  ``permutations[j, c]`` is the symbol array position that
+    counter ``c`` of file ``j`` was mapped to.
     """
 
     num_replicas: int
@@ -152,24 +99,6 @@ class QueryPlan:
     @property
     def total_queries(self) -> int:
         return sum(len(s) for s in self.stores)
-
-    @cached_property
-    def per_database(self) -> tuple[tuple[SumQuery, ...], ...]:
-        """Each store's queries as :class:`SumQuery` objects."""
-        return tuple(s.sum_queries() for s in self.stores)
-
-    @cached_property
-    def desired_sources(self) -> tuple[DesiredSource, ...]:
-        """Each row of ``sources`` as a :class:`DesiredSource`."""
-        return tuple(DesiredSource(*row) for row in self.sources.tolist())
-
-    def side_info_links(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Map (db, query index) of each desired sum to its reused sum."""
-        return {
-            (s.db, s.query_index): (s.side_db, s.side_query_index)
-            for s in self.desired_sources
-            if s.side_db >= 0
-        }
 
 
 class _BlockTemplate(NamedTuple):
@@ -317,31 +246,33 @@ def generate_query_plan(
     return QueryPlan(n, k, desired, num_symbols, perms, stores, sources.reshape(-1, 4))
 
 
-def answer_queries(queries: QueryList, symbols: Sequence[np.ndarray]) -> np.ndarray:
+def answer_queries(queries: StoreQueries, symbols: np.ndarray) -> np.ndarray:
     """Evaluate a store's answer string: one GF(2) sum per query, in order.
 
-    ``queries`` is a store's :class:`StoreQueries` record or a sequence of
-    :class:`SumQuery`.  ``symbols[j]`` is file ``j``'s symbol array (zero
-    padding included); per-file lengths may differ.  Raises
-    :class:`ProtocolError` on a reference to a symbol the store cannot
-    resolve.
+    ``symbols`` is the store's ``(K, lam)`` symbol matrix, zero padding
+    included, row ``j`` holding file ``j``.  Raises :class:`ProtocolError`
+    on a malformed record (a query without terms, or term counts that do not
+    add up to the term arrays) and on a reference to a symbol the store
+    cannot resolve.
     """
-    q = as_store_queries(queries)
-    arrays = [np.asarray(a, dtype=np.uint8) for a in symbols]
-    if not len(q):
+    symbols = np.asarray(symbols, dtype=np.uint8)
+    num_files, lam = symbols.shape
+    files, idx, orders = queries.files, queries.indices, queries.orders
+    if not len(orders):
         return np.zeros(0, dtype=np.uint8)
-    lengths = np.array([len(a) for a in arrays])
-    offsets = np.cumsum(lengths) - lengths
-    flat = np.concatenate(arrays)
-
-    files, idx = q.files, q.indices
-    if files.min() < 0 or files.max() >= len(arrays):
+    ends = np.cumsum(orders)
+    if orders.min() < 1 or ends[-1] != len(files) or len(idx) != len(files):
+        raise ProtocolError(
+            "malformed query record: every query needs a term and the term "
+            "counts must add up to the term arrays"
+        )
+    if files.min() < 0 or files.max() >= num_files:
         raise ProtocolError("query references an unknown file")
-    if idx.min() < 0 or (idx >= lengths[files]).any():
+    if idx.min() < 0 or idx.max() >= lam:
         raise ProtocolError("query references a symbol outside the stored range")
 
-    values = flat[offsets[files] + idx]
-    return np.bitwise_xor.reduceat(values, np.cumsum(q.orders) - q.orders)
+    values = symbols.reshape(-1)[files * lam + idx]
+    return np.bitwise_xor.reduceat(values, ends - orders)
 
 
 def decode_desired(plan: QueryPlan, answers: Sequence[np.ndarray]) -> np.ndarray:
@@ -396,19 +327,20 @@ def structural_privacy_histogram(plan: QueryPlan) -> tuple[dict[frozenset, int],
     return tuple(out)
 
 
-def serialize_transcript(queries: QueryList, sort: bool = False) -> str:
-    """Canonical text form of one store's query list, one query per line.
+def serialize_transcript(queries: StoreQueries, sort: bool = False) -> str:
+    """Canonical text form of one store's query record, one query per line.
 
     Terms are ``file:index`` separated by spaces.  Queries appear in
     generation order (the wire/golden-file format); with ``sort=True`` the
     lines are sorted, which drops the ordering and is the store-visible view
     used for distribution testing.
     """
-    q = as_store_queries(queries)
-    terms = [f"{f}:{i}" for f, i in zip(q.files.tolist(), q.indices.tolist())]
+    terms = [
+        f"{f}:{i}" for f, i in zip(queries.files.tolist(), queries.indices.tolist())
+    ]
     lines = []
     end = 0
-    for order in q.orders.tolist():
+    for order in queries.orders.tolist():
         lines.append(" ".join(terms[end : end + order]))
         end += order
     if sort:

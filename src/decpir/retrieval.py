@@ -35,7 +35,6 @@ from .placement import PlacementPolicy, sample_placement
 from .protocol import (
     QueryPlan,
     StoreQueries,
-    SumQuery,
     answer_queries,
     decode_desired,
     download_everything,
@@ -55,10 +54,11 @@ class CostReport:
     ``total`` charges every answer bit including padding overhead; ``ideal``
     removes the padding-induced overage (what the same partition would cost
     at exactly its raw subfile lengths) for comparison with the asymptotic
-    formula.
+    formula.  ``per_node[d]`` counts the bits downloaded from node ``d``
+    (0 is the data center, ``d >= 1`` database ``d``).
     """
 
-    per_database: tuple[int, ...]
+    per_node: tuple[int, ...]
     per_partition: dict
     total: int
     ideal: Fraction
@@ -78,11 +78,6 @@ class PartitionSession:
     stores: tuple[StoreQueries, ...]  # each node's queries, as in ``nodes``
     answers: tuple[np.ndarray, ...]
     plan: Optional[QueryPlan]  # None for the download-everything set {0}
-
-    @property
-    def queries(self) -> tuple[tuple[SumQuery, ...], ...]:
-        """Each node's queries as :class:`SumQuery` objects."""
-        return tuple(q.sum_queries() for q in self.stores)
 
 
 @dataclass(frozen=True)
@@ -130,7 +125,7 @@ def retrieve_file(
         )
 
     recovered = np.zeros(length, dtype=np.uint8)
-    per_db = [0] * (realization.num_dbs + 1)
+    per_node = [0] * (realization.num_dbs + 1)
     per_partition: dict = {}
     ideal = Fraction(0)
     sessions = []
@@ -148,7 +143,7 @@ def retrieve_file(
                 start : start + lengths[desired]
             ]
             cost = len(answers)
-            per_db[0] += cost
+            per_node[0] += cost
             per_partition[s] = cost
             ideal += cost
             if keep_sessions:
@@ -179,7 +174,7 @@ def retrieve_file(
 
         cost = 0
         for node, answer in zip(nodes, answers):
-            per_db[node] += len(answer)
+            per_node[node] += len(answer)
             cost += len(answer)
         per_partition[s] = cost
         ideal += entry.max_len * capacity_classical(k, len(s))
@@ -192,9 +187,9 @@ def retrieve_file(
         raise ReliabilityError(f"recovered file {desired} differs from the source")
 
     report = CostReport(
-        per_database=tuple(per_db),
+        per_node=tuple(per_node),
         per_partition=per_partition,
-        total=sum(per_db),
+        total=sum(per_node),
         ideal=ideal,
         file_len=length,
     )

@@ -1,7 +1,15 @@
 """Shared test configuration."""
 import os
+from pathlib import Path
 
 from hypothesis import settings
+
+# ``pythonpath`` in pyproject.toml puts src/ on this process's import path;
+# subprocesses (scripts, ``python -m decpir``) get it through PYTHONPATH.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 settings.register_profile("ci", deadline=None, max_examples=50)
 settings.register_profile("dev", deadline=None, max_examples=15)

@@ -88,12 +88,12 @@ def test_criterion_2_protocol_count_identities():
                 per_db = sum(
                     math.comb(k, j) * (n - 1) ** (j - 1) for j in range(1, k + 1)
                 )
-                for queries in plan.per_database:
-                    assert len(queries) == per_db
+                for store in plan.stores:
+                    assert len(store) == per_db
                 assert plan.total_queries == block * sum(
                     Fraction(1, n**m) for m in range(k)
                 )
-                assert len(plan.desired_sources) == block == n * n ** (k - 1)
+                assert len(plan.sources) == block == n * n ** (k - 1)
 
 
 def test_criterion_3_reliability_1000_trials():

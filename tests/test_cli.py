@@ -319,6 +319,21 @@ def test_sweep_needs_two_points(tmp_path, capsys, points):
     assert not out.exists()
 
 
+def test_sweep_needs_start_before_to(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main(
+        [
+            "sweep", "--vary", "n", "--k", "3", "--mu", "1/2",
+            "--start", "5", "--to", "2", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--start" in err and "--to" in err
+    assert not out.exists()
+
+
 def test_simulate_refuses_64_databases(capsys):
     code = main(
         [

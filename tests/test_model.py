@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from decpir.errors import BudgetViolation
 from decpir.model import (
     BitAddress,
+    CacheRealization,
     build_file_store,
     flat_address,
     partition_by_storage_set,
@@ -71,6 +72,12 @@ def test_realization_rejects_duplicates_and_overflow():
         realization_from_addresses(2, 3, 4, [[(0, 1), (0, 1)]])
     with pytest.raises(BudgetViolation):
         realization_from_addresses(2, 3, 1, [[(0, 0), (0, 1)]])
+
+
+def test_realization_rejects_unsorted_sets():
+    # Sorted order is part of the set contract; a direct constructor is checked.
+    with pytest.raises(ValueError, match="strictly increasing"):
+        CacheRealization(2, 3, 1, 4, (np.array([0, 4, 2], dtype=np.int64),))
 
 
 def _uniform_realization(k, length, n, mu, seed):

@@ -4,26 +4,20 @@
 every block in turn, with per-file counters mapped through the same
 permutations :func:`generate_query_plan` draws.  The array plan must give the
 same transcripts (in generation order and sorted), the same decode sources
-and the same answer strings.  A second group of tests shows that the simulate
-and privacy paths never build a per-query :class:`SumQuery`.
+and the same answer strings.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from decpir.placement import UniformRandomPlacement
-from decpir.privacy import transcript_distribution_test
 from decpir.protocol import (
-    SumQuery,
     answer_queries,
     decode_desired,
     generate_query_plan,
     plan_transcripts,
 )
-from decpir.retrieval import simulate_trials
 from decpir.rng import generator
 
 
@@ -118,28 +112,3 @@ def test_array_plan_matches_reference(n, k):
                 assert got.tolist() == reference_answers(qs, symbols)
             assert np.array_equal(decode_desired(plan, answers), symbols[desired])
 
-
-def test_views_match_arrays():
-    plan = generate_query_plan(3, 3, 1, 54, seed=5)
-    per_db, sources = reference_plan(3, 3, 1, 54, seed=5)
-    assert [[q.terms for q in qs] for qs in plan.per_database] == per_db
-    assert [tuple(s) for s in plan.desired_sources] == sources
-
-
-@pytest.fixture
-def no_sum_queries(monkeypatch):
-    def refuse(self):
-        raise AssertionError("a SumQuery was built on an array-only path")
-
-    monkeypatch.setattr(SumQuery, "__post_init__", refuse)
-
-
-def test_simulate_builds_no_sum_query(no_sum_queries):
-    mu = Fraction(1, 3)
-    result = simulate_trials(3, 9000, 2, mu, UniformRandomPlacement(mu), 2, seed=1)
-    assert len(result.rows) == 2
-
-
-def test_privacy_test_builds_no_sum_query(no_sum_queries):
-    result = transcript_distribution_test(3, 3, 54, sessions=5, seed=2)
-    assert result.structural_ok

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from decpir.errors import ProtocolError
 from decpir.protocol import (
-    SumQuery,
+    StoreQueries,
     answer_queries,
     decode_desired,
     generate_query_plan,
@@ -34,11 +34,40 @@ def desired_per_db(n, k):
     return sum(comb(k - 1, j - 1) * (n - 1) ** (j - 1) for j in range(1, k + 1))
 
 
-def brute_force_answers(queries, symbols):
+def make_store(files, indices, orders):
+    return StoreQueries(
+        *(np.asarray(a, dtype=np.int64) for a in (files, indices, orders))
+    )
+
+
+def query_files(store):
+    """Each query's file array, split from the flat term arrays."""
+    return np.split(store.files, np.cumsum(store.orders)[:-1])
+
+
+def query_terms(store):
+    """Each query's (file, index) terms, split from the flat term arrays."""
+    cuts = np.cumsum(store.orders)[:-1]
+    return [
+        list(zip(f.tolist(), i.tolist()))
+        for f, i in zip(np.split(store.files, cuts), np.split(store.indices, cuts))
+    ]
+
+
+def side_links(plan):
+    """Map (db, query index) of each desired sum to its reused sum."""
+    return {
+        (db, q): (sdb, sq)
+        for db, q, sdb, sq in plan.sources.tolist()
+        if sdb >= 0
+    }
+
+
+def brute_force_answers(store, symbols):
     out = []
-    for q in queries:
+    for terms in query_terms(store):
         bit = 0
-        for f, i in q.terms:
+        for f, i in terms:
             bit ^= int(symbols[f][i])
         out.append(bit)
     return out
@@ -49,44 +78,42 @@ def brute_force_answers(queries, symbols):
 def test_count_identities_per_block(n, k):
     block = n**k
     plan = generate_query_plan(n, k, 0, block, seed=7)
-    for queries in plan.per_database:
-        assert len(queries) == per_db_count(n, k)
+    for store in plan.stores:
+        assert len(store) == per_db_count(n, k)
     assert plan.total_queries == n * (n**k - 1) // (n - 1)
     # same total written as block * sum of inverse powers
     assert Fraction(plan.total_queries) == block * sum(
         Fraction(1, n**m) for m in range(k)
     )
     assert desired_per_db(n, k) == n ** (k - 1)
-    assert len(plan.desired_sources) == block
+    assert len(plan.sources) == block
 
 
 def test_example_n2_k3():
     plan = generate_query_plan(2, 3, 0, 8, seed=0)
-    assert [len(q) for q in plan.per_database] == [7, 7]
+    assert [len(s) for s in plan.stores] == [7, 7]
     assert plan.total_queries == 14
-    assert len(plan.desired_sources) == 8
+    assert len(plan.sources) == 8
     assert Fraction(plan.total_queries, 8) == 1 + Fraction(1, 2) + Fraction(1, 4)
     # 3 singletons, 3 two-sums, 1 three-sum at each store
-    for queries in plan.per_database:
-        orders = Counter(q.order for q in queries)
-        assert orders == {1: 3, 2: 3, 3: 1}
+    for store in plan.stores:
+        assert Counter(store.orders.tolist()) == {1: 3, 2: 3, 3: 1}
 
 
 def test_example_n1_downloads_everything():
     plan = generate_query_plan(1, 3, 1, 11, seed=0)
-    assert len(plan.per_database) == 1
+    assert len(plan.stores) == 1
     assert plan.total_queries == 3 * 11
-    assert all(q.order == 1 for q in plan.per_database[0])
+    assert (plan.stores[0].orders == 1).all()
 
 
 def test_example_n3_k2():
     plan = generate_query_plan(3, 2, 0, 9, seed=1)
-    for queries in plan.per_database:
-        assert len(queries) == 4
-        orders = Counter(q.order for q in queries)
-        assert orders == {1: 2, 2: 2}
+    for store in plan.stores:
+        assert len(store) == 4
+        assert Counter(store.orders.tolist()) == {1: 2, 2: 2}
         # both 2-sums carry the desired file (no undesired pair exists at K=2)
-        assert all(0 in q.files for q in queries if q.order == 2)
+        assert all(0 in files for files in query_files(store) if len(files) == 2)
     assert plan.total_queries == 12
     assert Fraction(plan.total_queries) == 9 * (1 + Fraction(1, 3))
 
@@ -100,50 +127,49 @@ def test_plan_argument_validation():
         generate_query_plan(0, 3, 0, 8, seed=0)
 
 
-def test_sum_query_validation():
-    with pytest.raises(ValueError):
-        SumQuery(())
-    with pytest.raises(ValueError):
-        SumQuery(((1, 0), (1, 2)))  # duplicate file
-    with pytest.raises(ValueError):
-        SumQuery(((2, 0), (1, 2)))  # not sorted
-
-
 def test_answer_gf2_basics():
-    symbols = [np.array([1, 0], dtype=np.uint8), np.array([1, 1], dtype=np.uint8)]
-    singleton = SumQuery(((0, 0),))
-    both_ones = SumQuery(((0, 0), (1, 0)))
-    mixed = SumQuery(((0, 1), (1, 0)))
-    bits = answer_queries([singleton, both_ones, mixed], symbols)
+    symbols = np.array([[1, 0], [1, 1]], dtype=np.uint8)
+    # a singleton, a sum of two ones, and a mixed sum
+    queries = make_store([0, 0, 1, 0, 1], [0, 0, 0, 1, 0], [1, 2, 2])
+    bits = answer_queries(queries, symbols)
     assert bits.tolist() == [1, 0, 1]
 
 
 def test_answer_matches_brute_force_on_fixed_store():
-    symbols = [
-        np.array([1, 0, 1, 1], dtype=np.uint8),
-        np.array([0, 1, 1, 0], dtype=np.uint8),
-    ]
+    symbols = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8)
     plan = generate_query_plan(2, 2, 0, 4, seed=3)
-    for queries in plan.per_database:
-        assert len(queries) == 3
-        fast = answer_queries(queries, symbols)
-        assert fast.tolist() == brute_force_answers(queries, symbols)
+    for store in plan.stores:
+        assert len(store) == 3
+        fast = answer_queries(store, symbols)
+        assert fast.tolist() == brute_force_answers(store, symbols)
 
 
 def test_answer_rejects_out_of_range():
-    symbols = [np.array([1], dtype=np.uint8)]
+    symbols = np.array([[1]], dtype=np.uint8)
     with pytest.raises(ProtocolError):
-        answer_queries([SumQuery(((0, 1),))], symbols)
+        answer_queries(make_store([0], [1], [1]), symbols)
     with pytest.raises(ProtocolError):
-        answer_queries([SumQuery(((1, 0),))], symbols)
+        answer_queries(make_store([1], [0], [1]), symbols)
+    with pytest.raises(ProtocolError):
+        answer_queries(make_store([0], [-1], [1]), symbols)
+
+
+def test_answer_rejects_malformed_record():
+    symbols = np.array([[1, 0], [1, 1]], dtype=np.uint8)
+    with pytest.raises(ProtocolError):
+        answer_queries(make_store([0, 1], [0, 0], [1]), symbols)  # short orders
+    with pytest.raises(ProtocolError):
+        answer_queries(make_store([0], [0], [1, 1]), symbols)  # long orders
+    with pytest.raises(ProtocolError):
+        answer_queries(make_store([0, 1], [0, 0], [0, 2]), symbols)  # no terms
 
 
 def test_decode_cancels_side_information():
     # A desired 2-sum answering 1 whose linked singleton answered 1 decodes 0.
     plan = generate_query_plan(2, 2, 0, 4, seed=5)
-    symbols = [np.zeros(4, dtype=np.uint8), np.ones(4, dtype=np.uint8)]
-    answers = [answer_queries(q, symbols) for q in plan.per_database]
-    links = plan.side_info_links()
+    symbols = np.array([np.zeros(4, dtype=np.uint8), np.ones(4, dtype=np.uint8)])
+    answers = [answer_queries(s, symbols) for s in plan.stores]
+    links = side_links(plan)
     assert links  # one desired 2-sum per store
     for (db, qidx), (sdb, sqidx) in links.items():
         assert answers[db][qidx] == 1  # 0 ^ 1
@@ -158,10 +184,10 @@ def test_decode_cancels_side_information():
 def test_decode_round_trip(n, k, blocks):
     lam = blocks * (n**k if n > 1 else 5)
     rng = np.random.Generator(np.random.PCG64(88))
-    symbols = [rng.integers(0, 2, lam, dtype=np.uint8) for _ in range(k)]
+    symbols = np.array([rng.integers(0, 2, lam, dtype=np.uint8) for _ in range(k)])
     for desired in range(k):
         plan = generate_query_plan(n, k, desired, lam, seed=11 + desired)
-        answers = [answer_queries(q, symbols) for q in plan.per_database]
+        answers = [answer_queries(s, symbols) for s in plan.stores]
         decoded = decode_desired(plan, answers)
         assert np.array_equal(decoded, symbols[desired])
 
@@ -177,9 +203,9 @@ def test_decode_round_trip_property(n, k, blocks, desired_pick, seed):
     lam = blocks * n**k
     desired = desired_pick % k
     rng = np.random.Generator(np.random.PCG64(seed))
-    symbols = [rng.integers(0, 2, lam, dtype=np.uint8) for _ in range(k)]
+    symbols = np.array([rng.integers(0, 2, lam, dtype=np.uint8) for _ in range(k)])
     plan = generate_query_plan(n, k, desired, lam, seed=seed)
-    answers = [answer_queries(q, symbols) for q in plan.per_database]
+    answers = [answer_queries(s, symbols) for s in plan.stores]
     assert np.array_equal(decode_desired(plan, answers), symbols[desired])
 
 
@@ -198,9 +224,8 @@ def test_desired_indices_appear_at_most_once():
         plan = generate_query_plan(n, k, 0, lam, seed=6)
         seen = [
             i
-            for queries in plan.per_database
-            for q in queries
-            for f, i in q.terms
+            for store in plan.stores
+            for f, i in zip(store.files.tolist(), store.indices.tolist())
             if f == plan.desired
         ]
         assert len(seen) == len(set(seen)) == lam
@@ -249,14 +274,14 @@ def test_side_information_accounting():
     # desired sum at each other store.
     for n, k in [(2, 3), (3, 3), (4, 2)]:
         plan = generate_query_plan(n, k, 0, n**k, seed=3)
-        links = plan.side_info_links()
+        links = side_links(plan)
         consumers = Counter(target for target in links.values())
         consumer_dbs = {}
         for (db, _), target in links.items():
             consumer_dbs.setdefault(target, set()).add(db)
-        for dp, queries in enumerate(plan.per_database):
-            for idx, q in enumerate(queries):
-                if plan.desired not in q.files and q.order < k:
+        for dp, store in enumerate(plan.stores):
+            for idx, files in enumerate(query_files(store)):
+                if plan.desired not in files and len(files) < k:
                     assert consumers[(dp, idx)] == n - 1
                     assert consumer_dbs[(dp, idx)] == set(range(n)) - {dp}
 
@@ -274,7 +299,7 @@ def test_transcript_serialization_format():
             assert 0 <= int(i) < 4
     # sorted view is the same multiset of lines
     assert sorted(lines) == serialize_transcript(
-        plan.per_database[0], sort=True
+        plan.stores[0], sort=True
     ).split("\n")
 
 
@@ -282,4 +307,4 @@ def test_plans_are_deterministic_under_seed():
     a = generate_query_plan(3, 3, 1, 27, seed=123)
     b = generate_query_plan(3, 3, 1, 27, seed=123)
     assert plan_transcripts(a) == plan_transcripts(b)
-    assert a.desired_sources == b.desired_sources
+    assert np.array_equal(a.sources, b.sources)

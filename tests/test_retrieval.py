@@ -90,7 +90,7 @@ def test_cost_report_consistency():
     real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 3, 40, 3, seed=17)
     result = retrieve_file(store, real, 1, seed=18)
     report = result.report
-    assert report.total == sum(report.per_database)
+    assert report.total == sum(report.per_node)
     assert report.total == sum(report.per_partition.values())
     transcript_bits = sum(len(a) for s in result.sessions for a in s.answers)
     assert report.total == transcript_bits
@@ -108,14 +108,13 @@ def test_queries_stay_local_to_each_store():
     result = retrieve_file(store, real, 2, seed=21, partition=part)
     for session in result.sessions:
         entry = part.entries[session.storage_set]
-        for node, queries in zip(session.nodes, session.queries):
-            for q in queries:
-                for f, idx in q.terms:
-                    if idx >= entry.lengths[f]:
-                        continue  # zero padding
-                    addr = flat_address(f, int(entry.positions[f][idx]), 30)
-                    if node > 0:
-                        assert addr in cached[node - 1]
+        for node, queries in zip(session.nodes, session.stores):
+            for f, idx in zip(queries.files.tolist(), queries.indices.tolist()):
+                if idx >= entry.lengths[f]:
+                    continue  # zero padding
+                addr = flat_address(f, int(entry.positions[f][idx]), 30)
+                if node > 0:
+                    assert addr in cached[node - 1]
 
 
 @given(
