@@ -28,7 +28,7 @@ from .analysis import (
 from .errors import BudgetViolation, InvariantViolation, ProtocolError, ReliabilityError
 from .model import partition_by_storage_set
 from .placement import PlacementPolicy, UniformRandomPlacement, policy_from_dict
-from .privacy import transcript_distribution_test
+from .privacy import check_instance, transcript_distribution_test
 from .retrieval import simulate_trials
 from .rng import derive_seed
 from .placement import sample_placement
@@ -295,6 +295,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_privacy_test(args) -> int:
+    check_instance(args.k, args.n, args.file_bits)
     block = args.n**args.k
     if args.k > 3 or args.n > 3 or args.file_bits > 2 * block:
         raise ValueError(

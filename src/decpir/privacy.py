@@ -71,6 +71,25 @@ class PrivacyTestResult:
         return self.structural_ok and self.distribution_ok
 
 
+def check_instance(num_files: int, num_replicas: int, num_symbols: int) -> None:
+    """Refuse instances with nothing to compare: a pass there would be vacuous.
+
+    The test compares transcripts between pairs of desired files, so it needs
+    at least two files, one store and one symbol per file.
+    """
+    if num_files < 2:
+        raise ValueError(
+            f"need at least two files to compare transcripts, got {num_files}"
+        )
+    if num_replicas < 1:
+        raise ValueError(f"need at least one replica, got {num_replicas}")
+    if num_symbols < 1:
+        raise ValueError(
+            f"need at least one symbol per file to compare transcripts, "
+            f"got {num_symbols}"
+        )
+
+
 def transcript_distribution_test(
     num_files: int,
     num_replicas: int,
@@ -86,6 +105,7 @@ def transcript_distribution_test(
     transcripts are deterministic and distinguish the desired file, so the
     distribution test must fail.
     """
+    check_instance(num_files, num_replicas, num_symbols)
     if sessions < 2:
         raise ValueError(f"need at least two sessions, got {sessions}")
 

@@ -30,7 +30,10 @@ per-query term counts, plus a table of where each desired counter is decoded
 from.  A plan for ``lam`` symbols tiles the template over ``lam / n**K``
 blocks, offsetting counters by the block start, and maps each (file,
 counter) term to its symbol index through the plan's ``(K, lam)``
-permutation array.
+permutation array.  Several sessions of one shape can share a plan as
+consecutive segments: each segment draws its own permutations from its own
+seed, offset by its start, so the permutation array is block-diagonal and
+each segment's slice of the plan is that session's plan, shifted.
 
 Query symbol indices refer to positions in each store's symbol array after
 the plan's permutation has been applied at construction time; stores never
@@ -201,8 +204,8 @@ def generate_query_plan(
     num_replicas: int,
     num_files: int,
     desired: int,
-    num_symbols: int,
-    seed: int,
+    num_symbols: int | Sequence[int],
+    seed: int | Sequence[int],
     permute: bool = True,
 ) -> QueryPlan:
     """Build the query plan for one retrieval session.
@@ -211,6 +214,15 @@ def generate_query_plan(
     plan then consists of that many independent blocks over consecutive
     counter ranges.  ``permute=False`` skips the per-file permutations and
     exists only as a negative control for privacy tests.
+
+    Several sessions of the same shape run as one plan when ``num_symbols``
+    and ``seed`` are equal-length sequences, one entry per segment.  Segment
+    ``i`` draws its permutations from ``generator(seed[i])`` exactly as a
+    plan of its own would, offset by the segment's start, so the
+    permutations are block-diagonal: its queries, decode sources and decoded
+    symbols are those of the separate plan with symbol indices shifted by
+    the start and query numbers by the queries of the segments before it.
+    The plan's ``num_symbols`` is then the sum of the segment lengths.
     """
     n, k = num_replicas, num_files
     if n < 1:
@@ -219,23 +231,38 @@ def generate_query_plan(
         raise ValueError(f"need at least one file, got {k}")
     if not 0 <= desired < k:
         raise ValueError(f"desired file {desired} out of range for K={k}")
-    if num_symbols < 0:
-        raise ValueError(f"symbol count must be non-negative, got {num_symbols}")
-    block = n**k
-    if num_symbols % block != 0:
-        raise ValueError(
-            f"symbol count {num_symbols} is not a multiple of the "
-            f"{block}-symbol block size for n={n}, K={k}"
-        )
-
-    if permute:
-        rng = generator(seed)
-        perms = np.array([rng.permutation(num_symbols) for _ in range(k)])
+    if isinstance(num_symbols, (int, np.integer)):
+        lams, seeds = [int(num_symbols)], [seed]
     else:
-        perms = np.tile(np.arange(num_symbols), (k, 1))
+        lams, seeds = [int(lam) for lam in num_symbols], list(seed)
+        if len(lams) != len(seeds):
+            raise ValueError(
+                f"{len(lams)} segment lengths but {len(seeds)} segment seeds"
+            )
+    block = n**k
+    for lam in lams:
+        if lam < 0:
+            raise ValueError(f"symbol count must be non-negative, got {lam}")
+        if lam % block != 0:
+            raise ValueError(
+                f"symbol count {lam} is not a multiple of the "
+                f"{block}-symbol block size for n={n}, K={k}"
+            )
+    total = sum(lams)
+
+    perms = np.tile(np.arange(total), (k, 1))
+    if permute:
+        # Shuffling a segment's slice in place draws exactly what
+        # ``permutation(lam)`` would, already offset by the segment start.
+        start = 0
+        for lam, s in zip(lams, seeds):
+            rng = generator(s)
+            for j in range(k):
+                rng.shuffle(perms[j, start : start + lam])
+            start += lam
 
     t = _block_template(n, k, desired)
-    blocks = num_symbols // block
+    blocks = total // block
     b = np.arange(blocks)[:, None, None]
     files = np.tile(t.files, blocks)
     orders = np.tile(t.orders, blocks)
@@ -243,7 +270,7 @@ def generate_query_plan(
     indices = perms[files, counters]
     stores = tuple(StoreQueries(files, indices[d], orders) for d in range(n))
     sources = t.sources + b * t.steps
-    return QueryPlan(n, k, desired, num_symbols, perms, stores, sources.reshape(-1, 4))
+    return QueryPlan(n, k, desired, total, perms, stores, sources.reshape(-1, 4))
 
 
 def answer_queries(queries: StoreQueries, symbols: np.ndarray) -> np.ndarray:

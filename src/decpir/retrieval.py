@@ -7,6 +7,14 @@ lengths: its answer string is the stored bits themselves, one per bit.
 Decoded pieces are scattered back to their original addresses; the result
 must equal the requested file bit-for-bit, and every downloaded bit (padding
 included) is charged to the cost report.
+
+All storage sets of one size share a block template, so their sessions run
+as the segments of one plan: one padded ``(K, sum of lambda_S)`` symbol
+matrix, one answer pass per store position and one decode per size.  Each
+segment keeps its own permutation seed, so its queries, answers and decoded
+bits are exactly those of the set's separate session; with
+``keep_sessions`` every set still gets its own :class:`PartitionSession`,
+cut out of the shared arrays with indices local to the set.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from .model import (
 )
 from .placement import PlacementPolicy, sample_placement
 from .protocol import (
-    QueryPlan,
     StoreQueries,
     answer_queries,
     decode_desired,
@@ -55,11 +62,12 @@ class CostReport:
     removes the padding-induced overage (what the same partition would cost
     at exactly its raw subfile lengths) for comparison with the asymptotic
     formula.  ``per_node[d]`` counts the bits downloaded from node ``d``
-    (0 is the data center, ``d >= 1`` database ``d``).
+    (0 is the data center, ``d >= 1`` database ``d``); ``per_partition``
+    counts them per storage set, keyed by the set's sorted node tuple.
     """
 
     per_node: tuple[int, ...]
-    per_partition: dict
+    per_partition: dict[tuple[int, ...], int]
     total: int
     ideal: Fraction
     file_len: int
@@ -71,13 +79,15 @@ class CostReport:
 
 @dataclass(frozen=True)
 class PartitionSession:
-    """Transcript of one per-partition protocol run."""
+    """Transcript of one per-partition protocol run.
+
+    Query indices are local to the set: ``0 <= index < lambda_S``.
+    """
 
     storage_set: frozenset
     nodes: tuple[int, ...]
     stores: tuple[StoreQueries, ...]  # each node's queries, as in ``nodes``
     answers: tuple[np.ndarray, ...]
-    plan: Optional[QueryPlan]  # None for the download-everything set {0}
 
 
 @dataclass(frozen=True)
@@ -125,75 +135,139 @@ def retrieve_file(
         )
 
     recovered = np.zeros(length, dtype=np.uint8)
-    per_node = [0] * (realization.num_dbs + 1)
+    per_node = np.zeros(realization.num_dbs + 1, dtype=np.int64)
     per_partition: dict = {}
     ideal = Fraction(0)
-    sessions = []
+    sessions: Optional[list] = [] if keep_sessions else None
 
+    groups: dict[int, list] = {}
     for index, (s, entry) in enumerate(partition.canonical_entries()):
-        nodes = tuple(sorted(s))
+        if len(s) > 1:
+            groups.setdefault(len(s), []).append((index, s, entry))
+            continue
+        # Data-center-only bits: download every stored bit of every file.
         lengths = entry.lengths
-        if len(s) == 1:
-            # Data-center-only bits: download every stored bit of every file.
-            answers = np.concatenate(
-                [store.bits[j][entry.positions[j]] for j in range(k)]
-            )
-            start = sum(lengths[:desired])
-            recovered[entry.positions[desired]] = answers[
-                start : start + lengths[desired]
-            ]
-            cost = len(answers)
-            per_node[0] += cost
-            per_partition[s] = cost
-            ideal += cost
-            if keep_sessions:
-                sessions.append(
-                    PartitionSession(
-                        s, nodes, (download_everything(lengths),), (answers,), None
-                    )
-                )
-            continue
-
-        lam = entry.padded_len
-        if lam == 0:
-            per_partition[s] = 0
-            continue
-        plan = generate_query_plan(
-            len(s), k, desired, lam, derive_seed(seed, index)
+        answers = np.concatenate(
+            [store.bits[j][entry.positions[j]] for j in range(k)]
         )
-        padded = np.zeros((k, lam), dtype=np.uint8)
-        for j in range(k):
-            padded[j, : lengths[j]] = store.bits[j][entry.positions[j]]
-        answers = tuple(answer_queries(q, padded) for q in plan.stores)
-        decoded = decode_desired(plan, answers)
-        if (decoded[lengths[desired] :] != 0).any():
-            raise ReliabilityError(
-                f"padding symbols decoded non-zero in partition {sorted(s)}"
-            )
-        recovered[entry.positions[desired]] = decoded[: lengths[desired]]
-
-        cost = 0
-        for node, answer in zip(nodes, answers):
-            per_node[node] += len(answer)
-            cost += len(answer)
-        per_partition[s] = cost
-        ideal += entry.max_len * capacity_classical(k, len(s))
-        if keep_sessions:
+        start = sum(lengths[:desired])
+        recovered[entry.positions[desired]] = answers[
+            start : start + lengths[desired]
+        ]
+        cost = len(answers)
+        per_node[0] += cost
+        per_partition[(0,)] = cost
+        ideal += cost
+        if sessions is not None:
             sessions.append(
-                PartitionSession(s, nodes, plan.stores, answers, plan)
+                PartitionSession(s, (0,), (download_everything(lengths),), (answers,))
             )
+
+    for size, group in groups.items():
+        ideal += _retrieve_group(
+            store, desired, seed, size, group,
+            recovered, per_node, per_partition, sessions,
+        )
 
     if not np.array_equal(recovered, store.bits[desired]):
         raise ReliabilityError(f"recovered file {desired} differs from the source")
 
+    per_node_counts = tuple(per_node.tolist())
     report = CostReport(
-        per_node=tuple(per_node),
+        per_node=per_node_counts,
         per_partition=per_partition,
-        total=sum(per_node),
+        total=sum(per_node_counts),
         ideal=ideal,
         file_len=length,
     )
-    return RetrievalResult(recovered, report, tuple(sessions))
+    return RetrievalResult(recovered, report, tuple(sessions or ()))
+
+
+def _retrieve_group(
+    store: FileStore,
+    desired: int,
+    seed: int,
+    size: int,
+    group: list,
+    recovered: np.ndarray,
+    per_node: np.ndarray,
+    per_partition: dict,
+    sessions: Optional[list],
+) -> Fraction:
+    """Run every storage set of one size as a segment of one plan.
+
+    ``group`` lists ``(canonical index, set, entry)`` in canonical order; set
+    ``i`` owns symbols ``[starts[i], starts[i + 1])`` of every file and its
+    permutations come from ``derive_seed(seed, index)``, so each segment's
+    queries, answers and decoded bits are those of the set's own session.
+    Fills ``recovered``, charges ``per_node`` and ``per_partition``, appends
+    one session per set when ``sessions`` is a list, and returns the group's
+    ideal cost.
+    """
+    k = store.num_files
+    entries = [entry for _, _, entry in group]
+    nodes = np.array([sorted(s) for _, s, _ in group])
+    lams = [entry.padded_len for entry in entries]
+    plan = generate_query_plan(
+        size, k, desired, lams, [derive_seed(seed, index) for index, _, _ in group]
+    )
+    starts = np.cumsum([0] + lams)
+    total = int(starts[-1])
+
+    padded = np.zeros((k, total), dtype=np.uint8)
+    for entry, start in zip(entries, starts.tolist()):
+        for j, p in enumerate(entry.positions):
+            padded[j, start : start + len(p)] = store.bits[j][p]
+
+    answers = tuple(answer_queries(q, padded) for q in plan.stores)
+    decoded = decode_desired(plan, answers)
+    # Set i's desired bits are the first len(positions[desired]) symbols of
+    # its segment and the rest is padding, which decodes to zero exactly when
+    # no non-zero symbol lies outside those columns.
+    pos = [entry.positions[desired] for entry in entries]
+    lens = np.array([len(p) for p in pos])
+    shift = starts[:-1] - (np.cumsum(lens) - lens)
+    cols = np.arange(lens.sum()) + np.repeat(shift, lens)
+    got = decoded[cols]
+    if np.count_nonzero(decoded) != np.count_nonzero(got):
+        padding = np.ones(total, dtype=bool)
+        padding[cols] = False
+        bad = np.flatnonzero(padding & (decoded != 0))[0]
+        set_of = np.searchsorted(starts, bad, "right") - 1
+        raise ReliabilityError(
+            f"padding symbols decoded non-zero in partition {nodes[set_of].tolist()}"
+        )
+    recovered[np.concatenate(pos)] = got
+
+    # Every block carries the same queries and terms, so set i's share of
+    # each store's record starts at its first block times the per-block count.
+    block_starts = starts // size**k
+    num_blocks = int(block_starts[-1])
+    q_starts = block_starts * (len(plan.stores[0]) // num_blocks)
+    queries = np.diff(q_starts)
+    np.add.at(per_node, nodes, queries[:, None])
+    per_partition.update(zip(map(tuple, nodes.tolist()), (queries * size).tolist()))
+
+    if sessions is not None:
+        t_starts = (block_starts * (len(plan.stores[0].files) // num_blocks)).tolist()
+        q_starts = q_starts.tolist()
+        for i, (_, s, _) in enumerate(group):
+            qa, qb, ta, tb = q_starts[i], q_starts[i + 1], t_starts[i], t_starts[i + 1]
+            offset = int(starts[i])
+            sessions.append(
+                PartitionSession(
+                    s,
+                    tuple(nodes[i].tolist()),
+                    tuple(
+                        StoreQueries(
+                            q.files[ta:tb], q.indices[ta:tb] - offset, q.orders[qa:qb]
+                        )
+                        for q in plan.stores
+                    ),
+                    tuple(a[qa:qb] for a in answers),
+                )
+            )
+    return capacity_classical(k, size) * sum(entry.max_len for entry in entries)
 
 
 @dataclass(frozen=True)

@@ -345,3 +345,28 @@ def test_simulate_refuses_64_databases(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "at most 63 databases" in err
+
+
+@pytest.mark.parametrize(
+    "k, n, bits, message",
+    [
+        ("0", "2", "0", "two files"),
+        ("0", "2", "4", "two files"),
+        ("1", "2", "4", "two files"),
+        ("2", "0", "4", "one replica"),
+        ("2", "2", "0", "one symbol"),
+    ],
+)
+@pytest.mark.parametrize("control", [[], ["--no-permute"]])
+def test_privacy_test_refuses_vacuous_instances(capsys, k, n, bits, message, control):
+    # Nothing to compare must not read as a pass, for the honest scheme or
+    # for the negative control.
+    code = main(
+        ["privacy-test", "--k", k, "--n", n, "--file-bits", bits, "--sessions", "50"]
+        + control
+    )
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err

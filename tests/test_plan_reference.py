@@ -112,3 +112,55 @@ def test_array_plan_matches_reference(n, k):
                 assert got.tolist() == reference_answers(qs, symbols)
             assert np.array_equal(decode_desired(plan, answers), symbols[desired])
 
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_segmented_plan_joins_single_plans(n, k):
+    # A plan over segments is the single plans of its segments laid end to
+    # end: symbol indices shift by the segment start, query numbers (in the
+    # decode table) by the queries of the segments before it.
+    block = n**k
+    lams = [2 * block, block, 3 * block]
+    seeds = [11 * k + n, 2**63 + 5, 7]
+    starts = np.cumsum([0] + lams)
+    symbols = generator(500 * n + k).integers(0, 2, (k, starts[-1]), dtype=np.uint8)
+    for desired in range(k):
+        joined = generate_query_plan(n, k, desired, lams, seeds)
+        singles = [
+            generate_query_plan(n, k, desired, lam, seed)
+            for lam, seed in zip(lams, seeds)
+        ]
+        assert joined.num_symbols == starts[-1]
+        assert np.array_equal(
+            joined.permutations,
+            np.hstack([p.permutations + s for p, s in zip(singles, starts)]),
+        )
+        for d, store in enumerate(joined.stores):
+            parts = [p.stores[d] for p in singles]
+            for name in ("files", "orders"):
+                assert np.array_equal(
+                    getattr(store, name),
+                    np.concatenate([getattr(q, name) for q in parts]),
+                )
+            assert np.array_equal(
+                store.indices,
+                np.concatenate([q.indices + s for q, s in zip(parts, starts)]),
+            )
+        q_starts = np.cumsum([0] + [len(p.stores[0]) for p in singles])
+        shifted = []
+        for p, q0 in zip(singles, q_starts):
+            src = p.sources.copy()
+            src[:, 1] += q0
+            src[src[:, 2] >= 0, 3] += q0
+            shifted.append(src)
+        assert np.array_equal(joined.sources, np.vstack(shifted))
+        answers = [answer_queries(q, symbols) for q in joined.stores]
+        assert np.array_equal(decode_desired(joined, answers), symbols[desired])
+
+
+def test_segment_lengths_must_fill_blocks():
+    with pytest.raises(ValueError, match="multiple"):
+        generate_query_plan(2, 2, 0, [4, 6, 8], [1, 2, 3])
+    with pytest.raises(ValueError, match="segment"):
+        generate_query_plan(2, 2, 0, [4, 8], [1])

@@ -56,3 +56,13 @@ def test_unpermuted_scheme_fails():
 def test_session_count_validation():
     with pytest.raises(ValueError):
         transcript_distribution_test(2, 2, 4, sessions=1, seed=0)
+
+
+@pytest.mark.parametrize("permute", [True, False])
+@pytest.mark.parametrize(
+    "k, n, lam", [(0, 2, 0), (1, 2, 4), (2, 2, 0), (2, 0, 4), (2, 2, -4)]
+)
+def test_vacuous_instances_are_refused(k, n, lam, permute):
+    # No file pair or no symbol to compare: refuse rather than pass vacuously.
+    with pytest.raises(ValueError, match="at least one|at least two"):
+        transcript_distribution_test(k, n, lam, sessions=10, seed=0, permute=permute)

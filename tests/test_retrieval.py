@@ -1,5 +1,12 @@
-"""Orchestrator tests: exact costs, reliability, locality, bound dominance."""
+"""Orchestrator tests: exact costs, reliability, locality, bound dominance.
 
+``reference_retrieve`` runs one protocol session per storage set, the
+straightforward form of the scheme; :func:`retrieve_file` runs every set of
+one size as a segment of a single plan and must agree with it exactly.
+"""
+
+import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decpir.analysis import capacity_classical
+from decpir.errors import ReliabilityError
 from decpir.model import (
     build_file_store,
     flat_address,
@@ -19,8 +27,62 @@ from decpir.placement import (
     WholeFilePrefixPlacement,
     sample_placement,
 )
+from decpir.protocol import (
+    answer_queries,
+    decode_desired,
+    generate_query_plan,
+    plan_transcripts,
+    serialize_transcript,
+)
 from decpir.retrieval import retrieve_file, simulate_trials
 from decpir.rng import derive_seed
+
+
+def reference_retrieve(store, realization, desired, seed):
+    """One session per storage set, in canonical order.
+
+    Returns the recovered bits, ``per_node``, ``per_partition``, ``total``,
+    ``ideal`` and, per storage set, its node tuple, answer strings and (for
+    sets of two or more nodes) its plan.
+    """
+    k, length = store.num_files, store.file_len
+    partition = partition_by_storage_set(realization)
+    recovered = np.zeros(length, dtype=np.uint8)
+    per_node = [0] * (realization.num_dbs + 1)
+    per_partition = {}
+    ideal = Fraction(0)
+    sessions = []
+    for index, (s, entry) in enumerate(partition.canonical_entries()):
+        nodes = tuple(sorted(s))
+        lengths = entry.lengths
+        if len(s) == 1:
+            answers = np.concatenate(
+                [store.bits[j][entry.positions[j]] for j in range(k)]
+            )
+            start = sum(lengths[:desired])
+            recovered[entry.positions[desired]] = answers[
+                start : start + lengths[desired]
+            ]
+            per_node[0] += len(answers)
+            per_partition[nodes] = len(answers)
+            ideal += len(answers)
+            sessions.append((nodes, (answers,), None))
+            continue
+        lam = entry.padded_len
+        plan = generate_query_plan(len(s), k, desired, lam, derive_seed(seed, index))
+        padded = np.zeros((k, lam), dtype=np.uint8)
+        for j in range(k):
+            padded[j, : lengths[j]] = store.bits[j][entry.positions[j]]
+        answers = tuple(answer_queries(q, padded) for q in plan.stores)
+        decoded = decode_desired(plan, answers)
+        assert not decoded[lengths[desired] :].any()
+        recovered[entry.positions[desired]] = decoded[: lengths[desired]]
+        for node, answer in zip(nodes, answers):
+            per_node[node] += len(answer)
+        per_partition[nodes] = sum(len(a) for a in answers)
+        ideal += entry.max_len * capacity_classical(k, len(s))
+        sessions.append((nodes, answers, plan))
+    return recovered, tuple(per_node), per_partition, sum(per_node), ideal, sessions
 
 
 def test_data_center_only_costs_everything():
@@ -98,23 +160,81 @@ def test_cost_report_consistency():
     assert report.normalized == Fraction(report.total, 40)
 
 
-def test_queries_stay_local_to_each_store():
+def check_queries_stay_local(k, n, mu, length):
     # Stored positions referenced at a database must be bits it caches;
     # indices past the raw length are the agreed zero padding.
-    store = build_file_store(3, 30, seed=19)
-    real = sample_placement(UniformRandomPlacement(Fraction(1, 3)), 3, 30, 2, seed=20)
+    store = build_file_store(k, length, seed=19)
+    real = sample_placement(UniformRandomPlacement(mu), k, length, n, seed=20)
     part = partition_by_storage_set(real)
     cached = [set(s.tolist()) for s in real.sets]
-    result = retrieve_file(store, real, 2, seed=21, partition=part)
+    result = retrieve_file(store, real, k - 1, seed=21, partition=part)
+    assert len(result.sessions) == len(part.entries)
     for session in result.sessions:
         entry = part.entries[session.storage_set]
+        lam = entry.padded_len or entry.max_len
         for node, queries in zip(session.nodes, session.stores):
+            if len(queries.indices):
+                assert 0 <= queries.indices.min() and queries.indices.max() < lam
             for f, idx in zip(queries.files.tolist(), queries.indices.tolist()):
                 if idx >= entry.lengths[f]:
                     continue  # zero padding
-                addr = flat_address(f, int(entry.positions[f][idx]), 30)
+                addr = flat_address(f, int(entry.positions[f][idx]), length)
                 if node > 0:
                     assert addr in cached[node - 1]
+
+
+def test_queries_stay_local_to_each_store():
+    check_queries_stay_local(3, 2, Fraction(1, 3), 30)
+
+
+def test_queries_stay_local_when_sets_share_a_plan():
+    # Several storage sets of every size, so every size class runs as a
+    # segmented plan and each session is cut out of it.
+    check_queries_stay_local(3, 6, Fraction(1, 4), 60)
+
+
+def test_per_partition_serializes_to_json():
+    store = build_file_store(3, 40, seed=35)
+    real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 3, 40, 3, seed=36)
+    report = retrieve_file(store, real, 0, seed=37).report
+    assert json.loads(json.dumps(list(report.per_partition.items())))
+
+
+@given(
+    k=st.integers(1, 3),
+    length=st.integers(1, 40),
+    n=st.integers(0, 6),
+    mu_num=st.integers(0, 4),
+    desired_pick=st.integers(0, 5),
+    seed=st.integers(0, 2**48),
+)
+@settings(max_examples=40)
+def test_batched_retrieval_matches_per_set_sessions(
+    k, length, n, mu_num, desired_pick, seed
+):
+    store = build_file_store(k, length, derive_seed(seed, 0))
+    real = sample_placement(
+        UniformRandomPlacement(Fraction(mu_num, 4)), k, length, n, derive_seed(seed, 1)
+    )
+    desired = desired_pick % k
+    result = retrieve_file(store, real, desired, derive_seed(seed, 2))
+    bits, per_node, per_partition, total, ideal, sessions = reference_retrieve(
+        store, real, desired, derive_seed(seed, 2)
+    )
+    report = result.report
+    assert np.array_equal(result.bits, bits)
+    assert report.per_node == per_node
+    assert report.per_partition == per_partition
+    assert list(report.per_partition) == list(per_partition)
+    assert (report.total, report.ideal) == (total, ideal)
+    assert len(result.sessions) == len(sessions)
+    for got, (nodes, answers, plan) in zip(result.sessions, sessions):
+        assert got.nodes == nodes
+        assert [a.tolist() for a in got.answers] == [a.tolist() for a in answers]
+        if plan is not None:
+            assert tuple(serialize_transcript(q) for q in got.stores) == (
+                plan_transcripts(plan)
+            )
 
 
 @given(
@@ -200,3 +320,28 @@ def test_store_and_realization_must_agree():
         retrieve_file(store, sample_placement(
             UniformRandomPlacement(Fraction(1, 2)), 2, 4, 1, seed=33
         ), 5, seed=34)
+
+
+def test_nonzero_padding_is_caught(monkeypatch):
+    # Corrupt one padding symbol of the last storage set of size 2: the
+    # retrieval must refuse it and name that set, not the first of its size.
+    import decpir.retrieval as retrieval
+
+    store = build_file_store(2, 40, seed=38)
+    real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 2, 40, 3, seed=39)
+    part = partition_by_storage_set(real)
+    pairs = [s for s, _ in part.canonical_entries() if len(s) == 2]
+    entry = part.entries[pairs[-1]]
+    assert len(pairs) > 1 and entry.padded_len > entry.lengths[0]
+    original = retrieval.decode_desired
+
+    def corrupt(plan, answers):
+        out = original(plan, answers)
+        if plan.num_replicas == 2:
+            out = out.copy()
+            out[-1] ^= 1
+        return out
+
+    monkeypatch.setattr(retrieval, "decode_desired", corrupt)
+    with pytest.raises(ReliabilityError, match=re.escape(str(sorted(pairs[-1])))):
+        retrieve_file(store, real, 0, seed=40, partition=part)

@@ -1,5 +1,6 @@
-"""The experiment scripts should run end to end."""
+"""The experiment scripts and the benchmark should run end to end."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,25 @@ def test_convergence_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert "184/81" in proc.stdout
+
+
+def test_perfbench_smoke():
+    # One short traced run of the benchmark: the golden digests still match,
+    # no op fails and every traced boundary is still found.
+    root = SCRIPTS.parent
+    proc = subprocess.run(
+        [
+            sys.executable, str(root / "perfbench" / "run.py"),
+            "--workload", "many-sets", "--seed", "0", "--seconds", "1", "--trace", "1",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=root,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    detail = json.loads(lines[-2])["detail"]
+    result = json.loads(lines[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0 and detail["failed"] == 0
+    assert detail["absent"] == []
