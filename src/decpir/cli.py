@@ -83,6 +83,8 @@ def _load_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
     merged = {
         "k": args.k if args.k is not None else doc.get("k"),
         "n": args.n if args.n is not None else doc.get("n"),
@@ -98,22 +100,33 @@ def _load_config(args) -> ExperimentConfig:
     if missing:
         raise ValueError(f"missing required config fields: {', '.join(missing)}")
     mu = parse_mu(str(merged["mu"]))
+    for key in ("k", "n", "file_bits", "trials", "seed"):
+        # int() would truncate 2.9 to 2 and read true as 1.
+        value = merged[key]
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError(f"config field {key} must be an integer, got {value!r}")
+    k, n, file_bits, trials, seed = (
+        int(merged[key]) for key in ("k", "n", "file_bits", "trials", "seed")
+    )
+    if merged["out"] is not None and not isinstance(merged["out"], str):
+        raise ValueError(f"config field out must be a path, got {merged['out']!r}")
     policy_doc = doc.get("policy", {"kind": "uniform-random"})
     if getattr(args, "policy", None):
         policy_doc = {"kind": args.policy}
         if args.files:
             policy_doc["files"] = [int(f) for f in args.files.split(",")]
-    if policy_doc.get("kind", "uniform-random") == "uniform-random":
-        policy_doc.setdefault("mu", str(mu))
-    policy = policy_from_dict(policy_doc)
+    if isinstance(policy_doc, dict) and (
+        policy_doc.get("kind", "uniform-random") == "uniform-random"
+    ):
+        policy_doc = {"mu": str(mu), **policy_doc}
     return ExperimentConfig(
-        k=int(merged["k"]),
-        n=int(merged["n"]),
+        k=k,
+        n=n,
         mu=mu,
-        file_bits=int(merged["file_bits"]),
-        trials=int(merged["trials"]),
-        seed=int(merged["seed"]),
-        policy=policy,
+        file_bits=file_bits,
+        trials=trials,
+        seed=seed,
+        policy=policy_from_dict(policy_doc),
         out=merged["out"],
     )
 
@@ -248,6 +261,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_converse(args) -> int:
     mu = parse_mu(args.mu)
+    if args.trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     profile = uniform_profile(args.k, args.file_bits, mu)
     expected = expected_converse_bound(profile, args.n, mu=mu)
     _print_value(

@@ -8,6 +8,14 @@ Conventions used throughout the package:
 * caching databases are nodes ``1..N``,
 * a "flat address" encodes bit ``(file, position)`` as ``file * file_len +
   position``.
+
+The partition by storage set is arrays in canonical order: sets by size,
+then by sorted member list, and within a set file by file with positions
+ascending.  :func:`partition_by_storage_set` builds it with one stable sort
+of all addresses on a per-address key (the number of caching databases,
+then one byte per eight databases with a database's bit cleared where it
+caches the address), so any number of databases works; see
+:class:`StorageSetPartition` for the layout.
 """
 
 from __future__ import annotations
@@ -103,6 +111,11 @@ class CacheRealization:
     sets: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        if self.num_files < 1 or self.file_len < 1:
+            raise ValueError(
+                f"need at least one file of at least one bit, got K={self.num_files}, "
+                f"L={self.file_len}"
+            )
         if len(self.sets) != self.num_dbs:
             raise ValueError(
                 f"expected {self.num_dbs} cache sets, got {len(self.sets)}"
@@ -134,12 +147,31 @@ def realization_from_addresses(
     budget: int,
     address_sets: Sequence[Iterable[tuple[int, int]]],
 ) -> CacheRealization:
-    """Build a realization from per-database iterables of (file, position) pairs."""
+    """Build a realization from per-database iterables of (file, position) pairs.
+
+    Raises ``ValueError`` unless every pair holds two integers with
+    ``0 <= file < num_files`` and ``0 <= position < file_len``.
+    """
     sets = []
-    for pairs in address_sets:
-        flat = sorted(flat_address(f, p, file_len) for f, p in pairs)
-        sets.append(np.asarray(flat, dtype=np.int64))
+    for d, pairs in enumerate(address_sets):
+        flat = []
+        for f, p in pairs:
+            if not (_is_index(f, num_files) and _is_index(p, file_len)):
+                raise ValueError(
+                    f"database {d + 1} caches ({f!r}, {p!r}), not a bit of "
+                    f"{num_files} files of {file_len} bits"
+                )
+            flat.append(flat_address(f, p, file_len))
+        sets.append(np.asarray(sorted(flat), dtype=np.int64))
     return CacheRealization(num_files, file_len, len(sets), budget, tuple(sets))
+
+
+def _is_index(value, bound) -> bool:
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and 0 <= value < bound
+    )
 
 
 def realization_to_json(realization: CacheRealization) -> dict:
@@ -163,12 +195,40 @@ def realization_to_json(realization: CacheRealization) -> dict:
 def realization_from_json(
     doc: Mapping, num_files: Optional[int] = None, file_len: Optional[int] = None
 ) -> CacheRealization:
-    """Inverse of :func:`realization_to_json`."""
-    k = num_files if num_files is not None else doc["K"]
-    length = file_len if file_len is not None else doc["L"]
-    return realization_from_addresses(
-        k, length, doc["budget"], [[(f, p) for f, p in s] for s in doc["sets"]]
-    )
+    """Inverse of :func:`realization_to_json`.
+
+    Raises ``ValueError`` for a malformed document: a missing key, ``K``,
+    ``L`` or ``budget`` that is not an integer, an ``N`` that does not count
+    the sets, or ``sets`` that is not a list of lists of ``[file, position]``
+    pairs inside the corpus.
+    """
+    if not isinstance(doc, Mapping):
+        raise ValueError(
+            f"a realization must be a JSON object, got {type(doc).__name__}"
+        )
+    try:
+        k = num_files if num_files is not None else doc["K"]
+        length = file_len if file_len is not None else doc["L"]
+        budget, sets = doc["budget"], doc["sets"]
+    except KeyError as exc:
+        raise ValueError(f"realization document lacks {exc.args[0]!r}") from None
+    for name, value in (("K", k), ("L", length), ("budget", budget)):
+        if not _is_index(value, math.inf):
+            raise ValueError(
+                f"realization {name} must be a non-negative integer, got {value!r}"
+            )
+    sequences = (list, tuple)
+    if not isinstance(sets, sequences) or not all(
+        isinstance(s, sequences)
+        and all(isinstance(a, sequences) and len(a) == 2 for a in s)
+        for s in sets
+    ):
+        raise ValueError(
+            "realization sets must be a list of lists of [file, position] pairs"
+        )
+    if "N" in doc and doc["N"] != len(sets):
+        raise ValueError(f"realization N is {doc['N']!r} but it lists {len(sets)} sets")
+    return realization_from_addresses(k, length, budget, sets)
 
 
 @dataclass(frozen=True)
@@ -201,38 +261,60 @@ class PartitionEntry:
 
 @dataclass(frozen=True)
 class StorageSetPartition:
-    """Disjoint cover of all K*L addresses keyed by exact storage set.
+    """Disjoint cover of all K*L addresses by exact storage set, as arrays.
 
-    Every key is a frozenset of node ids containing 0.  Sets that hold no
-    bits are omitted.
+    Storage sets are numbered in canonical order: by size, then by sorted
+    member list.  Sets that hold no bits are omitted.  With ``S`` sets:
+
+    * ``addresses`` lists all ``K * L`` flat addresses set by set, each
+      set's file by file, positions ascending within a file;
+    * set ``i``'s bits of file ``j`` are
+      ``addresses[starts[i * K + j] : starts[i * K + j + 1]]``, so
+      ``starts`` has ``S * K + 1`` entries and ends at ``K * L``;
+    * ``sizes[i]`` is set ``i``'s node count, ascending;
+    * ``members`` concatenates every set's sorted node ids (each starting
+      with the data center, node 0), ``sum(sizes)`` entries in all.
+
+    ``entries`` is the same partition as a mapping in canonical order from
+    each set (a frozenset of node ids) to its :class:`PartitionEntry`, whose
+    position arrays are views into one array of in-file positions.
     """
 
     num_files: int
     file_len: int
     num_dbs: int
+    addresses: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    members: np.ndarray
     entries: Mapping[frozenset, PartitionEntry]
 
     def __post_init__(self) -> None:
-        covered = sum(e.total_bits for e in self.entries.values())
-        if covered != self.num_files * self.file_len:
+        total = self.num_files * self.file_len
+        if len(self.addresses) != total or int(self.starts[-1]) != total:
             raise ValueError(
-                f"partition covers {covered} bits, expected "
-                f"{self.num_files * self.file_len}"
+                f"partition covers {int(self.starts[-1])} bits, expected {total}"
             )
-        for s in self.entries:
-            if 0 not in s:
-                raise ValueError(f"storage set {sorted(s)} does not contain node 0")
+        firsts = np.cumsum(self.sizes) - self.sizes
+        if (self.members[firsts] != 0).any():
+            raise ValueError("every storage set must contain node 0")
 
     def canonical_entries(self) -> list[tuple[frozenset, PartitionEntry]]:
         """Entries in a fixed order: by set size, then by member list."""
-        return sorted(self.entries.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        return list(self.entries.items())
+
+    def lengths(self) -> np.ndarray:
+        """``(S, K)`` bit counts: row ``i`` holds set ``i``'s per-file lengths."""
+        return np.diff(self.starts).reshape(-1, self.num_files)
 
     def bits_by_size(self) -> dict[int, int]:
-        """Total bit count per storage-set size (1 .. N+1)."""
-        out: dict[int, int] = {}
-        for s, entry in self.entries.items():
-            out[len(s)] = out.get(len(s), 0) + entry.total_bits
-        return out
+        """Total bit count per storage-set size (1 .. N+1), sizes that occur."""
+        set_bits = np.diff(self.starts[:: self.num_files])
+        # Float weights are exact: every count is at most K*L, far below 2**53.
+        by_size = np.bincount(self.sizes, weights=set_bits)
+        return {
+            size: int(bits) for size, bits in enumerate(by_size.tolist()) if bits
+        }
 
 
 def padded_length(max_len: int, set_size: int, num_files: int) -> int:
@@ -241,43 +323,66 @@ def padded_length(max_len: int, set_size: int, num_files: int) -> int:
     return ((max_len + block - 1) // block) * block
 
 
-# Partitioning keys each address by an int64 mask with one bit per database.
-MAX_DBS = 63
-
-
-def check_num_dbs(num_dbs: int) -> None:
-    """Refuse database counts the storage-set mask cannot represent."""
-    if num_dbs > MAX_DBS:
-        raise ValueError(
-            f"at most {MAX_DBS} databases are supported (one bit each in a "
-            f"64-bit storage-set mask), got {num_dbs}"
-        )
-
-
 def partition_by_storage_set(realization: CacheRealization) -> StorageSetPartition:
     """Assign each address to the exact set of nodes that store it.
 
-    Address ``(j, i)`` lands in ``S = {0} | {d : (j, i) cached by DB_d}``;
-    entries for empty sets are omitted, so the result is a disjoint cover of
-    all addresses by construction.
+    Address ``(j, i)`` lands in ``S = {0} | {d : (j, i) cached by DB_d}``.
+    Each address gets one key byte per eight databases, starting at ``0xFF``
+    with database ``d``'s bit (``0x80 >> ((d - 1) % 8)`` of byte
+    ``(d - 1) // 8``) cleared where it caches the address.  For sets of one
+    size, comparing these complemented bytes in order is comparing sorted
+    member lists, so one stable sort by (size, key bytes) puts the addresses
+    in canonical order, ascending within each set.
     """
     k, length, n = realization.num_files, realization.file_len, realization.num_dbs
-    check_num_dbs(n)
     total = k * length
-    membership = np.zeros(total, dtype=np.int64)
+    keys = np.full(((n + 7) // 8, total), 0xFF, dtype=np.uint8)
     for d, addrs in enumerate(realization.sets):
-        membership[addrs] |= 1 << d
-    entries: dict[frozenset, PartitionEntry] = {}
-    for mask in np.unique(membership):
-        addrs = np.flatnonzero(membership == mask)
-        members = frozenset({0} | {d + 1 for d in range(n) if (int(mask) >> d) & 1})
-        files = addrs // length
-        positions = tuple(addrs[files == j] % length for j in range(k))
-        if len(members) == 1:
-            padded = None
-        else:
-            padded = padded_length(
-                max(len(p) for p in positions), len(members), k
-            )
-        entries[members] = PartitionEntry(positions, padded)
-    return StorageSetPartition(k, length, n, entries)
+        row = keys[d // 8]
+        row[addrs] &= ~(0x80 >> (d % 8)) & 0xFF
+    # Narrow keys keep the sort cheap: numpy's stable sort of 8- and 16-bit
+    # integers is a radix sort.
+    cached = np.bincount(
+        np.concatenate((np.zeros(0, np.int64), *realization.sets)), minlength=total
+    ).astype(np.min_scalar_type(n))
+    addresses = np.lexsort((*keys[::-1], cached))
+
+    # Equal keys imply equal sizes, so a set starts exactly where a key
+    # changes, and a run of one set's bits of one file where either changes.
+    sorted_keys = [row[addresses] for row in keys]
+    new_set = np.zeros(total, dtype=bool)
+    new_set[0] = True
+    for row in sorted_keys:
+        new_set[1:] |= row[1:] != row[:-1]
+    files = addresses // length
+    new_run = new_set.copy()
+    new_run[1:] |= files[1:] != files[:-1]
+    firsts = np.flatnonzero(new_set)
+    num_sets = len(firsts)
+    run_firsts = np.flatnonzero(new_run)
+    runs = np.zeros(num_sets * k, dtype=np.int64)
+    runs[(np.cumsum(new_set[run_firsts]) - 1) * k + files[run_firsts]] = np.diff(
+        run_firsts, append=total
+    )
+    starts = np.zeros(num_sets * k + 1, dtype=np.int64)
+    np.cumsum(runs, out=starts[1:])
+    positions = addresses - files * length
+
+    in_set = np.unpackbits(~keys[:, addresses[firsts]].T, axis=1, count=n)
+    held = np.hstack((np.ones((num_sets, 1), dtype=np.uint8), in_set))
+    members = np.nonzero(held)[1]
+    sizes = held.sum(axis=1, dtype=np.int64)
+
+    bounds = starts.tolist()
+    pieces = [positions[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    member_list = members.tolist()
+    ends = np.cumsum(sizes).tolist()
+    max_lens = np.diff(starts).reshape(num_sets, k).max(axis=1).tolist()
+    entries = {
+        frozenset(member_list[end - size : end]): PartitionEntry(
+            tuple(pieces[i * k : (i + 1) * k]),
+            None if size == 1 else padded_length(max_len, size, k),
+        )
+        for i, (size, end, max_len) in enumerate(zip(sizes.tolist(), ends, max_lens))
+    }
+    return StorageSetPartition(k, length, n, addresses, starts, sizes, members, entries)

@@ -19,7 +19,12 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import BudgetViolation
-from .model import CacheRealization, flat_address, storage_budget
+from .model import (
+    CacheRealization,
+    flat_address,
+    realization_from_addresses,
+    storage_budget,
+)
 from .rng import derive_seed, generator
 
 
@@ -60,16 +65,30 @@ PlacementPolicy = Union[
 
 
 def policy_from_dict(doc: dict) -> PlacementPolicy:
-    """Parse a policy description as used in experiment config files."""
+    """Parse a policy description as used in experiment config files.
+
+    Raises ``ValueError`` for anything malformed: a document that is not an
+    object, an unknown kind, or a missing or mistyped field.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a placement policy must be a JSON object, got {doc!r}")
     kind = doc.get("kind", "uniform-random")
-    if kind == "uniform-random":
-        return UniformRandomPlacement(Fraction(doc["mu"]) if "mu" in doc else None)
-    if kind == "whole-file-prefix":
-        return WholeFilePrefixPlacement(tuple(int(f) for f in doc["files"]))
-    if kind == "explicit-sets":
-        return ExplicitSetsPlacement(
-            tuple(tuple((int(f), int(p)) for f, p in s) for s in doc["sets"])
-        )
+    try:
+        if kind == "uniform-random":
+            mu = Fraction(doc["mu"]) if "mu" in doc else None
+            return UniformRandomPlacement(mu)
+        if kind == "whole-file-prefix":
+            return WholeFilePrefixPlacement(tuple(int(f) for f in doc["files"]))
+        if kind == "explicit-sets":
+            return ExplicitSetsPlacement(
+                tuple(tuple((int(f), int(p)) for f, p in s) for s in doc["sets"])
+            )
+    except KeyError as exc:
+        raise ValueError(
+            f"placement kind {kind!r} needs a {exc.args[0]!r} field"
+        ) from None
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed {kind!r} placement policy: {exc}") from None
     raise ValueError(f"unknown placement kind {kind!r}")
 
 
@@ -136,15 +155,7 @@ def sample_placement(
             raise ValueError(
                 f"policy lists {len(policy.sets)} sets for {num_dbs} databases"
             )
-        sets = []
-        for d, pairs in enumerate(policy.sets):
-            if len(pairs) > budget:
-                raise BudgetViolation(
-                    f"database {d + 1} set has {len(pairs)} bits, budget is {budget}"
-                )
-            flat = sorted(flat_address(f, p, file_len) for f, p in pairs)
-            sets.append(np.asarray(flat, dtype=np.int64))
-        return CacheRealization(num_files, file_len, num_dbs, budget, tuple(sets))
+        return realization_from_addresses(num_files, file_len, budget, policy.sets)
 
     raise TypeError(f"unknown policy type {type(policy).__name__}")
 

@@ -106,6 +106,12 @@ def transcript_distribution_test(
     distribution test must fail.
     """
     check_instance(num_files, num_replicas, num_symbols)
+    if not 0 < significance < 1:
+        # At or below 0 no p-value is significant, at or above 1 every one
+        # is, so the verdict would not depend on the transcripts.
+        raise ValueError(
+            f"significance must lie strictly between 0 and 1, got {significance}"
+        )
     if sessions < 2:
         raise ValueError(f"need at least two sessions, got {sessions}")
 

@@ -15,6 +15,12 @@ segment keeps its own permutation seed, so its queries, answers and decoded
 bits are exactly those of the set's separate session; with
 ``keep_sessions`` every set still gets its own :class:`PartitionSession`,
 cut out of the shared arrays with indices local to the set.
+
+The partition lists its sets in canonical order, sizes ascending, so the
+sets of one size are one contiguous range of its arrays.  A size's padded
+matrix is filled with one scatter of that range's bits, and its costs,
+recovered bits and padding check come from the same arrays; the only work
+done per set is deriving its permutation seed.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .model import (
     FileStore,
     StorageSetPartition,
     build_file_store,
-    check_num_dbs,
     partition_by_storage_set,
 )
 from .placement import PlacementPolicy, sample_placement
@@ -97,14 +102,37 @@ class RetrievalResult:
     sessions: tuple[PartitionSession, ...]
 
 
-def _estimated_download(partition: StorageSetPartition) -> int:
-    total = 0
-    for s, entry in partition.entries.items():
-        if len(s) == 1:
-            total += entry.total_bits
-        elif entry.padded_len:
-            total += entry.padded_len * partition.num_files
-    return total
+def _size_groups(partition: StorageSetPartition, download_cap: int) -> list:
+    """Runs of equal-size storage sets, refusing downloads above the cap.
+
+    Returns ``(size, first, end, blocks)`` per run of sets ``first .. end - 1``
+    in canonical order, where ``blocks[i]`` is set ``first + i``'s padded
+    per-file length in ``size ** K``-symbol blocks (``None`` for the
+    data-center-only set, downloaded raw).
+    """
+    k, length = partition.num_files, partition.file_len
+    sizes = partition.sizes
+    max_lens = partition.lengths().max(axis=1)
+    bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
+    groups, estimate = [], 0
+    for first, end in zip(bounds[:-1], bounds[1:]):
+        size = int(sizes[first])
+        if size == 1:
+            groups.append((size, first, end, None))
+            estimate += int(partition.starts[k])
+            continue
+        # max_len <= L, so a block longer than a file holds any set in one;
+        # the estimate stays a Python int however large the block.
+        block = size**k
+        blocks = -(-max_lens[first:end] // min(block, length))
+        estimate += k * block * int(blocks.sum())
+        groups.append((size, first, end, blocks))
+    if estimate > download_cap:
+        raise ValueError(
+            "estimated download exceeds the cap; padded block sizes grow as "
+            "|S|**K, so shrink K, N, or the storage ratio"
+        )
+    return groups
 
 
 def retrieve_file(
@@ -128,46 +156,40 @@ def retrieve_file(
         raise ValueError(f"desired file {desired} out of range for K={k}")
     if partition is None:
         partition = partition_by_storage_set(realization)
-    if _estimated_download(partition) > download_cap:
-        raise ValueError(
-            "estimated download exceeds the cap; padded block sizes grow as "
-            "|S|**K, so shrink K, N, or the storage ratio"
-        )
+    groups = _size_groups(partition, download_cap)
 
     recovered = np.zeros(length, dtype=np.uint8)
     per_node = np.zeros(realization.num_dbs + 1, dtype=np.int64)
     per_partition: dict = {}
     ideal = Fraction(0)
     sessions: Optional[list] = [] if keep_sessions else None
+    bits = store.bits.reshape(-1)
+    addresses, starts = partition.addresses, partition.starts
 
-    groups: dict[int, list] = {}
-    for index, (s, entry) in enumerate(partition.canonical_entries()):
-        if len(s) > 1:
-            groups.setdefault(len(s), []).append((index, s, entry))
+    for size, first, end, blocks in groups:
+        if blocks is not None:
+            ideal += _retrieve_group(
+                bits, partition, desired, seed, size, first, end, blocks,
+                recovered, per_node, per_partition, sessions,
+            )
             continue
-        # Data-center-only bits: download every stored bit of every file.
-        lengths = entry.lengths
-        answers = np.concatenate(
-            [store.bits[j][entry.positions[j]] for j in range(k)]
-        )
-        start = sum(lengths[:desired])
-        recovered[entry.positions[desired]] = answers[
-            start : start + lengths[desired]
-        ]
+        # Data-center-only bits (set 0): download every stored bit of every file.
+        answers = bits[addresses[: starts[k]]]
+        a, b = starts[desired], starts[desired + 1]
+        recovered[addresses[a:b] - desired * length] = answers[a:b]
         cost = len(answers)
         per_node[0] += cost
         per_partition[(0,)] = cost
         ideal += cost
         if sessions is not None:
             sessions.append(
-                PartitionSession(s, (0,), (download_everything(lengths),), (answers,))
+                PartitionSession(
+                    frozenset({0}),
+                    (0,),
+                    (download_everything(np.diff(starts[: k + 1]).tolist()),),
+                    (answers,),
+                )
             )
-
-    for size, group in groups.items():
-        ideal += _retrieve_group(
-            store, desired, seed, size, group,
-            recovered, per_node, per_partition, sessions,
-        )
 
     if not np.array_equal(recovered, store.bits[desired]):
         raise ReliabilityError(f"recovered file {desired} differs from the source")
@@ -184,64 +206,78 @@ def retrieve_file(
 
 
 def _retrieve_group(
-    store: FileStore,
+    bits: np.ndarray,
+    partition: StorageSetPartition,
     desired: int,
     seed: int,
     size: int,
-    group: list,
+    first: int,
+    end: int,
+    blocks: np.ndarray,
     recovered: np.ndarray,
     per_node: np.ndarray,
     per_partition: dict,
     sessions: Optional[list],
 ) -> Fraction:
-    """Run every storage set of one size as a segment of one plan.
+    """Run storage sets ``first .. end - 1``, all of ``size`` nodes, as one plan.
 
-    ``group`` lists ``(canonical index, set, entry)`` in canonical order; set
-    ``i`` owns symbols ``[starts[i], starts[i + 1])`` of every file and its
-    permutations come from ``derive_seed(seed, index)``, so each segment's
-    queries, answers and decoded bits are those of the set's own session.
-    Fills ``recovered``, charges ``per_node`` and ``per_partition``, appends
-    one session per set when ``sessions`` is a list, and returns the group's
-    ideal cost.
+    ``bits`` is the flat corpus.  Set ``first + i`` owns symbols
+    ``[seg[i], seg[i + 1])`` of every file, ``blocks[i]`` blocks of
+    ``size ** K``, and its permutations come from
+    ``derive_seed(seed, first + i)``, so each segment's queries, answers and
+    decoded bits are those of the set's own session.  Fills ``recovered``,
+    charges ``per_node`` and ``per_partition``, appends one session per set
+    when ``sessions`` is a list, and returns the group's ideal cost.
     """
-    k = store.num_files
-    entries = [entry for _, _, entry in group]
-    nodes = np.array([sorted(s) for _, s, _ in group])
-    lams = [entry.padded_len for entry in entries]
+    k, length = partition.num_files, partition.file_len
+    count = end - first
+    block_starts = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(blocks, out=block_starts[1:])
+    seg = block_starts * size**k
+    total = int(seg[-1])
     plan = generate_query_plan(
-        size, k, desired, lams, [derive_seed(seed, index) for index, _, _ in group]
+        size, k, desired, np.diff(seg).tolist(),
+        [derive_seed(seed, index) for index in range(first, end)],
     )
-    starts = np.cumsum([0] + lams)
-    total = int(starts[-1])
 
+    # Run i * K + j holds set first + i's bits of file j; bit r of it lands
+    # in row j, column seg[i] + r of the padded matrix.
+    starts = partition.starts[first * k : end * k + 1]
+    lo = int(starts[0])
+    run_lens = np.diff(starts)
+    run_shift = (
+        np.arange(k) * total + seg[:-1, None] - (starts[:-1] - lo).reshape(count, k)
+    ).reshape(-1)
+    target = np.repeat(run_shift, run_lens)
+    target += np.arange(len(target))
     padded = np.zeros((k, total), dtype=np.uint8)
-    for entry, start in zip(entries, starts.tolist()):
-        for j, p in enumerate(entry.positions):
-            padded[j, start : start + len(p)] = store.bits[j][p]
+    padded.reshape(-1)[target] = bits[partition.addresses[lo : int(starts[-1])]]
 
     answers = tuple(answer_queries(q, padded) for q in plan.stores)
     decoded = decode_desired(plan, answers)
-    # Set i's desired bits are the first len(positions[desired]) symbols of
-    # its segment and the rest is padding, which decodes to zero exactly when
-    # no non-zero symbol lies outside those columns.
-    pos = [entry.positions[desired] for entry in entries]
-    lens = np.array([len(p) for p in pos])
-    shift = starts[:-1] - (np.cumsum(lens) - lens)
-    cols = np.arange(lens.sum()) + np.repeat(shift, lens)
+    # Set i's desired bits are the first lens[i] symbols of its segment and
+    # the rest is padding, which decodes to zero exactly when no non-zero
+    # symbol lies outside those columns.
+    lens = run_lens[desired::k]
+    before = np.cumsum(lens) - lens
+    cols = np.arange(lens.sum()) + np.repeat(seg[:-1] - before, lens)
     got = decoded[cols]
+    members = partition.members
+    offset = int(partition.sizes[:first].sum())
+    nodes = members[offset : offset + count * size].reshape(count, size)
     if np.count_nonzero(decoded) != np.count_nonzero(got):
         padding = np.ones(total, dtype=bool)
         padding[cols] = False
         bad = np.flatnonzero(padding & (decoded != 0))[0]
-        set_of = np.searchsorted(starts, bad, "right") - 1
+        set_of = np.searchsorted(seg, bad, "right") - 1
         raise ReliabilityError(
             f"padding symbols decoded non-zero in partition {nodes[set_of].tolist()}"
         )
-    recovered[np.concatenate(pos)] = got
+    where = np.arange(len(cols)) + np.repeat(starts[desired:-1:k] - before, lens)
+    recovered[partition.addresses[where] - desired * length] = got
 
     # Every block carries the same queries and terms, so set i's share of
     # each store's record starts at its first block times the per-block count.
-    block_starts = starts // size**k
     num_blocks = int(block_starts[-1])
     q_starts = block_starts * (len(plan.stores[0]) // num_blocks)
     queries = np.diff(q_starts)
@@ -251,9 +287,10 @@ def _retrieve_group(
     if sessions is not None:
         t_starts = (block_starts * (len(plan.stores[0].files) // num_blocks)).tolist()
         q_starts = q_starts.tolist()
-        for i, (_, s, _) in enumerate(group):
+        storage_sets = list(partition.entries)[first:end]
+        for i, s in enumerate(storage_sets):
             qa, qb, ta, tb = q_starts[i], q_starts[i + 1], t_starts[i], t_starts[i + 1]
-            offset = int(starts[i])
+            offset = int(seg[i])
             sessions.append(
                 PartitionSession(
                     s,
@@ -267,7 +304,8 @@ def _retrieve_group(
                     tuple(a[qa:qb] for a in answers),
                 )
             )
-    return capacity_classical(k, size) * sum(entry.max_len for entry in entries)
+    max_lens = run_lens.reshape(count, k).max(axis=1)
+    return capacity_classical(k, size) * int(max_lens.sum())
 
 
 @dataclass(frozen=True)
@@ -309,7 +347,6 @@ def simulate_trials(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    check_num_dbs(num_dbs)
     rows = []
     for t in range(trials):
         trial_seed = derive_seed(seed, t)

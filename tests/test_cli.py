@@ -145,6 +145,59 @@ def test_simulate_missing_fields_is_usage_error(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def _assert_one_line_error(capsys, message):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert message in err
+
+
+def test_whole_file_policy_needs_files(capsys):
+    code = main(
+        [
+            "simulate", "--k", "2", "--n", "1", "--mu", "1/2", "--file-bits", "4",
+            "--policy", "whole-file-prefix",
+        ]
+    )
+    assert code == 1
+    _assert_one_line_error(capsys, "'files'")
+
+
+@pytest.mark.parametrize(
+    "policy, message",
+    [
+        ({"kind": "whole-file-prefix"}, "'files'"),
+        ({"kind": "explicit-sets"}, "'sets'"),
+        ({"kind": "explicit-sets", "sets": 3}, "malformed"),
+        ([1, 2], "JSON object"),
+    ],
+)
+def test_config_policy_errors_are_one_line(tmp_path, capsys, policy, message):
+    path = tmp_path / "config.json"
+    config = {"k": 2, "n": 1, "mu": "1/2", "file_bits": 4, "policy": policy}
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path)]) == 1
+    _assert_one_line_error(capsys, message)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("k", 2.9), ("file_bits", 4.5), ("k", True), ("seed", [1])]
+)
+def test_config_integers_are_not_truncated(tmp_path, capsys, field, value):
+    path = tmp_path / "config.json"
+    config = {"k": 2, "n": 1, "mu": "1/2", "file_bits": 4, field: value}
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path)]) == 1
+    _assert_one_line_error(capsys, f"config field {field} must be an integer")
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "text", 3])
+def test_config_must_be_an_object(tmp_path, capsys, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path)]) == 1
+    _assert_one_line_error(capsys, "JSON object")
+
+
 def test_simulate_whole_file_policy(tmp_path):
     out = tmp_path / "sim.csv"
     code = main(
@@ -220,6 +273,17 @@ def test_converse_command(capsys):
     out = capsys.readouterr().out
     assert f"{9 * Fraction(184, 81)}" in out  # expected bound L * formula
     assert "mean realization bound" in out
+
+
+def test_converse_refuses_negative_trials(capsys):
+    code = main(
+        [
+            "converse", "--k", "2", "--n", "2", "--mu", "1/2", "--file-bits", "4",
+            "--trials", "-1",
+        ]
+    )
+    assert code == 1
+    _assert_one_line_error(capsys, "--trials")
 
 
 def test_optimize_command(capsys):
@@ -334,17 +398,21 @@ def test_sweep_needs_start_before_to(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_simulate_refuses_64_databases(capsys):
+def test_simulate_runs_64_databases(tmp_path, capsys):
+    # The storage-set keys have no width limit, so N=64 runs like any other N.
+    out = tmp_path / "sim.csv"
     code = main(
         [
             "simulate", "--k", "2", "--n", "64", "--mu", "1/2",
-            "--file-bits", "4", "--trials", "1",
+            "--file-bits", "4", "--trials", "1", "--out", str(out),
         ]
     )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "at most 63 databases" in err
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    header, rows, _ = read_csv(out)
+    assert len(rows) == 1
+    row = dict(zip(header, rows[0]))
+    assert Fraction(row["total_D"]) >= Fraction(row["converse_bound"])
 
 
 @pytest.mark.parametrize(
@@ -370,3 +438,19 @@ def test_privacy_test_refuses_vacuous_instances(capsys, k, n, bits, message, con
     assert "PASS" not in out
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("significance", ["0", "1", "-1", "nan", "5"])
+def test_privacy_test_refuses_significance_outside_unit_interval(capsys, significance):
+    # At or below 0 the test could never fail, at or above 1 never pass.
+    code = main(
+        [
+            "privacy-test", "--k", "2", "--n", "2", "--file-bits", "4",
+            "--sessions", "50", "--significance", significance,
+        ]
+    )
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" not in out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "significance" in err

@@ -1,0 +1,159 @@
+"""Random CLI input ends in exit 0, 1 or 2, never in a traceback.
+
+Every subcommand is driven with small random integers, ratios and
+significance levels, with any flag possibly left out; sizes stay tiny so
+each run takes milliseconds.  ``realization_from_json`` gets the same
+treatment with malformed documents: it returns a realization or raises
+``ValueError``.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decpir.cli import main
+from decpir.model import CacheRealization, realization_from_json
+
+SMALL = st.integers(-1, 4)
+RATIO = st.one_of(
+    st.builds("{}/{}".format, st.integers(-1, 4), st.integers(0, 4)),
+    st.sampled_from(["0.5", "1", "0", "-0.25", "2", "x", ""]),
+)
+SIGNIFICANCE = st.one_of(
+    st.sampled_from(["0", "1", "-1", "nan", "inf", "0.05", "x"]),
+    st.floats(0, 1).map(str),
+)
+
+
+def _flag(name, values):
+    """``[]`` or ``[name, value]``: any flag may be missing."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+def _command(name, *flags):
+    return st.tuples(st.just([name]), *flags).map(lambda parts: sum(parts, []))
+
+
+def _switch(name):
+    return st.sampled_from([[], [name]])
+
+
+COMMANDS = st.one_of(
+    _command(
+        "capacity", _flag("--k", SMALL), _flag("--n", SMALL), _flag("--mu", RATIO)
+    ),
+    _command("classical", _flag("--k", SMALL), _flag("--n", SMALL)),
+    _command(
+        "envelope", _flag("--k", SMALL), _flag("--n", SMALL), _flag("--mu", RATIO)
+    ),
+    _command(
+        "simulate",
+        _flag("--k", SMALL),
+        _flag("--n", SMALL),
+        _flag("--mu", RATIO),
+        _flag("--file-bits", st.integers(-1, 8)),
+        _flag("--trials", st.integers(-1, 2)),
+        _flag("--seed", SMALL),
+        _flag("--policy", st.sampled_from(["uniform-random", "whole-file-prefix"])),
+        _flag("--files", st.sampled_from(["0", "1,0", "0,0", "5", "-1", "x", ""])),
+    ),
+    _command(
+        "sweep",
+        st.sampled_from([["--vary", "n"], ["--vary", "mu"], []]),
+        _flag("--k", SMALL),
+        _flag("--n", SMALL),
+        _flag("--mu", RATIO),
+        _flag("--start", SMALL),
+        st.integers(-1, 3).map(lambda v: ["--to", str(v)]),
+        st.integers(-1, 3).map(lambda v: ["--points", str(v)]),
+        _flag("--trials", st.integers(0, 2)),
+        st.integers(-1, 8).map(lambda v: ["--file-bits", str(v)]),
+        _switch("--envelope"),
+    ),
+    _command(
+        "converse",
+        _flag("--k", SMALL),
+        _flag("--n", SMALL),
+        _flag("--mu", RATIO),
+        _flag("--file-bits", st.integers(-1, 8)),
+        _flag("--trials", st.integers(-1, 2)),
+        _flag("--seed", SMALL),
+    ),
+    _command(
+        "optimize",
+        _flag("--k", SMALL),
+        _flag("--n", SMALL),
+        _flag("--mu", RATIO),
+        _flag("--file-bits", st.integers(-1, 6)),
+        st.integers(-1, 2).map(lambda v: ["--restarts", str(v)]),
+        _flag("--seed", SMALL),
+    ),
+    _command(
+        "privacy-test",
+        _flag("--k", SMALL),
+        _flag("--n", SMALL),
+        _flag("--file-bits", st.integers(-1, 8)),
+        st.integers(-1, 20).map(lambda v: ["--sessions", str(v)]),
+        _flag("--significance", SIGNIFICANCE),
+        _flag("--seed", SMALL),
+        _switch("--no-permute"),
+    ),
+)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the command line
+            code = exc.code
+    return code, err.getvalue()
+
+
+@given(argv=COMMANDS)
+@settings(max_examples=80)
+def test_cli_exits_cleanly_on_random_input(argv):
+    code, err = run_cli(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 1:
+        assert err.strip(), argv
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["K", "L", "N", "budget", "sets"]), inner),
+    max_leaves=12,
+)
+PAIR = st.one_of(
+    st.lists(st.integers(-1, 4), min_size=2, max_size=2), st.lists(JSON, max_size=3)
+)
+DOCUMENT = st.one_of(
+    JSON,
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "K": st.one_of(st.integers(-1, 3), JSON),
+            "L": st.one_of(st.integers(-1, 4), JSON),
+            "N": st.one_of(st.integers(-1, 3), JSON),
+            "budget": st.one_of(st.integers(-1, 6), JSON),
+            "sets": st.one_of(st.lists(st.lists(PAIR, max_size=4), max_size=3), JSON),
+        },
+    ),
+)
+
+
+@given(doc=DOCUMENT)
+@settings(max_examples=80)
+def test_realization_from_json_refuses_malformed_documents(doc):
+    doc = json.loads(json.dumps(doc))  # only what a JSON file can hold
+    try:
+        realization = realization_from_json(doc)
+    except ValueError:
+        return
+    assert isinstance(realization, CacheRealization)

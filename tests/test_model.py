@@ -80,6 +80,25 @@ def test_realization_rejects_unsorted_sets():
         CacheRealization(2, 3, 1, 4, (np.array([0, 4, 2], dtype=np.int64),))
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"K": 1, "L": 2, "sets": []}, "lacks 'budget'"),
+        ({"K": 1, "L": 2, "budget": 1}, "lacks 'sets'"),
+        ({"K": 1, "L": 2, "budget": 1, "sets": 5}, "list of lists"),
+        ({"K": 1, "L": 2, "budget": 1, "sets": [[[0]]]}, "list of lists"),
+        ({"K": 1, "L": 2, "budget": 1, "sets": [[[0, 2]]]}, "not a bit"),
+        ({"K": 1, "L": 2, "budget": 1, "sets": [[["0", 1]]]}, "not a bit"),
+        ({"K": "1", "L": 2, "budget": 1, "sets": []}, "realization K"),
+        ({"K": 1, "L": 2, "budget": 1, "N": 2, "sets": [[]]}, "realization N"),
+        ([1, 2], "JSON object"),
+    ],
+)
+def test_realization_from_json_rejects_malformed_documents(doc, message):
+    with pytest.raises(ValueError, match=message):
+        realization_from_json(doc)
+
+
 def _uniform_realization(k, length, n, mu, seed):
     return sample_placement(
         UniformRandomPlacement(Fraction(mu)), k, length, n, seed
@@ -180,9 +199,3 @@ def test_realization_json_round_trip():
     for a, b in zip(back.sets, real.sets):
         assert np.array_equal(a, b)
 
-
-def test_partition_database_limit():
-    part = partition_by_storage_set(_uniform_realization(1, 4, 63, Fraction(1, 2), 4))
-    assert sum(e.total_bits for e in part.entries.values()) == 4
-    with pytest.raises(ValueError, match="at most 63 databases"):
-        partition_by_storage_set(_uniform_realization(1, 4, 64, Fraction(1, 2), 4))

@@ -1,0 +1,90 @@
+"""The array partition against a scan-based reference builder.
+
+``reference_partition`` keys every address by its membership mask (a Python
+integer, so any database count fits), scans all addresses once per distinct
+mask, and sorts the sets into canonical order afterwards.
+:func:`partition_by_storage_set` must give the same sets in the same order,
+the same positions and padded lengths, and flat arrays that agree with them.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from decpir.model import partition_by_storage_set
+from decpir.placement import UniformRandomPlacement, sample_placement
+
+
+def reference_partition(realization):
+    """``[(storage set, (positions per file, padded length)), ...]`` in
+    canonical order: by size, then by sorted member list."""
+    k, length, n = realization.num_files, realization.file_len, realization.num_dbs
+    membership = np.zeros(k * length, dtype=object)
+    for d, addrs in enumerate(realization.sets):
+        membership[addrs] |= 1 << d
+    entries = {}
+    for mask in set(membership.tolist()):
+        addrs = np.flatnonzero(membership == mask)
+        members = frozenset({0} | {d + 1 for d in range(n) if (mask >> d) & 1})
+        files = addrs // length
+        positions = tuple(addrs[files == j] % length for j in range(k))
+        padded = None
+        if len(members) > 1:
+            block = len(members) ** k
+            padded = -(-max(len(p) for p in positions) // block) * block
+        entries[members] = (positions, padded)
+    return sorted(entries.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+
+
+def assert_matches_reference(realization):
+    k, length = realization.num_files, realization.file_len
+    part = partition_by_storage_set(realization)
+    ref = reference_partition(realization)
+
+    got = part.canonical_entries()
+    assert [s for s, _ in got] == [s for s, _ in ref]
+    assert list(part.entries) == [s for s, _ in ref]
+    for (_, entry), (_, (positions, padded)) in zip(got, ref):
+        assert entry.padded_len == padded
+        assert [p.tolist() for p in entry.positions] == [p.tolist() for p in positions]
+
+    assert part.starts.tolist()[0] == 0 and len(part.starts) == len(ref) * k + 1
+    assert part.sizes.tolist() == [len(s) for s, _ in ref]
+    assert part.members.tolist() == [m for s, _ in ref for m in sorted(s)]
+    assert sorted(part.addresses.tolist()) == list(range(k * length))
+    for i, (_, (positions, _)) in enumerate(ref):
+        for j in range(k):
+            run = part.addresses[part.starts[i * k + j] : part.starts[i * k + j + 1]]
+            assert run.tolist() == (positions[j] + j * length).tolist()
+    assert part.lengths().tolist() == [[len(p) for p in pos] for _, (pos, _) in ref]
+    by_size = {}
+    for s, (positions, _) in ref:
+        by_size[len(s)] = by_size.get(len(s), 0) + sum(len(p) for p in positions)
+    assert part.bits_by_size() == by_size
+
+
+@given(
+    k=st.integers(1, 4),
+    length=st.integers(1, 40),
+    n=st.integers(0, 70),
+    mu_num=st.integers(0, 4),
+    seed=st.integers(0, 2**32),
+)
+@example(k=2, length=40, n=9, mu_num=2, seed=1)  # a second key byte
+@example(k=3, length=12, n=16, mu_num=3, seed=2)  # a full second byte
+@example(k=1, length=40, n=64, mu_num=2, seed=3)
+@example(k=4, length=10, n=70, mu_num=1, seed=4)
+@settings(max_examples=60)
+def test_partition_matches_reference(k, length, n, mu_num, seed):
+    policy = UniformRandomPlacement(Fraction(mu_num, 4))
+    assert_matches_reference(sample_placement(policy, k, length, n, seed))
+
+
+def test_partition_beyond_63_databases():
+    # One bit per database in a 64-bit mask used to cap N at 63.
+    for n in (64, 100):
+        real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 3, 8, n, n)
+        assert_matches_reference(real)
+        assert max(len(s) for s in partition_by_storage_set(real).entries) > 33

@@ -140,3 +140,10 @@ def test_policy_from_dict_round_trip():
     )
     with pytest.raises(ValueError):
         policy_from_dict({"kind": "mystery"})
+
+
+def test_explicit_sets_refuse_positions_outside_a_file():
+    # (0, 4) would otherwise alias bit (1, 0) of a 4-bit file.
+    policy = ExplicitSetsPlacement((((0, 4),),))
+    with pytest.raises(ValueError, match="not a bit"):
+        sample_placement(policy, 3, 4, 1, seed=0, mu=Fraction(1, 3))

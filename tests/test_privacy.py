@@ -66,3 +66,9 @@ def test_vacuous_instances_are_refused(k, n, lam, permute):
     # No file pair or no symbol to compare: refuse rather than pass vacuously.
     with pytest.raises(ValueError, match="at least one|at least two"):
         transcript_distribution_test(k, n, lam, sessions=10, seed=0, permute=permute)
+
+
+@pytest.mark.parametrize("significance", [0, 1, -1, float("nan")])
+def test_significance_must_lie_in_the_open_unit_interval(significance):
+    with pytest.raises(ValueError, match="significance"):
+        transcript_distribution_test(2, 2, 4, 50, 0, significance=significance)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decpir.analysis import capacity_classical
@@ -203,11 +203,13 @@ def test_per_partition_serializes_to_json():
 @given(
     k=st.integers(1, 3),
     length=st.integers(1, 40),
-    n=st.integers(0, 6),
+    n=st.integers(0, 10),
     mu_num=st.integers(0, 4),
     desired_pick=st.integers(0, 5),
     seed=st.integers(0, 2**48),
 )
+@example(k=2, length=40, n=9, mu_num=2, desired_pick=1, seed=5)  # two key bytes
+@example(k=3, length=30, n=10, mu_num=1, desired_pick=2, seed=6)
 @settings(max_examples=40)
 def test_batched_retrieval_matches_per_set_sessions(
     k, length, n, mu_num, desired_pick, seed
