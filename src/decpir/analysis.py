@@ -8,11 +8,14 @@ inputs are rational; floating point is confined to the optimizer.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import accumulate, repeat
+from math import comb, lcm
+from operator import itemgetter, mul
 from typing import Callable
 
 import numpy as np
@@ -41,6 +44,22 @@ def harmonic_weight(set_size: int, num_files: int) -> Fraction:
     return capacity_classical(num_files, set_size) - 1
 
 
+def _power_products(a, c, top: int) -> list:
+    """``[a**j * c**(top - j) for j in 0..top]`` from one power table each."""
+    up = accumulate(repeat(a, top), mul, initial=1)
+    down = list(accumulate(repeat(c, top), mul, initial=1))
+    return [u * d for u, d in zip(up, reversed(down))]
+
+
+@lru_cache(maxsize=256)
+def _classical_numerators(num_files: int, max_replicas: int):
+    """``capacity_classical(K, n)``, ``n = 1..max_replicas``, as integer
+    numerators over the common denominator ``lcm(1..max_replicas)**(K-1)``."""
+    den = lcm(*range(1, max_replicas + 1)) ** (num_files - 1)
+    values = (capacity_classical(num_files, n) for n in range(1, max_replicas + 1))
+    return tuple(c.numerator * (den // c.denominator) for c in values), den
+
+
 def capacity_decentralized(num_files: int, num_dbs: int, mu):
     """Optimal expected normalized download cost with ``num_dbs`` caching
     databases of storage ratio ``mu`` plus the always-available data center.
@@ -48,19 +67,28 @@ def capacity_decentralized(num_files: int, num_dbs: int, mu):
     Averages the replicated-store cost over the binomial law of how many
     databases hold a bit:
     ``sum_n C(N, n-1) mu^(n-1) (1-mu)^(N+1-n) * (1 + 1/n + ... + 1/n^(K-1))``.
-    Exact when ``mu`` is a Fraction or int; float ``mu`` gives a float.
+    Exact when ``mu = a/b`` is a Fraction or int: the integer weights
+    ``C(N, n-1) a^(n-1) (b-a)^(N+1-n)`` meet the classical costs' numerators
+    over one common denominator.  Float ``mu`` gives a float.
     """
     if num_files < 1:
         raise ValueError(f"need at least one file, got {num_files}")
     if num_dbs < 0:
         raise ValueError(f"database count must be non-negative, got {num_dbs}")
-    if mu < 0 or mu > 1:
+    if not 0 <= mu <= 1:
         raise ValueError(f"storage ratio must lie in [0, 1], got {mu}")
-    total = 0
-    for n in range(1, num_dbs + 2):
-        weight = comb(num_dbs, n - 1) * mu ** (n - 1) * (1 - mu) ** (num_dbs + 1 - n)
-        total += weight * capacity_classical(num_files, n)
-    return total
+    n = num_dbs
+    if isinstance(mu, (int, Fraction)):
+        a, b = mu.numerator, mu.denominator
+        nums, den = _classical_numerators(num_files, n + 1)
+        terms = zip(_power_products(a, b - a, n), nums)
+        total = sum(comb(n, j) * t * c for j, (t, c) in enumerate(terms))
+        return Fraction(total, b**n * den)
+    return sum(
+        comb(n, j) * mu**j * (1 - mu) ** (n - j)
+        * float(capacity_classical(num_files, j + 1))
+        for j in range(n + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -78,15 +106,12 @@ class CentralizedEnvelope:
     hull: tuple[tuple[Fraction, Fraction], ...]
 
     def evaluate(self, mu):
-        if mu < 0 or mu > 1:
+        if not 0 <= mu <= 1:
             raise ValueError(f"storage ratio must lie in [0, 1], got {mu}")
-        pts = self.hull
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x0 <= mu <= x1:
-                if x0 == x1:
-                    return min(y0, y1)
-                return y0 + (y1 - y0) * (mu - x0) / (x1 - x0)
-        raise AssertionError("hull does not cover [0, 1]")
+        # the hull runs from x=0 to x=1 with strictly increasing x
+        i = max(1, bisect_left(self.hull, mu, key=itemgetter(0)))
+        (x0, y0), (x1, y1) = self.hull[i - 1], self.hull[i]
+        return y0 + (y1 - y0) * (mu - x0) / (x1 - x0)
 
     __call__ = evaluate
 
@@ -104,6 +129,7 @@ def _lower_hull(points):
     return tuple(hull)
 
 
+@lru_cache(maxsize=256)
 def centralized_envelope(num_files: int, num_dbs: int) -> CentralizedEnvelope:
     if num_dbs < 1:
         raise ValueError(f"the envelope needs at least one database, got {num_dbs}")
@@ -186,16 +212,31 @@ def converse_bound_k3n2(partition: StorageSetPartition) -> Fraction:
 class MarginalProfile:
     """Per-bit caching probabilities shared by every database.
 
-    ``probs`` is a (K, L) array; Fraction entries keep the expectation
+    ``probs`` is a (K, L) array; Fraction or int entries keep the expectation
     evaluators exact, float entries are what the optimizer works with.
+    ``levels`` maps each distinct marginal to its number of entries; it is
+    built once, here, so ``probs`` must not be modified afterwards.
     """
 
     probs: np.ndarray
+    levels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        flat = self.probs.reshape(-1)
-        if any(p < 0 or p > 1 for p in flat.tolist()):
+        if self.num_files < 1:
+            raise ValueError(f"need at least one file, got {self.num_files}")
+        if self.probs.dtype == object:
+            # Hash each distinct object once, not each entry (np.full shares one).
+            flat = self.probs.reshape(-1).tolist()
+            objects = dict(zip(map(id, flat), flat))
+            levels = Counter()
+            for key, count in Counter(map(id, flat)).items():
+                levels[objects[key]] += count
+        else:
+            values, counts = np.unique(self.probs, return_counts=True)
+            levels = dict(zip(values.tolist(), counts.tolist()))
+        if any(not 0 <= p <= 1 for p in levels):
             raise ValueError("marginals must lie in [0, 1]")
+        object.__setattr__(self, "levels", dict(levels))
 
     @property
     def num_files(self) -> int:
@@ -206,16 +247,14 @@ class MarginalProfile:
         return self.probs.shape[1]
 
     def total(self):
-        return sum(self.probs.reshape(-1).tolist())
+        return sum(p * count for p, count in self.levels.items())
 
     def check_budget(self, mu) -> None:
         budget = mu * self.num_files * self.file_len
         total = self.total()
         slack = 1e-9 * self.num_files * self.file_len
-        exact = isinstance(total, (Fraction, int)) and isinstance(
-            budget, (Fraction, int)
-        )
-        if total > budget + (0 if exact else slack):
+        exact = all(isinstance(v, (int, Fraction)) for v in (total, budget))
+        if not total <= budget + (0 if exact else slack):
             raise BudgetViolation(
                 f"marginals sum to {total}, budget is {budget}"
             )
@@ -226,19 +265,33 @@ def uniform_profile(num_files: int, file_len: int, mu) -> MarginalProfile:
     return MarginalProfile(probs)
 
 
-def expected_size_mass(profile: MarginalProfile, set_size: int, num_dbs: int):
-    """Expected per-slot bit mass of storage sets with ``set_size`` members.
+def expected_size_masses(profile: MarginalProfile, num_dbs: int) -> tuple:
+    """Expected per-slot bit mass of storage sets of each size ``l = 1..N+1``.
 
-    ``C(N, l-1) / (K * C(N+1, l)) * sum_ij p_ij^(l-1) (1 - p_ij)^(N+1-l)``;
-    exact for Fraction entries.
+    ``C(N, l-1) / (K * C(N+1, l)) * sum_ij p_ij^(l-1) (1 - p_ij)^(N+1-l)``
+    with ``C(N, l-1) / C(N+1, l) == l / (N+1)``, one power table per distinct
+    marginal.  Fraction or int marginals give integer numerators over
+    ``lcm(denominators)**N`` and one Fraction per size; a float gives floats.
     """
-    l, n = set_size, num_dbs
-    k = profile.num_files
-    counts = Counter(profile.probs.reshape(-1).tolist())
-    total = sum(
-        cnt * p ** (l - 1) * (1 - p) ** (n + 1 - l) for p, cnt in counts.items()
+    n, k, levels = num_dbs, profile.num_files, profile.levels
+    exact = all(isinstance(p, (int, Fraction)) for p in levels)
+    den = lcm(*(p.denominator for p in levels)) if exact else 1
+    sums = [0] * (n + 1)
+    for p, count in levels.items():
+        a = p.numerator * (den // p.denominator) if exact else p
+        sums = [s + count * t for s, t in zip(sums, _power_products(a, den - a, n))]
+    scale = k * (n + 1) * den**n
+    return tuple(
+        Fraction(l * s, scale) if exact else l * s / scale
+        for l, s in enumerate(sums, start=1)
     )
-    return comb(n, l - 1) * total / (k * comb(n + 1, l))
+
+
+def expected_size_mass(profile: MarginalProfile, set_size: int, num_dbs: int):
+    """Entry ``set_size - 1`` of :func:`expected_size_masses`."""
+    if not 1 <= set_size <= num_dbs + 1:
+        raise ValueError(f"set size must lie in 1..{num_dbs + 1}, got {set_size}")
+    return expected_size_masses(profile, num_dbs)[set_size - 1]
 
 
 def expected_converse_bound(
@@ -253,8 +306,8 @@ def expected_converse_bound(
         profile.check_budget(mu)
     k, length, n = profile.num_files, profile.file_len, num_dbs
     return length + sum(
-        comb(n + 1, l) * harmonic_weight(l, k) * expected_size_mass(profile, l, n)
-        for l in range(1, n + 2)
+        comb(n + 1, l) * harmonic_weight(l, k) * mass
+        for l, mass in enumerate(expected_size_masses(profile, n), start=1)
     )
 
 
@@ -407,14 +460,8 @@ def minimize_expected_bound(
     best_p, best_value, pg_best, best_converged = best
     best_profile = MarginalProfile(best_p.reshape(num_files, file_len))
     uniform_profile_f = MarginalProfile(uniform.reshape(num_files, file_len))
-    per_size_best = tuple(
-        float(expected_size_mass(best_profile, l, num_dbs))
-        for l in range(1, num_dbs + 2)
-    )
-    per_size_uniform = tuple(
-        float(expected_size_mass(uniform_profile_f, l, num_dbs))
-        for l in range(1, num_dbs + 2)
-    )
+    per_size_best = tuple(map(float, expected_size_masses(best_profile, num_dbs)))
+    per_size_uniform = tuple(map(float, expected_size_masses(uniform_profile_f, num_dbs)))
     return BoundMinimization(
         best_probs=best_p.reshape(num_files, file_len),
         best_value=best_value,

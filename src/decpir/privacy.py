@@ -15,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from scipy.stats import chi2
-
 from .protocol import (
     generate_query_plan,
     plan_transcripts,
@@ -31,6 +29,8 @@ def two_sample_chisquare(counts_a: Counter, counts_b: Counter):
     Returns (statistic, degrees of freedom, p-value).  Identical
     single-support samples have zero degrees of freedom and p-value 1.
     """
+    from scipy.stats import chi2  # here, or it dominates `import decpir`
+
     bins = sorted(set(counts_a) | set(counts_b))
     n_a = sum(counts_a.values())
     n_b = sum(counts_b.values())

@@ -207,6 +207,21 @@ def test_marginal_profile_rejects_out_of_range():
         MarginalProfile(np.full((1, 2), Fraction(3, 2), dtype=object))
     with pytest.raises(ValueError):
         MarginalProfile(np.array([[-0.25]]))
+    # NaN compares false both ways: it must not slip past the check and then
+    # pass the budget check.
+    with pytest.raises(ValueError):
+        MarginalProfile(np.array([[0.5, float("nan")]]))
+    with pytest.raises(ValueError):
+        MarginalProfile(np.array([[Fraction(1, 2), float("nan")]], dtype=object))
+
+
+def test_nan_storage_ratio_is_rejected():
+    with pytest.raises(ValueError):
+        capacity_decentralized(3, 2, float("nan"))
+    with pytest.raises(ValueError):
+        centralized_envelope(3, 2).evaluate(float("nan"))
+    with pytest.raises(BudgetViolation):
+        uniform_profile(2, 2, Fraction(1, 2)).check_budget(float("nan"))
 
 
 def test_realization_bounds_concentrate_on_expectation():

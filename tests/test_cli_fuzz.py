@@ -11,7 +11,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decpir.cli import main
@@ -116,6 +116,11 @@ def run_cli(argv):
 
 @given(argv=COMMANDS)
 @settings(max_examples=80)
+# Empty profiles: no files, and no bits (per-size masses must print as floats).
+@example(argv=["converse", "--k", "0", "--n", "0", "--mu", "0.5", "--file-bits", "0"])
+@example(
+    argv=["optimize", "--k", "1", "--n", "0", "--mu", "1/2", "--file-bits", "0", "--restarts", "0"]
+)
 def test_cli_exits_cleanly_on_random_input(argv):
     code, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code, err)

@@ -4,6 +4,8 @@ The chi-square statistic is cross-checked against scipy's contingency-table
 implementation, which is an independent route to the same number.
 """
 
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -21,6 +23,14 @@ def test_chisquare_matches_scipy_contingency():
     assert stat == pytest.approx(ref.statistic)
     assert df == ref.dof
     assert p == pytest.approx(ref.pvalue)
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominates import time; only the chi-square test loads it.
+    code = "import sys, decpir; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_chisquare_identical_deterministic_samples():

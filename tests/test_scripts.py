@@ -37,14 +37,14 @@ def test_convergence_script():
     assert "184/81" in proc.stdout
 
 
-def test_perfbench_smoke():
+def run_perfbench_smoke(workload):
     # One short traced run of the benchmark: the golden digests still match,
     # no op fails and every traced boundary is still found.
     root = SCRIPTS.parent
     proc = subprocess.run(
         [
             sys.executable, str(root / "perfbench" / "run.py"),
-            "--workload", "many-sets", "--seed", "0", "--seconds", "1", "--trace", "1",
+            "--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "1",
         ],
         capture_output=True,
         text=True,
@@ -57,3 +57,12 @@ def test_perfbench_smoke():
     assert result["correct"] is True
     assert result["failed"] == 0 and detail["failed"] == 0
     assert detail["absent"] == []
+
+
+def test_perfbench_smoke():
+    run_perfbench_smoke("many-sets")
+
+
+def test_perfbench_analysis_smoke():
+    # The only workload that runs the closed-form evaluators.
+    run_perfbench_smoke("analysis")
