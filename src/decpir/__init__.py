@@ -34,7 +34,6 @@ from .model import (
     BitAddress,
     CacheRealization,
     FileStore,
-    PartitionEntry,
     StorageSetPartition,
     build_file_store,
     partition_by_storage_set,

@@ -184,22 +184,18 @@ def converse_bound_k3n2(partition: StorageSetPartition) -> Fraction:
     if partition.num_files != 3 or partition.num_dbs != 2:
         raise ValueError("this form is specific to K=3, N=2")
     length = partition.file_len
+    sizes = partition.sizes
+    held = np.zeros((len(sizes), 3), dtype=bool)
+    held[np.repeat(np.arange(len(sizes)), sizes), partition.members] = True
+    lengths = partition.lengths()
 
-    def uncached_by(nodes: frozenset, file: int) -> int:
-        # bits of `file` stored by no node in `nodes`
-        return sum(
-            len(entry.positions[file])
-            for s, entry in partition.entries.items()
-            if not (s & nodes)
-        )
+    def uncached_by(nodes: list[int]) -> int:
+        # bits of all three files stored by no node in `nodes`
+        return int(lengths[~held[:, nodes].any(axis=1)].sum())
 
     sum_h = 3 * length
-    sum_single = sum(
-        uncached_by(frozenset({i}), f) for i in range(3) for f in range(3)
-    )
-    sum_pair = sum(
-        uncached_by(frozenset({0, 1, 2}) - {i}, f) for i in range(3) for f in range(3)
-    )
+    sum_single = sum(uncached_by([i]) for i in range(3))
+    sum_pair = sum(uncached_by([j for j in range(3) if j != i]) for i in range(3))
     return (
         length
         + Fraction(4, 27) * sum_h

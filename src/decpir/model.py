@@ -15,7 +15,8 @@ ascending.  :func:`partition_by_storage_set` builds it with one stable sort
 of all addresses on a per-address key (the number of caching databases,
 then one byte per eight databases with a database's bit cleared where it
 caches the address), so any number of databases works; see
-:class:`StorageSetPartition` for the layout.
+:class:`StorageSetPartition` for the layout.  The partition is these arrays
+only: padding each set for its protocol session is retrieval's business.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def storage_budget(mu, num_files: int, file_len: int) -> int:
     The storage constraint is an inequality, so flooring a non-integral
     product never violates it.
     """
-    if mu < 0 or mu > 1:
+    if not 0 <= mu <= 1:
         raise ValueError(f"storage ratio must lie in [0, 1], got {mu}")
     return math.floor(mu * num_files * file_len)
 
@@ -133,12 +134,6 @@ class CacheRealization:
                 raise BudgetViolation(
                     f"database {d + 1} stores {len(addrs)} bits, budget is {self.budget}"
                 )
-
-    def addresses(self, db: int) -> np.ndarray:
-        """Flat addresses cached by database ``db`` (1-based; 0 = data center)."""
-        if db == 0:
-            return np.arange(self.num_files * self.file_len)
-        return self.sets[db - 1]
 
 
 def realization_from_addresses(
@@ -232,34 +227,6 @@ def realization_from_json(
 
 
 @dataclass(frozen=True)
-class PartitionEntry:
-    """Addresses stored by exactly one storage set, listed per file.
-
-    ``positions[j]`` holds the ascending in-file positions of file ``j``'s
-    bits in this entry; that ordering is the canonical symbol order both
-    sides of the retrieval protocol agree on.  ``padded_len`` is the common
-    per-file symbol count after zero padding (smallest multiple of
-    ``|S| ** K`` covering the longest file), or ``None`` for the
-    data-center-only set, which is downloaded at raw per-file lengths.
-    """
-
-    positions: tuple[np.ndarray, ...]
-    padded_len: Optional[int]
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.positions)
-
-    @property
-    def max_len(self) -> int:
-        return max(self.lengths)
-
-    @property
-    def total_bits(self) -> int:
-        return sum(self.lengths)
-
-
-@dataclass(frozen=True)
 class StorageSetPartition:
     """Disjoint cover of all K*L addresses by exact storage set, as arrays.
 
@@ -274,10 +241,6 @@ class StorageSetPartition:
     * ``sizes[i]`` is set ``i``'s node count, ascending;
     * ``members`` concatenates every set's sorted node ids (each starting
       with the data center, node 0), ``sum(sizes)`` entries in all.
-
-    ``entries`` is the same partition as a mapping in canonical order from
-    each set (a frozenset of node ids) to its :class:`PartitionEntry`, whose
-    position arrays are views into one array of in-file positions.
     """
 
     num_files: int
@@ -287,7 +250,6 @@ class StorageSetPartition:
     starts: np.ndarray
     sizes: np.ndarray
     members: np.ndarray
-    entries: Mapping[frozenset, PartitionEntry]
 
     def __post_init__(self) -> None:
         total = self.num_files * self.file_len
@@ -299,9 +261,18 @@ class StorageSetPartition:
         if (self.members[firsts] != 0).any():
             raise ValueError("every storage set must contain node 0")
 
-    def canonical_entries(self) -> list[tuple[frozenset, PartitionEntry]]:
-        """Entries in a fixed order: by set size, then by member list."""
-        return list(self.entries.items())
+    @property
+    def entries(self) -> tuple[frozenset, ...]:
+        """The storage sets in canonical order, as frozensets of node ids.
+
+        Built from ``sizes`` and ``members`` on each read.
+        """
+        members = self.members.tolist()
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(
+            frozenset(members[end - size : end])
+            for size, end in zip(self.sizes.tolist(), ends)
+        )
 
     def lengths(self) -> np.ndarray:
         """``(S, K)`` bit counts: row ``i`` holds set ``i``'s per-file lengths."""
@@ -315,12 +286,6 @@ class StorageSetPartition:
         return {
             size: int(bits) for size, bits in enumerate(by_size.tolist()) if bits
         }
-
-
-def padded_length(max_len: int, set_size: int, num_files: int) -> int:
-    """Smallest multiple of ``set_size ** num_files`` that covers ``max_len``."""
-    block = set_size**num_files
-    return ((max_len + block - 1) // block) * block
 
 
 def partition_by_storage_set(realization: CacheRealization) -> StorageSetPartition:
@@ -366,23 +331,10 @@ def partition_by_storage_set(realization: CacheRealization) -> StorageSetPartiti
     )
     starts = np.zeros(num_sets * k + 1, dtype=np.int64)
     np.cumsum(runs, out=starts[1:])
-    positions = addresses - files * length
 
     in_set = np.unpackbits(~keys[:, addresses[firsts]].T, axis=1, count=n)
     held = np.hstack((np.ones((num_sets, 1), dtype=np.uint8), in_set))
     members = np.nonzero(held)[1]
     sizes = held.sum(axis=1, dtype=np.int64)
 
-    bounds = starts.tolist()
-    pieces = [positions[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    member_list = members.tolist()
-    ends = np.cumsum(sizes).tolist()
-    max_lens = np.diff(starts).reshape(num_sets, k).max(axis=1).tolist()
-    entries = {
-        frozenset(member_list[end - size : end]): PartitionEntry(
-            tuple(pieces[i * k : (i + 1) * k]),
-            None if size == 1 else padded_length(max_len, size, k),
-        )
-        for i, (size, end, max_len) in enumerate(zip(sizes.tolist(), ends, max_lens))
-    }
-    return StorageSetPartition(k, length, n, addresses, starts, sizes, members, entries)
+    return StorageSetPartition(k, length, n, addresses, starts, sizes, members)

@@ -1,9 +1,11 @@
 """End-to-end private retrieval across the data center and cached databases.
 
-For each storage-set partition entry the retriever runs one protocol session
-over exactly the nodes of that set: padded replicated arrays for sets of two
-or more nodes.  The data-center-only set is downloaded whole at raw per-file
-lengths: its answer string is the stored bits themselves, one per bit.
+For each storage set of the partition the retriever runs one protocol session
+over exactly the nodes of that set: replicated arrays for sets of two or more
+nodes, each file zero-padded to a multiple of ``|S| ** K`` symbols
+(:func:`_size_groups` is the one place that rule lives).  The
+data-center-only set is downloaded whole at raw per-file lengths: its answer
+string is the stored bits themselves, one per bit.
 Decoded pieces are scattered back to their original addresses; the result
 must equal the requested file bit-for-bit, and every downloaded bit (padding
 included) is charged to the cost report.
@@ -86,10 +88,10 @@ class CostReport:
 class PartitionSession:
     """Transcript of one per-partition protocol run.
 
-    Query indices are local to the set: ``0 <= index < lambda_S``.
+    ``nodes`` is the storage set, sorted.  Query indices are local to the
+    set: ``0 <= index < lambda_S``.
     """
 
-    storage_set: frozenset
     nodes: tuple[int, ...]
     stores: tuple[StoreQueries, ...]  # each node's queries, as in ``nodes``
     answers: tuple[np.ndarray, ...]
@@ -108,7 +110,9 @@ def _size_groups(partition: StorageSetPartition, download_cap: int) -> list:
     Returns ``(size, first, end, blocks)`` per run of sets ``first .. end - 1``
     in canonical order, where ``blocks[i]`` is set ``first + i``'s padded
     per-file length in ``size ** K``-symbol blocks (``None`` for the
-    data-center-only set, downloaded raw).
+    data-center-only set, downloaded raw).  This is the padding rule: each
+    file of a set is zero-padded to the smallest multiple of ``size ** K``
+    symbols that holds the set's longest file.
     """
     k, length = partition.num_files, partition.file_len
     sizes = partition.sizes
@@ -146,7 +150,9 @@ def retrieve_file(
 ) -> RetrievalResult:
     """Privately retrieve file ``desired`` and account every downloaded bit.
 
-    Raises :class:`ReliabilityError` if the reassembled file differs from the
+    Raises ``ValueError`` if the store, realization and ``partition`` do not
+    share one shape (K, L and, for the partition, N), and
+    :class:`ReliabilityError` if the reassembled file differs from the
     source (never expected for a valid realization).
     """
     k, length = store.num_files, store.file_len
@@ -156,6 +162,9 @@ def retrieve_file(
         raise ValueError(f"desired file {desired} out of range for K={k}")
     if partition is None:
         partition = partition_by_storage_set(realization)
+    shape = (realization.num_files, realization.file_len, realization.num_dbs)
+    if (partition.num_files, partition.file_len, partition.num_dbs) != shape:
+        raise ValueError("partition and realization disagree on K, L or N")
     groups = _size_groups(partition, download_cap)
 
     recovered = np.zeros(length, dtype=np.uint8)
@@ -184,7 +193,6 @@ def retrieve_file(
         if sessions is not None:
             sessions.append(
                 PartitionSession(
-                    frozenset({0}),
                     (0,),
                     (download_everything(np.diff(starts[: k + 1]).tolist()),),
                     (answers,),
@@ -287,13 +295,11 @@ def _retrieve_group(
     if sessions is not None:
         t_starts = (block_starts * (len(plan.stores[0].files) // num_blocks)).tolist()
         q_starts = q_starts.tolist()
-        storage_sets = list(partition.entries)[first:end]
-        for i, s in enumerate(storage_sets):
+        for i in range(count):
             qa, qb, ta, tb = q_starts[i], q_starts[i + 1], t_starts[i], t_starts[i + 1]
             offset = int(seg[i])
             sessions.append(
                 PartitionSession(
-                    s,
                     tuple(nodes[i].tolist()),
                     tuple(
                         StoreQueries(

@@ -1,6 +1,7 @@
 """Data model tests: corpus generation, cache realizations, partitions."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from decpir.model import (
     unflatten_address,
 )
 from decpir.placement import UniformRandomPlacement, sample_placement
+from decpir.retrieval import _size_groups
 
 
 def test_file_store_is_deterministic():
@@ -65,6 +67,8 @@ def test_storage_budget_floors():
     assert storage_budget(1, 3, 4) == 12
     with pytest.raises(ValueError):
         storage_budget(Fraction(4, 3), 3, 4)
+    with pytest.raises(ValueError, match="storage ratio"):
+        storage_budget(float("nan"), 3, 4)
 
 
 def test_realization_rejects_duplicates_and_overflow():
@@ -109,18 +113,18 @@ def test_partition_full_replication():
     real = _uniform_realization(2, 6, 3, 1, seed=0)
     part = partition_by_storage_set(real)
     assert set(part.entries) == {frozenset({0, 1, 2, 3})}
-    entry = part.entries[frozenset({0, 1, 2, 3})]
-    assert entry.lengths == (6, 6)
-    assert entry.padded_len % 4**2 == 0
+    assert part.lengths().tolist() == [[6, 6]]
+    [(size, _, _, blocks)] = _size_groups(part, math.inf)
+    assert size == 4 and (blocks[0] * size**2) % 4**2 == 0
 
 
 def test_partition_empty_caches():
     real = _uniform_realization(2, 6, 3, 0, seed=0)
     part = partition_by_storage_set(real)
     assert set(part.entries) == {frozenset({0})}
-    entry = part.entries[frozenset({0})]
-    assert entry.lengths == (6, 6)
-    assert entry.padded_len is None
+    assert part.lengths().tolist() == [[6, 6]]
+    [(size, _, _, blocks)] = _size_groups(part, math.inf)
+    assert size == 1 and blocks is None
 
 
 def test_partition_law_of_large_numbers():
@@ -130,7 +134,8 @@ def test_partition_law_of_large_numbers():
     real = _uniform_realization(3, length, 2, Fraction(1, 3), seed=12)
     part = partition_by_storage_set(real)
     expected = length * (2 / 3) ** 2
-    for size in part.entries[frozenset({0})].lengths:
+    assert part.entries[0] == frozenset({0})
+    for size in part.lengths()[0].tolist():
         assert abs(size - expected) / expected < 0.03
 
 
@@ -144,11 +149,15 @@ def test_partition_law_of_large_numbers():
 def test_partition_is_disjoint_cover(k, length, n, mu_num, seed):
     real = _uniform_realization(k, length, n, Fraction(mu_num, 4), seed)
     part = partition_by_storage_set(real)
+    starts = part.starts.tolist()
     for j in range(k):
         seen = np.concatenate(
-            [entry.positions[j] for entry in part.entries.values()]
+            [
+                part.addresses[starts[i * k + j] : starts[i * k + j + 1]]
+                for i in range(len(part.sizes))
+            ]
         )
-        assert sorted(seen.tolist()) == list(range(length))
+        assert sorted((seen - j * length).tolist()) == list(range(length))
 
 
 @given(
@@ -162,10 +171,12 @@ def test_partition_membership_consistency(k, length, n, mu_num, seed):
     real = _uniform_realization(k, length, n, Fraction(mu_num, 4), seed)
     part = partition_by_storage_set(real)
     cached = [set(s.tolist()) for s in real.sets]
-    for s, entry in part.entries.items():
+    starts = part.starts.tolist()
+    for i, s in enumerate(part.entries):
         for j in range(k):
-            for pos in entry.positions[j].tolist():
-                addr = flat_address(j, pos, length)
+            run = part.addresses[starts[i * k + j] : starts[i * k + j + 1]]
+            for addr in run.tolist():
+                assert addr // length == j
                 for d in range(1, n + 1):
                     assert (addr in cached[d - 1]) == (d in s)
 
@@ -180,13 +191,15 @@ def test_partition_membership_consistency(k, length, n, mu_num, seed):
 def test_partition_padding_invariant(k, length, n, mu_num, seed):
     real = _uniform_realization(k, length, n, Fraction(mu_num, 4), seed)
     part = partition_by_storage_set(real)
-    for s, entry in part.entries.items():
-        if len(s) == 1:
-            assert entry.padded_len is None
+    max_lens = part.lengths().max(axis=1).tolist()
+    for size, first, end, blocks in _size_groups(part, math.inf):
+        if size == 1:
+            assert blocks is None
             continue
-        block = len(s) ** k
-        assert entry.padded_len % block == 0
-        assert 0 <= entry.padded_len - entry.max_len < block
+        block = size**k
+        for i, padded in enumerate((blocks * block).tolist()):
+            assert padded % block == 0
+            assert 0 <= padded - max_lens[first + i] < block
 
 
 def test_realization_json_round_trip():

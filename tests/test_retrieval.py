@@ -6,6 +6,7 @@ one size as a segment of a single plan and must agree with it exactly.
 """
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -16,11 +17,7 @@ from hypothesis import strategies as st
 
 from decpir.analysis import capacity_classical
 from decpir.errors import ReliabilityError
-from decpir.model import (
-    build_file_store,
-    flat_address,
-    partition_by_storage_set,
-)
+from decpir.model import build_file_store, partition_by_storage_set
 from decpir.placement import (
     ExplicitSetsPlacement,
     UniformRandomPlacement,
@@ -34,7 +31,7 @@ from decpir.protocol import (
     plan_transcripts,
     serialize_transcript,
 )
-from decpir.retrieval import retrieve_file, simulate_trials
+from decpir.retrieval import _size_groups, retrieve_file, simulate_trials
 from decpir.rng import derive_seed
 
 
@@ -52,15 +49,19 @@ def reference_retrieve(store, realization, desired, seed):
     per_partition = {}
     ideal = Fraction(0)
     sessions = []
-    for index, (s, entry) in enumerate(partition.canonical_entries()):
+    starts = partition.starts.tolist()
+    all_lengths = partition.lengths().tolist()
+    for index, (s, lengths) in enumerate(zip(partition.entries, all_lengths)):
         nodes = tuple(sorted(s))
-        lengths = entry.lengths
+        positions = [
+            partition.addresses[starts[index * k + j] : starts[index * k + j + 1]]
+            - j * length
+            for j in range(k)
+        ]
         if len(s) == 1:
-            answers = np.concatenate(
-                [store.bits[j][entry.positions[j]] for j in range(k)]
-            )
+            answers = np.concatenate([store.bits[j][positions[j]] for j in range(k)])
             start = sum(lengths[:desired])
-            recovered[entry.positions[desired]] = answers[
+            recovered[positions[desired]] = answers[
                 start : start + lengths[desired]
             ]
             per_node[0] += len(answers)
@@ -68,19 +69,21 @@ def reference_retrieve(store, realization, desired, seed):
             ideal += len(answers)
             sessions.append((nodes, (answers,), None))
             continue
-        lam = entry.padded_len
+        # The smallest multiple of |S|**K that holds the longest file.
+        block = len(s) ** k
+        lam = -(-max(lengths) // block) * block
         plan = generate_query_plan(len(s), k, desired, lam, derive_seed(seed, index))
         padded = np.zeros((k, lam), dtype=np.uint8)
         for j in range(k):
-            padded[j, : lengths[j]] = store.bits[j][entry.positions[j]]
+            padded[j, : lengths[j]] = store.bits[j][positions[j]]
         answers = tuple(answer_queries(q, padded) for q in plan.stores)
         decoded = decode_desired(plan, answers)
         assert not decoded[lengths[desired] :].any()
-        recovered[entry.positions[desired]] = decoded[: lengths[desired]]
+        recovered[positions[desired]] = decoded[: lengths[desired]]
         for node, answer in zip(nodes, answers):
             per_node[node] += len(answer)
         per_partition[nodes] = sum(len(a) for a in answers)
-        ideal += entry.max_len * capacity_classical(k, len(s))
+        ideal += max(lengths) * capacity_classical(k, len(s))
         sessions.append((nodes, answers, plan))
     return recovered, tuple(per_node), per_partition, sum(per_node), ideal, sessions
 
@@ -169,16 +172,23 @@ def check_queries_stay_local(k, n, mu, length):
     cached = [set(s.tolist()) for s in real.sets]
     result = retrieve_file(store, real, k - 1, seed=21, partition=part)
     assert len(result.sessions) == len(part.entries)
-    for session in result.sessions:
-        entry = part.entries[session.storage_set]
-        lam = entry.padded_len or entry.max_len
+    lengths = part.lengths().tolist()
+    padded_lens = {}
+    for size, first, end, blocks in _size_groups(part, math.inf):
+        if blocks is not None:
+            padded_lens.update(zip(range(first, end), (blocks * size**k).tolist()))
+    starts = part.starts.tolist()
+    for i, (session, s) in enumerate(zip(result.sessions, part.entries)):
+        assert session.nodes == tuple(sorted(s))
+        lam = padded_lens.get(i, max(lengths[i]))
         for node, queries in zip(session.nodes, session.stores):
             if len(queries.indices):
                 assert 0 <= queries.indices.min() and queries.indices.max() < lam
             for f, idx in zip(queries.files.tolist(), queries.indices.tolist()):
-                if idx >= entry.lengths[f]:
+                if idx >= lengths[i][f]:
                     continue  # zero padding
-                addr = flat_address(f, int(entry.positions[f][idx]), length)
+                addr = int(part.addresses[starts[i * k + f] + idx])
+                assert addr // length == f
                 if node > 0:
                     assert addr in cached[node - 1]
 
@@ -324,6 +334,18 @@ def test_store_and_realization_must_agree():
         ), 5, seed=34)
 
 
+def test_partition_must_match_realization():
+    # A partition of another K, L or N would skip files or index past the
+    # node counts; it is refused before any session runs.
+    store = build_file_store(3, 12, seed=41)
+    policy = UniformRandomPlacement(Fraction(1, 2))
+    real = sample_placement(policy, 3, 12, 2, seed=42)
+    for k, length, n in ((2, 12, 2), (3, 10, 2), (3, 12, 4)):
+        other = partition_by_storage_set(sample_placement(policy, k, length, n, 43))
+        with pytest.raises(ValueError, match="partition and realization"):
+            retrieve_file(store, real, 2, seed=44, partition=other)
+
+
 def test_nonzero_padding_is_caught(monkeypatch):
     # Corrupt one padding symbol of the last storage set of size 2: the
     # retrieval must refuse it and name that set, not the first of its size.
@@ -332,9 +354,13 @@ def test_nonzero_padding_is_caught(monkeypatch):
     store = build_file_store(2, 40, seed=38)
     real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 2, 40, 3, seed=39)
     part = partition_by_storage_set(real)
-    pairs = [s for s, _ in part.canonical_entries() if len(s) == 2]
-    entry = part.entries[pairs[-1]]
-    assert len(pairs) > 1 and entry.padded_len > entry.lengths[0]
+    [(first, end, blocks)] = [
+        (first, end, blocks)
+        for size, first, end, blocks in _size_groups(part, math.inf)
+        if size == 2
+    ]
+    last = end - 1
+    assert end - first > 1 and blocks[-1] * 2**2 > part.lengths()[last][0]
     original = retrieval.decode_desired
 
     def corrupt(plan, answers):
@@ -345,5 +371,5 @@ def test_nonzero_padding_is_caught(monkeypatch):
         return out
 
     monkeypatch.setattr(retrieval, "decode_desired", corrupt)
-    with pytest.raises(ReliabilityError, match=re.escape(str(sorted(pairs[-1])))):
+    with pytest.raises(ReliabilityError, match=re.escape(str(sorted(part.entries[last])))):
         retrieve_file(store, real, 0, seed=40, partition=part)
