@@ -2,48 +2,115 @@
 
 Structural invariance (identical per-store query histograms for every
 desired file) is exact and checked directly.  The distributional check runs
-many independent sessions per desired file, bins each store's sorted
-transcript serialization, and applies a two-sample chi-square test per
-(store, file pair); the scheme passes when no comparison is significant.
-Sorting the lines compares the store-visible query set rather than the
+many independent sessions per desired file, bins each store's transcript by
+a canonical key, and applies a two-sample chi-square test per (store, file
+pair); the scheme passes when no comparison is significant.  The key sorts
+the queries, so it compares the store-visible query set rather than the
 construction order.
+
+Session ``s`` for desired file ``d`` has seed ``derive_seed(seed, d, s)``.
+The sessions of one desired file run as the equal segments of one plan, as
+many at a time as fit in ``_CHUNK_SYMBOLS`` symbols, so memory stays bounded
+for any session count; every session keeps its own seed, so the result does
+not depend on the chunking.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import Mapping
+
+import numpy as np
 
 from .protocol import (
+    QueryPlan,
+    StoreQueries,
     generate_query_plan,
-    plan_transcripts,
+    plan_transcripts,  # unused here; the benchmark's tracer looks it up in this module
     structural_privacy_histogram,
 )
-from .rng import derive_seed
+from .rng import derive_seeds
+
+# Symbols per plan (a plan takes at least one session): a plan's arrays grow
+# with its symbols, so this bounds memory for any session count and length.
+_CHUNK_SYMBOLS = 1 << 16
 
 
-def two_sample_chisquare(counts_a: Counter, counts_b: Counter):
+def two_sample_chisquare(counts_a: Mapping, counts_b: Mapping):
     """Pearson chi-square for whether two observed samples share one law.
 
     Returns (statistic, degrees of freedom, p-value).  Identical
-    single-support samples have zero degrees of freedom and p-value 1.
+    single-support samples have zero degrees of freedom and p-value 1.  The
+    terms are summed exactly rounded, so the statistic does not depend on
+    the order of the bins.
     """
-    from scipy.stats import chi2  # here, or it dominates `import decpir`
+    from scipy.special import chdtrc  # here, or it dominates `import decpir`
 
-    bins = sorted(set(counts_a) | set(counts_b))
+    bins = set(counts_a) | set(counts_b)
     n_a = sum(counts_a.values())
     n_b = sum(counts_b.values())
     total = n_a + n_b
-    stat = 0.0
+    terms = []
     for b in bins:
         col = counts_a.get(b, 0) + counts_b.get(b, 0)
         for n_i, counts in ((n_a, counts_a), (n_b, counts_b)):
             expected = n_i * col / total
-            stat += (counts.get(b, 0) - expected) ** 2 / expected
+            terms.append((counts.get(b, 0) - expected) ** 2 / expected)
+    stat = math.fsum(terms)
     df = len(bins) - 1
-    p_value = float(chi2.sf(stat, df)) if df > 0 else 1.0
+    p_value = float(chdtrc(df, stat)) if df > 0 else 1.0
     return stat, df, p_value
+
+
+def _session_keys(plan: QueryPlan, sessions: int) -> list[list[bytes]]:
+    """Per store, one canonical transcript key per segment of ``plan``.
+
+    ``plan`` holds ``sessions`` segments of equal length.  A query becomes
+    the row, by file, of its terms' segment-local indices plus one, with 0
+    for the files it leaves out; a query holds each file at most once, so
+    the row determines it.  A session's key is the bytes of its rows in
+    lexicographic order, so two sessions get one key exactly when the store
+    sees the same set of queries in both.
+    """
+    lam = plan.num_symbols // sessions
+    keys = []
+    for q in plan.stores:
+        per_session = len(q) // sessions
+        query = np.repeat(np.arange(len(q)), q.orders)
+        rows = np.zeros((len(q), plan.num_files), dtype=np.int64)
+        rows[query, q.files] = q.indices - query // per_session * lam + 1
+        rows = rows.reshape(sessions, per_session, -1)
+        # Sort each session's rows, the first column most significant.
+        order = np.lexsort(rows.transpose(2, 0, 1)[::-1], axis=-1)
+        rows = np.take_along_axis(rows, order[..., None], axis=1)
+        keys.append(list(map(bytes, rows.reshape(sessions, -1))))
+    return keys
+
+
+def _first_session(plan: QueryPlan, sessions: int) -> QueryPlan:
+    """Segment 0 of a plan of ``sessions`` equal segments, as a plan of its own.
+
+    Segment 0 starts at symbol 0 and query 0, so its slices need no shift.
+    """
+    lam = plan.num_symbols // sessions
+    stores = tuple(
+        StoreQueries(
+            q.files[: len(q.files) // sessions],
+            q.indices[: len(q.files) // sessions],
+            q.orders[: len(q) // sessions],
+        )
+        for q in plan.stores
+    )
+    return replace(
+        plan,
+        num_symbols=lam,
+        permutations=plan.permutations[:, :lam],
+        stores=stores,
+        sources=plan.sources[:lam],
+    )
 
 
 @dataclass(frozen=True)
@@ -120,24 +187,27 @@ def transcript_distribution_test(
     per_store_counts = [
         [Counter() for _ in range(num_replicas)] for _ in range(num_files)
     ]
+    chunk = max(1, _CHUNK_SYMBOLS // num_symbols)
     for desired in range(num_files):
-        for session in range(sessions):
+        for first in range(0, sessions, chunk):
+            count = min(chunk, sessions - first)
             plan = generate_query_plan(
                 num_replicas,
                 num_files,
                 desired,
-                num_symbols,
-                derive_seed(seed, desired, session),
+                [num_symbols] * count,
+                derive_seeds(seed, desired, indices=range(first, first + count)),
                 permute=permute,
             )
-            if session == 0:
-                hist = structural_privacy_histogram(plan)
+            if first == 0:
+                hist = structural_privacy_histogram(_first_session(plan, count))
                 if reference is None:
                     reference = hist
                 elif hist != reference:
                     structural_ok = False
-            for store, transcript in enumerate(plan_transcripts(plan, sort=True)):
-                per_store_counts[desired][store][transcript] += 1
+            keys = _session_keys(plan, count)
+            for counts, store_keys in zip(per_store_counts[desired], keys):
+                counts.update(store_keys)
 
     comparisons = []
     for a, b in combinations(range(num_files), 2):

@@ -54,7 +54,7 @@ from .protocol import (
     download_everything,
     generate_query_plan,
 )
-from .rng import derive_seed
+from .rng import derive_seed, derive_seeds
 
 # Refuse sessions that would download more than this many bits; the padded
 # block size (|S| ** K) makes large K with large sets explode at desk scale.
@@ -245,7 +245,7 @@ def _retrieve_group(
     total = int(seg[-1])
     plan = generate_query_plan(
         size, k, desired, np.diff(seg).tolist(),
-        [derive_seed(seed, index) for index in range(first, end)],
+        derive_seeds(seed, indices=range(first, end)),
     )
 
     # Run i * K + j holds set first + i's bits of file j; bit r of it lands

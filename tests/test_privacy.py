@@ -8,8 +8,10 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.special import chdtrc
+from scipy.stats import chi2, chi2_contingency
 
 from decpir.privacy import transcript_distribution_test, two_sample_chisquare
 
@@ -31,6 +33,31 @@ def test_package_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_chisquare_leaves_scipy_stats_unloaded():
+    # The p-value comes from scipy.special, which loads much less.
+    code = (
+        "import sys; from collections import Counter; "
+        "from decpir.privacy import two_sample_chisquare; "
+        "print(two_sample_chisquare(Counter('aab'), Counter('abb'))[2] < 1, "
+        "'scipy.stats' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True False"
+
+
+def test_chisquare_p_value_equals_chi2_sf():
+    # chdtrc is the kernel chi2.sf calls, so they agree bit for bit.
+    df = np.array([1, 2, 3, 5, 17, 100, 1023, 50_000])[:, None]
+    x = np.array([0.0, 1e-300, 1e-6, 0.3, 1.0, 2.5, 7.0, 30.0, 99.9, 500.0, 4000.0])
+    x = np.concatenate([np.tile(x, (len(df), 1)), df * [0.9, 1.0, 1.1]], axis=1)
+    assert np.array_equal(chdtrc(df, x), chi2.sf(x, df))
+    a = Counter({"x": 40, "y": 60, "z": 10})
+    b = Counter({"x": 35, "y": 70, "z": 5})
+    stat, dof, p = two_sample_chisquare(a, b)
+    assert p == float(chi2.sf(stat, dof))
 
 
 def test_chisquare_identical_deterministic_samples():

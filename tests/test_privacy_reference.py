@@ -1,0 +1,131 @@
+"""The segmented, array-keyed privacy test against the per-session original.
+
+``reference_distribution_test`` is the earlier implementation, kept as the
+oracle: one plan per session, each store's transcript binned by its sorted
+text serialization, the chi-square summed in sorted bin order and its
+p-value from ``scipy.stats.chi2``.  The array keys bin sessions differently
+but must group them identically, so every count, and with it every
+statistic, degree of freedom and p-value, must agree.
+"""
+
+from collections import Counter
+from itertools import combinations
+
+import numpy as np
+import pytest
+from scipy.stats import chi2
+
+from decpir import privacy
+from decpir.privacy import transcript_distribution_test
+from decpir.protocol import (
+    generate_query_plan,
+    plan_transcripts,
+    structural_privacy_histogram,
+)
+from decpir.rng import derive_seed
+
+
+def reference_chisquare(counts_a, counts_b):
+    bins = sorted(set(counts_a) | set(counts_b))
+    n_a = sum(counts_a.values())
+    n_b = sum(counts_b.values())
+    total = n_a + n_b
+    stat = 0.0
+    for b in bins:
+        col = counts_a.get(b, 0) + counts_b.get(b, 0)
+        for n_i, counts in ((n_a, counts_a), (n_b, counts_b)):
+            expected = n_i * col / total
+            stat += (counts.get(b, 0) - expected) ** 2 / expected
+    df = len(bins) - 1
+    p_value = float(chi2.sf(stat, df)) if df > 0 else 1.0
+    return stat, df, p_value
+
+
+def reference_distribution_test(k, n, lam, sessions, seed, permute):
+    structural_ok = True
+    reference = None
+    counts = [[Counter() for _ in range(n)] for _ in range(k)]
+    for desired in range(k):
+        for session in range(sessions):
+            plan = generate_query_plan(
+                n, k, desired, lam, derive_seed(seed, desired, session), permute=permute
+            )
+            if session == 0:
+                hist = structural_privacy_histogram(plan)
+                if reference is None:
+                    reference = hist
+                elif hist != reference:
+                    structural_ok = False
+            for store, transcript in enumerate(plan_transcripts(plan, sort=True)):
+                counts[desired][store][transcript] += 1
+    comparisons = [
+        (store, a, b, *reference_chisquare(counts[a][store], counts[b][store]))
+        for a, b in combinations(range(k), 2)
+        for store in range(n)
+    ]
+    return structural_ok, comparisons
+
+
+def assert_matches_reference(k, n, lam, sessions, seed, permute):
+    result = transcript_distribution_test(k, n, lam, sessions, seed, permute=permute)
+    structural_ok, comparisons = reference_distribution_test(
+        k, n, lam, sessions, seed, permute
+    )
+    assert result.structural_ok == structural_ok
+    assert len(result.comparisons) == len(comparisons)
+    for got, (store, a, b, stat, df, p) in zip(result.comparisons, comparisons):
+        assert (got.store, got.desired_a, got.desired_b) == (store, a, b)
+        assert got.dof == df
+        assert got.statistic == pytest.approx(stat, rel=1e-12, abs=0)
+        assert got.p_value == pytest.approx(p, rel=1e-12, abs=0)
+    return result
+
+
+@pytest.mark.parametrize("permute", [True, False])
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("k, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_matches_reference(k, n, blocks, permute):
+    for seed in (0, 1, 2):
+        assert_matches_reference(k, n, blocks * n**k, 60, seed, permute)
+
+
+@pytest.mark.parametrize("permute", [True, False])
+@pytest.mark.parametrize(
+    "k, n, lam, per_chunk", [(2, 2, 4, 100), (3, 2, 8, 64), (2, 2, 8, 1)]
+)
+def test_matches_reference_across_chunks(monkeypatch, k, n, lam, per_chunk, permute):
+    # Small chunks, so that repeated transcripts fall in different chunks,
+    # and a short last chunk.
+    monkeypatch.setattr(privacy, "_CHUNK_SYMBOLS", lam * per_chunk)
+    sessions = 2 * per_chunk + 37
+    result = assert_matches_reference(k, n, lam, sessions, 5, permute)
+    assert result.distribution_ok == permute
+
+
+def test_one_plan_per_desired_file(monkeypatch):
+    # K=3, n=3, two blocks, 50 sessions: each desired file's sessions fit
+    # in one plan.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate_query_plan(*args, **kwargs)
+
+    monkeypatch.setattr(privacy, "generate_query_plan", counting)
+    transcript_distribution_test(3, 3, 54, 50, 0)
+    assert [args[2] for args in calls] == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "k, n, blocks, desired", [(2, 2, 1, 0), (3, 2, 2, 1), (3, 3, 2, 2), (2, 1, 3, 1)]
+)
+def test_first_session_is_the_separate_plan(k, n, blocks, desired):
+    lam = blocks * n**k
+    seeds = [derive_seed(9, desired, s) for s in range(12)]
+    plan = generate_query_plan(n, k, desired, [lam] * 12, seeds)
+    alone = generate_query_plan(n, k, desired, lam, seeds[0])
+    first = privacy._first_session(plan, 12)
+    assert first.num_symbols == alone.num_symbols
+    assert np.array_equal(first.permutations, alone.permutations)
+    assert np.array_equal(first.sources, alone.sources)
+    assert plan_transcripts(first) == plan_transcripts(alone)

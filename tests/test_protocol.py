@@ -308,3 +308,30 @@ def test_plans_are_deterministic_under_seed():
     b = generate_query_plan(3, 3, 1, 27, seed=123)
     assert plan_transcripts(a) == plan_transcripts(b)
     assert np.array_equal(a.sources, b.sources)
+
+
+@pytest.mark.parametrize(
+    "lam, seed",
+    [
+        (8, [1, 2]),  # one length, a sequence of seeds
+        ([8, 8], 3),  # segment lengths, one seed
+        (8, 1.5),  # a float seed
+        ([8, 8], [1, 2.0]),  # a float among the segment seeds
+    ],
+)
+def test_seed_and_length_types_are_refused(lam, seed):
+    with pytest.raises(ValueError, match="seed"):
+        generate_query_plan(2, 3, 0, lam, seed)
+
+
+@pytest.mark.parametrize(
+    "seed", [-1, -(2**40), 2**64 + 9, 2**64 - 1, np.int64(-3), np.uint64(2**63)]
+)
+def test_seeds_are_taken_mod_2_to_the_64(seed):
+    want = generate_query_plan(3, 3, 1, 27, int(seed) % 2**64)
+    got = generate_query_plan(3, 3, 1, 27, seed)
+    assert plan_transcripts(got) == plan_transcripts(want)
+    # The batch seeding of a many-segment plan masks the same way.
+    many = generate_query_plan(3, 3, 1, [27] * 9, [seed] * 9)
+    shifted = many.permutations.reshape(3, 9, 27) - 27 * np.arange(9)[:, None]
+    assert (shifted == want.permutations[:, None, :]).all()

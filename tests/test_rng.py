@@ -1,0 +1,56 @@
+"""Batch seeding must equal the per-seed functions it stands in for.
+
+``generators`` runs numpy's documented SeedSequence and PCG64 seeding
+itself, so these tests pin it against numpy on many seeds, including the
+edges of the 32- and 64-bit ranges and seeds that ``generator`` masks.
+"""
+
+import numpy as np
+import pytest
+
+from decpir.rng import derive_seed, derive_seeds, generator, generators
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+EDGE_SEEDS += [-1, -(2**40), 2**64, 2**64 + 5, 2**100]  # generator masks these
+
+
+def assert_same_draws(seeds):
+    count = 0
+    for seed, rng in zip(seeds, generators(seeds)):
+        ref = generator(seed)
+        for length in range(1, 65):
+            got, want = np.arange(length), np.arange(length)
+            rng.shuffle(got)
+            ref.shuffle(want)
+            assert np.array_equal(got, want), (seed, length)
+        assert rng.integers(0, 2**62, 8).tolist() == ref.integers(0, 2**62, 8).tolist()
+        count += 1
+    assert count == len(seeds)
+
+
+def test_many_seeds_match_generator():
+    seeds = [derive_seed(2024, i) for i in range(1000)] + EDGE_SEEDS
+    assert_same_draws(seeds)
+    # A batch this large takes the array pass, which reuses one generator.
+    batch = generators(seeds)
+    assert next(batch) is next(batch)
+
+
+@pytest.mark.parametrize("count", range(1, 12))
+def test_every_batch_size_matches_generator(count):
+    # Both sides of the switch to the array pass, numpy integer seeds included.
+    seeds = [np.uint64(derive_seed(7, count, i)) for i in range(count)]
+    assert_same_draws(seeds[:-1] + [EDGE_SEEDS[count - 1]])
+
+
+def test_empty_batch_yields_nothing():
+    assert list(generators([])) == []
+
+
+@pytest.mark.parametrize("master", [0, 7, -5, 2**64 - 1, 2**70 + 3])
+@pytest.mark.parametrize("path", [(), (3,), (2**64 + 1, -2)])
+def test_derive_seeds_matches_derive_seed(master, path):
+    ranges = [range(0), range(3), range(7), range(8), range(10, 300), range(-4, 20)]
+    for indices in ranges + [range(0, 90, 7)]:
+        want = [derive_seed(master, *path, i) for i in indices]
+        assert derive_seeds(master, *path, indices=indices) == want

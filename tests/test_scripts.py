@@ -66,3 +66,8 @@ def test_perfbench_smoke():
 def test_perfbench_analysis_smoke():
     # The only workload that runs the closed-form evaluators.
     run_perfbench_smoke("analysis")
+
+
+def test_perfbench_privacy_smoke():
+    # The only workload that runs decpir.privacy, and its negative control.
+    run_perfbench_smoke("privacy")
