@@ -267,12 +267,16 @@ class StorageSetPartition:
 
         Built from ``sizes`` and ``members`` on each read.
         """
+        return tuple(map(frozenset, self.node_tuples()))
+
+    def node_tuples(self) -> list[tuple[int, ...]]:
+        """The storage sets in canonical order, as sorted node-id tuples."""
         members = self.members.tolist()
         ends = np.cumsum(self.sizes).tolist()
-        return tuple(
-            frozenset(members[end - size : end])
+        return [
+            tuple(members[end - size : end])
             for size, end in zip(self.sizes.tolist(), ends)
-        )
+        ]
 
     def lengths(self) -> np.ndarray:
         """``(S, K)`` bit counts: row ``i`` holds set ``i``'s per-file lengths."""

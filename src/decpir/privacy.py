@@ -1,9 +1,10 @@
 """Statistical indistinguishability testing of retrieval transcripts.
 
 Structural invariance (identical per-store query histograms for every
-desired file) is exact and checked directly.  The distributional check runs
-many independent sessions per desired file, bins each store's transcript by
-a canonical key, and applies a two-sample chi-square test per (store, file
+desired file) is exact and checked directly on ``plan.segment(0)``, each
+desired file's first session.  The distributional check runs many
+independent sessions per desired file, bins each store's transcript by a
+canonical key, and applies a two-sample chi-square test per (store, file
 pair); the scheme passes when no comparison is significant.  The key sorts
 the queries, so it compares the store-visible query set rather than the
 construction order.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
@@ -27,7 +28,6 @@ import numpy as np
 
 from .protocol import (
     QueryPlan,
-    StoreQueries,
     generate_query_plan,
     plan_transcripts,  # unused here; the benchmark's tracer looks it up in this module
     structural_privacy_histogram,
@@ -88,29 +88,6 @@ def _session_keys(plan: QueryPlan, sessions: int) -> list[list[bytes]]:
         rows = np.take_along_axis(rows, order[..., None], axis=1)
         keys.append(list(map(bytes, rows.reshape(sessions, -1))))
     return keys
-
-
-def _first_session(plan: QueryPlan, sessions: int) -> QueryPlan:
-    """Segment 0 of a plan of ``sessions`` equal segments, as a plan of its own.
-
-    Segment 0 starts at symbol 0 and query 0, so its slices need no shift.
-    """
-    lam = plan.num_symbols // sessions
-    stores = tuple(
-        StoreQueries(
-            q.files[: len(q.files) // sessions],
-            q.indices[: len(q.files) // sessions],
-            q.orders[: len(q) // sessions],
-        )
-        for q in plan.stores
-    )
-    return replace(
-        plan,
-        num_symbols=lam,
-        permutations=plan.permutations[:, :lam],
-        stores=stores,
-        sources=plan.sources[:lam],
-    )
 
 
 @dataclass(frozen=True)
@@ -200,7 +177,7 @@ def transcript_distribution_test(
                 permute=permute,
             )
             if first == 0:
-                hist = structural_privacy_histogram(_first_session(plan, count))
+                hist = structural_privacy_histogram(plan.segment(0))
                 if reference is None:
                     reference = hist
                 elif hist != reference:

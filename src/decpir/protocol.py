@@ -33,9 +33,10 @@ counter) term to its symbol index through the plan's ``(K, lam)``
 permutation array.  Several sessions of one shape can share a plan as
 consecutive segments: each segment draws its own permutations from its own
 seed, offset by its start, so the permutation array is block-diagonal and
-each segment's slice of the plan is that session's plan, shifted.  The
-segments' generators come from :func:`decpir.rng.generators`, which seeds
-many at once without building one generator per segment.
+each segment's slice of the plan is that session's plan, shifted;
+:meth:`QueryPlan.segment` cuts it back out.  The segments' generators come
+from :func:`decpir.rng.generators`, which seeds many at once without
+building one generator per segment.
 
 Query symbol indices refer to positions in each store's symbol array after
 the plan's permutation has been applied at construction time; stores never
@@ -47,7 +48,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -91,7 +92,8 @@ class QueryPlan:
     recovered: the query carrying it and, for sums of order >= 2, the reused
     undesired sum whose answer bit cancels the interference (-1, -1 for
     singletons).  ``permutations[j, c]`` is the symbol array position that
-    counter ``c`` of file ``j`` was mapped to.
+    counter ``c`` of file ``j`` was mapped to.  Segment ``i`` of the plan
+    holds symbols ``segment_starts[i]`` to ``segment_starts[i + 1]``.
     """
 
     num_replicas: int
@@ -101,10 +103,38 @@ class QueryPlan:
     permutations: np.ndarray
     stores: tuple[StoreQueries, ...]
     sources: np.ndarray
+    segment_starts: tuple[int, ...]
 
     @property
     def total_queries(self) -> int:
         return sum(len(s) for s in self.stores)
+
+    def query_starts(self) -> np.ndarray:
+        """Each segment's first query number at every store, then the total."""
+        t = _block_template(self.num_replicas, self.num_files, self.desired)
+        return np.array(self.segment_starts) // len(t.sources) * len(t.orders)
+
+    def segment(self, i: int) -> QueryPlan:
+        """Segment ``i`` as the plan of its own session, as generated alone.
+
+        Every block (one ``sources`` row per symbol) carries the same queries
+        and terms, so the segment's share of each store's record starts at
+        its first block times theirs.
+        """
+        shape = (self.num_replicas, self.num_files, self.desired)
+        t = _block_template(*shape)
+        a, b = self.segment_starts[i : i + 2]
+        first, end = a // len(t.sources), b // len(t.sources)
+        qa, qb = first * len(t.orders), end * len(t.orders)
+        ta, tb = first * len(t.files), end * len(t.files)
+        stores = tuple(
+            StoreQueries(q.files[ta:tb], q.indices[ta:tb] - a, q.orders[qa:qb])
+            for q in self.stores
+        )
+        sources = self.sources[a:b] - (0, qa, 0, qa)
+        sources[sources[:, 2] < 0, 3] = -1
+        perms = self.permutations[:, a:b] - a
+        return QueryPlan(*shape, b - a, perms, stores, sources, (0, b - a))
 
 
 class _BlockTemplate(NamedTuple):
@@ -269,17 +299,16 @@ def generate_query_plan(
                 f"symbol count {lam} is not a multiple of the "
                 f"{block}-symbol block size for n={n}, K={k}"
             )
-    total = sum(lams)
+    starts = tuple(accumulate(lams, initial=0))
+    total = starts[-1]
 
     perms = np.tile(np.arange(total), (k, 1))
     if permute:
         # Shuffling a segment's slice in place draws exactly what
         # ``permutation(lam)`` would, already offset by the segment start.
-        start = 0
-        for rng, lam in zip(generators(seeds), lams):
+        for rng, start, end in zip(generators(seeds), starts, starts[1:]):
             for j in range(k):
-                rng.shuffle(perms[j, start : start + lam])
-            start += lam
+                rng.shuffle(perms[j, start:end])
 
     t = _block_template(n, k, desired)
     blocks = total // block
@@ -289,8 +318,8 @@ def generate_query_plan(
     counters = (t.counters[:, None, :] + b[:, 0] * block).reshape(n, -1)
     indices = perms[files, counters]
     stores = tuple(StoreQueries(files, indices[d], orders) for d in range(n))
-    sources = t.sources + b * t.steps
-    return QueryPlan(n, k, desired, total, perms, stores, sources.reshape(-1, 4))
+    sources = (t.sources + b * t.steps).reshape(-1, 4)
+    return QueryPlan(n, k, desired, total, perms, stores, sources, starts)
 
 
 def answer_queries(queries: StoreQueries, symbols: np.ndarray) -> np.ndarray:
@@ -305,14 +334,15 @@ def answer_queries(queries: StoreQueries, symbols: np.ndarray) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=np.uint8)
     num_files, lam = symbols.shape
     files, idx, orders = queries.files, queries.indices, queries.orders
-    if not len(orders):
-        return np.zeros(0, dtype=np.uint8)
     ends = np.cumsum(orders)
-    if orders.min() < 1 or ends[-1] != len(files) or len(idx) != len(files):
+    terms = int(ends[-1]) if len(ends) else 0
+    if orders.min(initial=1) < 1 or terms != len(files) or len(idx) != len(files):
         raise ProtocolError(
             "malformed query record: every query needs a term and the term "
             "counts must add up to the term arrays"
         )
+    if not terms:
+        return np.zeros(0, dtype=np.uint8)
     if files.min() < 0 or files.max() >= num_files:
         raise ProtocolError("query references an unknown file")
     if idx.min() < 0 or idx.max() >= lam:

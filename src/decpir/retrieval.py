@@ -14,9 +14,9 @@ All storage sets of one size share a block template, so their sessions run
 as the segments of one plan: one padded ``(K, sum of lambda_S)`` symbol
 matrix, one answer pass per store position and one decode per size.  Each
 segment keeps its own permutation seed, so its queries, answers and decoded
-bits are exactly those of the set's separate session; with
-``keep_sessions`` every set still gets its own :class:`PartitionSession`,
-cut out of the shared arrays with indices local to the set.
+bits are exactly those of the set's separate session.  The result keeps
+the plans, and :attr:`RetrievalResult.sessions` cuts one
+:class:`PartitionSession` per set out of them only when it is read.
 
 The partition lists its sets in canonical order, sizes ascending, so the
 sets of one size are one contiguous range of its arrays.  A size's padded
@@ -48,6 +48,7 @@ from .model import (
 )
 from .placement import PlacementPolicy, sample_placement
 from .protocol import (
+    QueryPlan,
     StoreQueries,
     answer_queries,
     decode_desired,
@@ -99,9 +100,34 @@ class PartitionSession:
 
 @dataclass(frozen=True)
 class RetrievalResult:
+    """The recovered file, its cost report and what retrieval built.
+
+    ``runs`` holds, per size of two or more nodes, the canonical index of
+    its first set, its plan and its answer strings; ``raw`` holds the
+    data-center-only set's answer string and per-file lengths, if any.
+    """
+
     bits: np.ndarray
     report: CostReport
-    sessions: tuple[PartitionSession, ...]
+    runs: tuple[tuple[int, QueryPlan, tuple[np.ndarray, ...]], ...]
+    raw: Optional[tuple[np.ndarray, np.ndarray]]
+
+    @property
+    def sessions(self) -> tuple[PartitionSession, ...]:
+        """One session per storage set in canonical order, cut on each read."""
+        nodes = list(self.report.per_partition)
+        sessions = []
+        if self.raw is not None:
+            answers, lengths = self.raw
+            everything = download_everything(lengths)
+            sessions.append(PartitionSession(nodes[0], (everything,), (answers,)))
+        for first, plan, answers in self.runs:
+            q = plan.query_starts().tolist()
+            for i, (qa, qb) in enumerate(zip(q, q[1:])):
+                cut = tuple(a[qa:qb] for a in answers)
+                stores = plan.segment(i).stores
+                sessions.append(PartitionSession(nodes[first + i], stores, cut))
+        return tuple(sessions)
 
 
 def _size_groups(partition: StorageSetPartition, download_cap: int) -> list:
@@ -145,7 +171,6 @@ def retrieve_file(
     desired: int,
     seed: int,
     partition: Optional[StorageSetPartition] = None,
-    keep_sessions: bool = True,
     download_cap: int = DEFAULT_DOWNLOAD_CAP,
 ) -> RetrievalResult:
     """Privately retrieve file ``desired`` and account every downloaded bit.
@@ -168,49 +193,45 @@ def retrieve_file(
     groups = _size_groups(partition, download_cap)
 
     recovered = np.zeros(length, dtype=np.uint8)
-    per_node = np.zeros(realization.num_dbs + 1, dtype=np.int64)
-    per_partition: dict = {}
+    # charged[i]: the bits downloaded from each node of storage set i.
+    charged = np.empty(len(partition.sizes), dtype=np.int64)
     ideal = Fraction(0)
-    sessions: Optional[list] = [] if keep_sessions else None
+    runs, raw = [], None
     bits = store.bits.reshape(-1)
     addresses, starts = partition.addresses, partition.starts
 
     for size, first, end, blocks in groups:
         if blocks is not None:
-            ideal += _retrieve_group(
+            plan, answers, run_ideal = _retrieve_group(
                 bits, partition, desired, seed, size, first, end, blocks,
-                recovered, per_node, per_partition, sessions,
+                recovered, charged,
             )
+            ideal += run_ideal
+            runs.append((first, plan, answers))
             continue
         # Data-center-only bits (set 0): download every stored bit of every file.
         answers = bits[addresses[: starts[k]]]
         a, b = starts[desired], starts[desired + 1]
         recovered[addresses[a:b] - desired * length] = answers[a:b]
-        cost = len(answers)
-        per_node[0] += cost
-        per_partition[(0,)] = cost
-        ideal += cost
-        if sessions is not None:
-            sessions.append(
-                PartitionSession(
-                    (0,),
-                    (download_everything(np.diff(starts[: k + 1]).tolist()),),
-                    (answers,),
-                )
-            )
+        charged[0] = len(answers)
+        ideal += len(answers)
+        raw = (answers, np.diff(starts[: k + 1]))
 
     if not np.array_equal(recovered, store.bits[desired]):
         raise ReliabilityError(f"recovered file {desired} differs from the source")
 
+    sizes = partition.sizes
+    per_node = np.zeros(realization.num_dbs + 1, dtype=np.int64)
+    np.add.at(per_node, partition.members, np.repeat(charged, sizes))
     per_node_counts = tuple(per_node.tolist())
     report = CostReport(
         per_node=per_node_counts,
-        per_partition=per_partition,
+        per_partition=dict(zip(partition.node_tuples(), (charged * sizes).tolist())),
         total=sum(per_node_counts),
         ideal=ideal,
         file_len=length,
     )
-    return RetrievalResult(recovered, report, tuple(sessions or ()))
+    return RetrievalResult(recovered, report, tuple(runs), raw)
 
 
 def _retrieve_group(
@@ -223,30 +244,24 @@ def _retrieve_group(
     end: int,
     blocks: np.ndarray,
     recovered: np.ndarray,
-    per_node: np.ndarray,
-    per_partition: dict,
-    sessions: Optional[list],
-) -> Fraction:
+    charged: np.ndarray,
+) -> tuple[QueryPlan, tuple[np.ndarray, ...], Fraction]:
     """Run storage sets ``first .. end - 1``, all of ``size`` nodes, as one plan.
 
-    ``bits`` is the flat corpus.  Set ``first + i`` owns symbols
-    ``[seg[i], seg[i + 1])`` of every file, ``blocks[i]`` blocks of
-    ``size ** K``, and its permutations come from
-    ``derive_seed(seed, first + i)``, so each segment's queries, answers and
-    decoded bits are those of the set's own session.  Fills ``recovered``,
-    charges ``per_node`` and ``per_partition``, appends one session per set
-    when ``sessions`` is a list, and returns the group's ideal cost.
+    ``bits`` is the flat corpus.  Set ``first + i`` is segment ``i`` of the
+    plan, ``blocks[i]`` blocks of ``size ** K`` symbols of every file, and
+    its permutations come from ``derive_seed(seed, first + i)``, so each
+    segment's queries, answers and decoded bits are those of the set's own
+    session.  Fills ``recovered`` and ``charged[first:end]`` and returns the
+    plan, its answer strings and the group's ideal cost.
     """
     k, length = partition.num_files, partition.file_len
-    count = end - first
-    block_starts = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(blocks, out=block_starts[1:])
-    seg = block_starts * size**k
-    total = int(seg[-1])
     plan = generate_query_plan(
-        size, k, desired, np.diff(seg).tolist(),
+        size, k, desired, (blocks * size**k).tolist(),
         derive_seeds(seed, indices=range(first, end)),
     )
+    seg = np.array(plan.segment_starts)
+    total = plan.num_symbols
 
     # Run i * K + j holds set first + i's bits of file j; bit r of it lands
     # in row j, column seg[i] + r of the padded matrix.
@@ -254,7 +269,7 @@ def _retrieve_group(
     lo = int(starts[0])
     run_lens = np.diff(starts)
     run_shift = (
-        np.arange(k) * total + seg[:-1, None] - (starts[:-1] - lo).reshape(count, k)
+        np.arange(k) * total + seg[:-1, None] - (starts[:-1] - lo).reshape(-1, k)
     ).reshape(-1)
     target = np.repeat(run_shift, run_lens)
     target += np.arange(len(target))
@@ -270,48 +285,20 @@ def _retrieve_group(
     before = np.cumsum(lens) - lens
     cols = np.arange(lens.sum()) + np.repeat(seg[:-1] - before, lens)
     got = decoded[cols]
-    members = partition.members
-    offset = int(partition.sizes[:first].sum())
-    nodes = members[offset : offset + count * size].reshape(count, size)
     if np.count_nonzero(decoded) != np.count_nonzero(got):
         padding = np.ones(total, dtype=bool)
         padding[cols] = False
         bad = np.flatnonzero(padding & (decoded != 0))[0]
-        set_of = np.searchsorted(seg, bad, "right") - 1
+        nodes = partition.node_tuples()[first + np.searchsorted(seg, bad, "right") - 1]
         raise ReliabilityError(
-            f"padding symbols decoded non-zero in partition {nodes[set_of].tolist()}"
+            f"padding symbols decoded non-zero in partition {list(nodes)}"
         )
     where = np.arange(len(cols)) + np.repeat(starts[desired:-1:k] - before, lens)
     recovered[partition.addresses[where] - desired * length] = got
 
-    # Every block carries the same queries and terms, so set i's share of
-    # each store's record starts at its first block times the per-block count.
-    num_blocks = int(block_starts[-1])
-    q_starts = block_starts * (len(plan.stores[0]) // num_blocks)
-    queries = np.diff(q_starts)
-    np.add.at(per_node, nodes, queries[:, None])
-    per_partition.update(zip(map(tuple, nodes.tolist()), (queries * size).tolist()))
-
-    if sessions is not None:
-        t_starts = (block_starts * (len(plan.stores[0].files) // num_blocks)).tolist()
-        q_starts = q_starts.tolist()
-        for i in range(count):
-            qa, qb, ta, tb = q_starts[i], q_starts[i + 1], t_starts[i], t_starts[i + 1]
-            offset = int(seg[i])
-            sessions.append(
-                PartitionSession(
-                    tuple(nodes[i].tolist()),
-                    tuple(
-                        StoreQueries(
-                            q.files[ta:tb], q.indices[ta:tb] - offset, q.orders[qa:qb]
-                        )
-                        for q in plan.stores
-                    ),
-                    tuple(a[qa:qb] for a in answers),
-                )
-            )
-    max_lens = run_lens.reshape(count, k).max(axis=1)
-    return capacity_classical(k, size) * int(max_lens.sum())
+    charged[first:end] = np.diff(plan.query_starts())
+    max_lens = run_lens.reshape(-1, k).max(axis=1)
+    return plan, answers, capacity_classical(k, size) * int(max_lens.sum())
 
 
 @dataclass(frozen=True)
@@ -363,30 +350,29 @@ def simulate_trials(
         partition = partition_by_storage_set(realization)
         desired = t % num_files
         try:
-            result = retrieve_file(
+            # Only the report: the plans of a trial must not outlive it.
+            report = retrieve_file(
                 store,
                 realization,
                 desired,
                 derive_seed(trial_seed, 2),
                 partition=partition,
-                keep_sessions=False,
                 download_cap=download_cap,
-            )
+            ).report
         except ReliabilityError as exc:
             raise ReliabilityError(f"trial {t}: {exc}") from exc
         bound = converse_bound_realization(partition).bound
-        if result.report.total < bound:
+        if report.total < bound:
             raise InvariantViolation(
-                f"trial {t}: downloaded {result.report.total} bits, "
-                f"lower bound is {bound}"
+                f"trial {t}: downloaded {report.total} bits, lower bound is {bound}"
             )
         rows.append(
             TrialRecord(
                 trial=t,
                 desired=desired,
-                total=result.report.total,
-                ideal=result.report.ideal,
-                normalized=result.report.normalized,
+                total=report.total,
+                ideal=report.ideal,
+                normalized=report.normalized,
                 converse_bound=bound,
                 seed=trial_seed,
             )

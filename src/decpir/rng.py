@@ -21,6 +21,7 @@ array pass.  Both keep the per-seed functions below ``_ARRAY_SEEDS`` seeds.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -43,9 +44,9 @@ def _mix(x: int) -> int:
 
 def derive_seed(master: int, *path: int) -> int:
     """Derive a child seed from a master seed and a path of integer indices."""
-    state = _mix(master ^ _GOLDEN)
+    state = _mix(operator.index(master) ^ _GOLDEN)
     for element in path:
-        state = _mix(state ^ (element & _MASK64) ^ _GOLDEN)
+        state = _mix(state ^ (operator.index(element) & _MASK64) ^ _GOLDEN)
     return state
 
 
@@ -62,8 +63,8 @@ def derive_seeds(master: int, *path: int, indices: range) -> list[int]:
 
 
 def generator(seed: int) -> np.random.Generator:
-    """A PCG64 generator for the given 64-bit seed."""
-    return np.random.Generator(np.random.PCG64(seed & _MASK64))
+    """A PCG64 generator for the given seed, taken modulo ``2**64``."""
+    return np.random.Generator(np.random.PCG64(operator.index(seed) & _MASK64))
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).  Hash
@@ -162,7 +163,7 @@ def generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
 
 
 def _reseeded(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
-    masked = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
+    masked = np.array([operator.index(s) & _MASK64 for s in seeds], dtype=np.uint64)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}

@@ -157,6 +157,15 @@ def test_segmented_plan_joins_single_plans(n, k):
         assert np.array_equal(joined.sources, np.vstack(shifted))
         answers = [answer_queries(q, symbols) for q in joined.stores]
         assert np.array_equal(decode_desired(joined, answers), symbols[desired])
+        # Each segment cut back out is its single plan.
+        for i, single in enumerate(singles):
+            part = joined.segment(i)
+            assert part.num_symbols == single.num_symbols
+            for name in ("permutations", "sources"):
+                assert np.array_equal(getattr(part, name), getattr(single, name))
+            for got, want in zip(part.stores, single.stores, strict=True):
+                for name in ("files", "indices", "orders"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_segment_lengths_must_fill_blocks():

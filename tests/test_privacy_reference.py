@@ -124,7 +124,7 @@ def test_first_session_is_the_separate_plan(k, n, blocks, desired):
     seeds = [derive_seed(9, desired, s) for s in range(12)]
     plan = generate_query_plan(n, k, desired, [lam] * 12, seeds)
     alone = generate_query_plan(n, k, desired, lam, seeds[0])
-    first = privacy._first_session(plan, 12)
+    first = plan.segment(0)
     assert first.num_symbols == alone.num_symbols
     assert np.array_equal(first.permutations, alone.permutations)
     assert np.array_equal(first.sources, alone.sources)

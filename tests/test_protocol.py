@@ -162,6 +162,8 @@ def test_answer_rejects_malformed_record():
         answer_queries(make_store([0], [0], [1, 1]), symbols)  # long orders
     with pytest.raises(ProtocolError):
         answer_queries(make_store([0, 1], [0, 0], [0, 2]), symbols)  # no terms
+    with pytest.raises(ProtocolError):
+        answer_queries(make_store([0, 1], [0, 3], []), symbols)  # no queries
 
 
 def test_decode_cancels_side_information():

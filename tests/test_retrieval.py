@@ -203,6 +203,25 @@ def test_queries_stay_local_when_sets_share_a_plan():
     check_queries_stay_local(3, 6, Fraction(1, 4), 60)
 
 
+def test_queries_stay_local_with_only_the_data_center():
+    # N=0: the data-center-only set is the whole partition.
+    check_queries_stay_local(3, 0, Fraction(1, 3), 30)
+
+
+def test_simulation_builds_no_sessions(monkeypatch):
+    # Sessions are cut from the plans only when read; simulate never reads them.
+    import decpir.retrieval as retrieval
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a session was built")
+
+    monkeypatch.setattr(retrieval, "PartitionSession", refuse)
+    monkeypatch.setattr(retrieval, "download_everything", refuse)
+    mu = Fraction(1, 3)
+    result = simulate_trials(3, 9000, 2, mu, UniformRandomPlacement(mu), 2, seed=1)
+    assert len(result.rows) == 2
+
+
 def test_per_partition_serializes_to_json():
     store = build_file_store(3, 40, seed=35)
     real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 3, 40, 3, seed=36)

@@ -54,3 +54,15 @@ def test_derive_seeds_matches_derive_seed(master, path):
     for indices in ranges + [range(0, 90, 7)]:
         want = [derive_seed(master, *path, i) for i in indices]
         assert derive_seeds(master, *path, indices=indices) == want
+
+
+def test_numpy_integers_count_as_the_ints_they_equal():
+    # A negative numpy integer is masked modulo 2**64 like a negative int.
+    got, want = generator(np.int64(-1)), generator(-1)
+    assert got.integers(0, 2**62, 8).tolist() == want.integers(0, 2**62, 8).tolist()
+    assert derive_seed(np.int64(-5), np.int64(-2)) == derive_seed(-5, -2)
+    for indices in (range(3), range(12)):  # both sides of the array pass
+        got = derive_seeds(np.int64(-5), np.int64(-2), indices=indices)
+        assert got == derive_seeds(-5, -2, indices=indices)
+    seeds = [np.int64(-1 - i) for i in range(9)]
+    assert_same_draws(seeds)

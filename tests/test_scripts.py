@@ -63,6 +63,11 @@ def test_perfbench_smoke():
     run_perfbench_smoke("many-sets")
 
 
+def test_perfbench_headline_smoke():
+    # The acceptance fixture: a few large storage sets and the data center.
+    run_perfbench_smoke("headline")
+
+
 def test_perfbench_analysis_smoke():
     # The only workload that runs the closed-form evaluators.
     run_perfbench_smoke("analysis")
