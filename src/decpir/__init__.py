@@ -17,7 +17,6 @@ from .analysis import (
     capacity_classical,
     capacity_decentralized,
     centralized_envelope,
-    converse_bound_k3n2,
     converse_bound_realization,
     expected_converse_bound,
     expected_size_mass,
@@ -31,15 +30,12 @@ from .errors import (
     ReliabilityError,
 )
 from .model import (
-    BitAddress,
     CacheRealization,
     FileStore,
     StorageSetPartition,
     build_file_store,
     partition_by_storage_set,
     realization_from_addresses,
-    realization_from_json,
-    realization_to_json,
     storage_budget,
 )
 from .placement import (
@@ -47,10 +43,8 @@ from .placement import (
     PlacementPolicy,
     UniformRandomPlacement,
     WholeFilePrefixPlacement,
-    empirical_marginals,
     policy_from_dict,
     sample_placement,
-    validate_budget,
 )
 from .privacy import PrivacyTestResult, transcript_distribution_test
 from .protocol import (

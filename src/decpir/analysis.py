@@ -173,37 +173,6 @@ def converse_bound_realization(partition: StorageSetPartition) -> ConverseTerms:
     return ConverseTerms(avg, weights, bound)
 
 
-def converse_bound_k3n2(partition: StorageSetPartition) -> Fraction:
-    """The three-file / two-database bound written with fixed coefficients.
-
-    Independent route used to cross-check :func:`converse_bound_realization`:
-    ``L + 4/27 * sum_k H(W_k) + 11/108 * sum_i sum_k H(W_k | Z_i)
-    + 17/54 * sum_i sum_k H(W_k | Z_everything_but_i)`` where, for uncoded
-    caches, each conditional entropy is a count of uncached bits.
-    """
-    if partition.num_files != 3 or partition.num_dbs != 2:
-        raise ValueError("this form is specific to K=3, N=2")
-    length = partition.file_len
-    sizes = partition.sizes
-    held = np.zeros((len(sizes), 3), dtype=bool)
-    held[np.repeat(np.arange(len(sizes)), sizes), partition.members] = True
-    lengths = partition.lengths()
-
-    def uncached_by(nodes: list[int]) -> int:
-        # bits of all three files stored by no node in `nodes`
-        return int(lengths[~held[:, nodes].any(axis=1)].sum())
-
-    sum_h = 3 * length
-    sum_single = sum(uncached_by([i]) for i in range(3))
-    sum_pair = sum(uncached_by([j for j in range(3) if j != i]) for i in range(3))
-    return (
-        length
-        + Fraction(4, 27) * sum_h
-        + Fraction(11, 108) * sum_single
-        + Fraction(17, 54) * sum_pair
-    )
-
-
 @dataclass(frozen=True)
 class MarginalProfile:
     """Per-bit caching probabilities shared by every database.
@@ -269,6 +238,8 @@ def expected_size_masses(profile: MarginalProfile, num_dbs: int) -> tuple:
     marginal.  Fraction or int marginals give integer numerators over
     ``lcm(denominators)**N`` and one Fraction per size; a float gives floats.
     """
+    if num_dbs < 0:
+        raise ValueError(f"database count must be non-negative, got {num_dbs}")
     n, k, levels = num_dbs, profile.num_files, profile.levels
     exact = all(isinstance(p, (int, Fraction)) for p in levels)
     den = lcm(*(p.denominator for p in levels)) if exact else 1
@@ -402,8 +373,13 @@ def minimize_expected_bound(
     Projected gradient descent with backtracking line search, restarted from
     the uniform profile and ``restarts`` random feasible points; restarts
     reduce by minimum value.  Non-convergence within the iteration cap is
-    flagged, not raised.
+    flagged, not raised; a negative database or restart count raises
+    ``ValueError``.
     """
+    if num_dbs < 0:
+        raise ValueError(f"database count must be non-negative, got {num_dbs}")
+    if restarts < 0:
+        raise ValueError(f"restart count must be non-negative, got {restarts}")
     dim = num_files * file_len
     if dim > 10_000:
         raise ValueError(f"{dim} variables exceeds the dense-optimization limit")

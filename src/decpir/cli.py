@@ -111,7 +111,9 @@ def _load_config(args) -> ExperimentConfig:
     if merged["out"] is not None and not isinstance(merged["out"], str):
         raise ValueError(f"config field out must be a path, got {merged['out']!r}")
     policy_doc = doc.get("policy", {"kind": "uniform-random"})
-    if getattr(args, "policy", None):
+    if args.files is not None and args.policy != "whole-file-prefix":
+        raise ValueError("--files applies only with --policy whole-file-prefix")
+    if args.policy:
         policy_doc = {"kind": args.policy}
         if args.files:
             policy_doc["files"] = [int(f) for f in args.files.split(",")]

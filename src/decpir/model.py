@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,19 +31,8 @@ from .errors import BudgetViolation
 from .rng import generator
 
 
-class BitAddress(NamedTuple):
-    """One bit of the corpus: file index and position within that file."""
-
-    file: int
-    position: int
-
-
 def flat_address(file: int, position: int, file_len: int) -> int:
     return file * file_len + position
-
-
-def unflatten_address(addr: int, file_len: int) -> BitAddress:
-    return BitAddress(addr // file_len, addr % file_len)
 
 
 @dataclass(frozen=True)
@@ -167,63 +156,6 @@ def _is_index(value, bound) -> bool:
         and not isinstance(value, bool)
         and 0 <= value < bound
     )
-
-
-def realization_to_json(realization: CacheRealization) -> dict:
-    """Export as ``{"N": ..., "budget": ..., "sets": [[[file, pos], ...], ...]}``.
-
-    ``K`` and ``L`` are included as extra keys so the document is
-    self-contained for test-vector reuse.
-    """
-    return {
-        "N": realization.num_dbs,
-        "budget": realization.budget,
-        "sets": [
-            [list(unflatten_address(int(a), realization.file_len)) for a in addrs]
-            for addrs in realization.sets
-        ],
-        "K": realization.num_files,
-        "L": realization.file_len,
-    }
-
-
-def realization_from_json(
-    doc: Mapping, num_files: Optional[int] = None, file_len: Optional[int] = None
-) -> CacheRealization:
-    """Inverse of :func:`realization_to_json`.
-
-    Raises ``ValueError`` for a malformed document: a missing key, ``K``,
-    ``L`` or ``budget`` that is not an integer, an ``N`` that does not count
-    the sets, or ``sets`` that is not a list of lists of ``[file, position]``
-    pairs inside the corpus.
-    """
-    if not isinstance(doc, Mapping):
-        raise ValueError(
-            f"a realization must be a JSON object, got {type(doc).__name__}"
-        )
-    try:
-        k = num_files if num_files is not None else doc["K"]
-        length = file_len if file_len is not None else doc["L"]
-        budget, sets = doc["budget"], doc["sets"]
-    except KeyError as exc:
-        raise ValueError(f"realization document lacks {exc.args[0]!r}") from None
-    for name, value in (("K", k), ("L", length), ("budget", budget)):
-        if not _is_index(value, math.inf):
-            raise ValueError(
-                f"realization {name} must be a non-negative integer, got {value!r}"
-            )
-    sequences = (list, tuple)
-    if not isinstance(sets, sequences) or not all(
-        isinstance(s, sequences)
-        and all(isinstance(a, sequences) and len(a) == 2 for a in s)
-        for s in sets
-    ):
-        raise ValueError(
-            "realization sets must be a list of lists of [file, position] pairs"
-        )
-    if "N" in doc and doc["N"] != len(sets):
-        raise ValueError(f"realization N is {doc['N']!r} but it lists {len(sets)} sets")
-    return realization_from_addresses(k, length, budget, sets)
 
 
 @dataclass(frozen=True)

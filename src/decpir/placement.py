@@ -158,48 +158,3 @@ def sample_placement(
         return realization_from_addresses(num_files, file_len, budget, policy.sets)
 
     raise TypeError(f"unknown policy type {type(policy).__name__}")
-
-
-@dataclass(frozen=True)
-class BudgetReport:
-    """Result of a budget audit; ``violations`` lists (db, size, budget)."""
-
-    ok: bool
-    budget: int
-    violations: tuple[tuple[int, int, int], ...]
-
-
-def validate_budget(realization: CacheRealization, mu) -> BudgetReport:
-    """Check every database against the budget implied by ``mu``."""
-    budget = storage_budget(Fraction(mu), realization.num_files, realization.file_len)
-    violations = tuple(
-        (d + 1, len(addrs), budget)
-        for d, addrs in enumerate(realization.sets)
-        if len(addrs) > budget
-    )
-    return BudgetReport(not violations, budget, violations)
-
-
-def empirical_marginals(
-    policy: PlacementPolicy,
-    num_files: int,
-    file_len: int,
-    trials: int,
-    seed: int,
-    mu=None,
-) -> np.ndarray:
-    """Per-address caching frequency of the first database over many draws.
-
-    All databases share one distribution, so the first database's marginals
-    characterize the policy.  Returns a (num_files, file_len) array of
-    estimates.
-    """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    counts = np.zeros(num_files * file_len, dtype=np.int64)
-    for t in range(trials):
-        realization = sample_placement(
-            policy, num_files, file_len, 1, derive_seed(seed, t), mu=mu
-        )
-        counts[realization.sets[0]] += 1
-    return (counts / trials).reshape(num_files, file_len)

@@ -74,15 +74,6 @@ class StoreQueries:
         return len(self.orders)
 
 
-def download_everything(lengths: Sequence[int]) -> StoreQueries:
-    """One singleton per symbol of every file, files in order."""
-    return StoreQueries(
-        np.repeat(np.arange(len(lengths), dtype=np.int64), lengths),
-        np.concatenate([np.arange(n, dtype=np.int64) for n in lengths]),
-        np.ones(sum(lengths), dtype=np.int64),
-    )
-
-
 @dataclass(frozen=True)
 class QueryPlan:
     """A full retrieval session: per-store query arrays plus decoding state.

@@ -14,9 +14,9 @@ All storage sets of one size share a block template, so their sessions run
 as the segments of one plan: one padded ``(K, sum of lambda_S)`` symbol
 matrix, one answer pass per store position and one decode per size.  Each
 segment keeps its own permutation seed, so its queries, answers and decoded
-bits are exactly those of the set's separate session.  The result keeps
-the plans, and :attr:`RetrievalResult.sessions` cuts one
-:class:`PartitionSession` per set out of them only when it is read.
+bits are exactly those of the set's separate session.  A size's plan and
+answers are dropped once its sets are decoded and charged; the result is
+the recovered file and its cost report.
 
 The partition lists its sets in canonical order, sizes ascending, so the
 sets of one size are one contiguous range of its arrays.  A size's padded
@@ -47,14 +47,7 @@ from .model import (
     partition_by_storage_set,
 )
 from .placement import PlacementPolicy, sample_placement
-from .protocol import (
-    QueryPlan,
-    StoreQueries,
-    answer_queries,
-    decode_desired,
-    download_everything,
-    generate_query_plan,
-)
+from .protocol import answer_queries, decode_desired, generate_query_plan
 from .rng import derive_seed, derive_seeds
 
 # Refuse sessions that would download more than this many bits; the padded
@@ -86,48 +79,11 @@ class CostReport:
 
 
 @dataclass(frozen=True)
-class PartitionSession:
-    """Transcript of one per-partition protocol run.
-
-    ``nodes`` is the storage set, sorted.  Query indices are local to the
-    set: ``0 <= index < lambda_S``.
-    """
-
-    nodes: tuple[int, ...]
-    stores: tuple[StoreQueries, ...]  # each node's queries, as in ``nodes``
-    answers: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class RetrievalResult:
-    """The recovered file, its cost report and what retrieval built.
-
-    ``runs`` holds, per size of two or more nodes, the canonical index of
-    its first set, its plan and its answer strings; ``raw`` holds the
-    data-center-only set's answer string and per-file lengths, if any.
-    """
+    """The recovered file and its cost report."""
 
     bits: np.ndarray
     report: CostReport
-    runs: tuple[tuple[int, QueryPlan, tuple[np.ndarray, ...]], ...]
-    raw: Optional[tuple[np.ndarray, np.ndarray]]
-
-    @property
-    def sessions(self) -> tuple[PartitionSession, ...]:
-        """One session per storage set in canonical order, cut on each read."""
-        nodes = list(self.report.per_partition)
-        sessions = []
-        if self.raw is not None:
-            answers, lengths = self.raw
-            everything = download_everything(lengths)
-            sessions.append(PartitionSession(nodes[0], (everything,), (answers,)))
-        for first, plan, answers in self.runs:
-            q = plan.query_starts().tolist()
-            for i, (qa, qb) in enumerate(zip(q, q[1:])):
-                cut = tuple(a[qa:qb] for a in answers)
-                stores = plan.segment(i).stores
-                sessions.append(PartitionSession(nodes[first + i], stores, cut))
-        return tuple(sessions)
 
 
 def _size_groups(partition: StorageSetPartition, download_cap: int) -> list:
@@ -196,18 +152,15 @@ def retrieve_file(
     # charged[i]: the bits downloaded from each node of storage set i.
     charged = np.empty(len(partition.sizes), dtype=np.int64)
     ideal = Fraction(0)
-    runs, raw = [], None
     bits = store.bits.reshape(-1)
     addresses, starts = partition.addresses, partition.starts
 
     for size, first, end, blocks in groups:
         if blocks is not None:
-            plan, answers, run_ideal = _retrieve_group(
+            ideal += _retrieve_group(
                 bits, partition, desired, seed, size, first, end, blocks,
                 recovered, charged,
             )
-            ideal += run_ideal
-            runs.append((first, plan, answers))
             continue
         # Data-center-only bits (set 0): download every stored bit of every file.
         answers = bits[addresses[: starts[k]]]
@@ -215,7 +168,6 @@ def retrieve_file(
         recovered[addresses[a:b] - desired * length] = answers[a:b]
         charged[0] = len(answers)
         ideal += len(answers)
-        raw = (answers, np.diff(starts[: k + 1]))
 
     if not np.array_equal(recovered, store.bits[desired]):
         raise ReliabilityError(f"recovered file {desired} differs from the source")
@@ -231,7 +183,7 @@ def retrieve_file(
         ideal=ideal,
         file_len=length,
     )
-    return RetrievalResult(recovered, report, tuple(runs), raw)
+    return RetrievalResult(recovered, report)
 
 
 def _retrieve_group(
@@ -245,7 +197,7 @@ def _retrieve_group(
     blocks: np.ndarray,
     recovered: np.ndarray,
     charged: np.ndarray,
-) -> tuple[QueryPlan, tuple[np.ndarray, ...], Fraction]:
+) -> Fraction:
     """Run storage sets ``first .. end - 1``, all of ``size`` nodes, as one plan.
 
     ``bits`` is the flat corpus.  Set ``first + i`` is segment ``i`` of the
@@ -253,7 +205,7 @@ def _retrieve_group(
     its permutations come from ``derive_seed(seed, first + i)``, so each
     segment's queries, answers and decoded bits are those of the set's own
     session.  Fills ``recovered`` and ``charged[first:end]`` and returns the
-    plan, its answer strings and the group's ideal cost.
+    group's ideal cost.
     """
     k, length = partition.num_files, partition.file_len
     plan = generate_query_plan(
@@ -298,7 +250,7 @@ def _retrieve_group(
 
     charged[first:end] = np.diff(plan.query_starts())
     max_lens = run_lens.reshape(-1, k).max(axis=1)
-    return plan, answers, capacity_classical(k, size) * int(max_lens.sum())
+    return capacity_classical(k, size) * int(max_lens.sum())
 
 
 @dataclass(frozen=True)
@@ -350,7 +302,6 @@ def simulate_trials(
         partition = partition_by_storage_set(realization)
         desired = t % num_files
         try:
-            # Only the report: the plans of a trial must not outlive it.
             report = retrieve_file(
                 store,
                 realization,

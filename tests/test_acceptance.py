@@ -15,7 +15,6 @@ from decpir.analysis import (
     capacity_classical,
     capacity_decentralized,
     centralized_envelope,
-    converse_bound_k3n2,
     converse_bound_realization,
     expected_converse_bound,
     minimize_expected_bound,
@@ -27,6 +26,8 @@ from decpir.privacy import transcript_distribution_test
 from decpir.protocol import generate_query_plan, structural_privacy_histogram
 from decpir.retrieval import retrieve_file, simulate_trials
 from decpir.rng import derive_seed
+
+from oracles import converse_bound_k3n2
 
 
 @contextmanager

@@ -15,7 +15,6 @@ from decpir.analysis import (
     capacity_classical,
     capacity_decentralized,
     centralized_envelope,
-    converse_bound_k3n2,
     converse_bound_realization,
     expected_converse_bound,
     expected_size_mass,
@@ -32,6 +31,8 @@ from decpir.placement import (
     sample_placement,
 )
 from decpir.rng import derive_seed
+
+from oracles import converse_bound_k3n2
 
 
 def test_capacity_classical_goldens():
@@ -140,6 +141,16 @@ def test_converse_bound_whole_file_realization():
     )
     assert terms.harmonic_weights == (2, Fraction(3, 4), Fraction(4, 9))
     assert terms.bound == Fraction(67 * length, 27)
+
+
+def test_negative_counts_are_refused():
+    profile = uniform_profile(2, 3, Fraction(1, 2))
+    with pytest.raises(ValueError, match="database count must be non-negative"):
+        expected_converse_bound(profile, -1)
+    with pytest.raises(ValueError, match="database count must be non-negative"):
+        minimize_expected_bound(2, -1, Fraction(1, 2), 3)
+    with pytest.raises(ValueError, match="restart count must be non-negative"):
+        minimize_expected_bound(2, 1, Fraction(1, 2), 3, restarts=-1)
 
 
 def test_converse_bound_k3n2_form_agrees():

@@ -162,6 +162,19 @@ def test_whole_file_policy_needs_files(capsys):
     _assert_one_line_error(capsys, "'files'")
 
 
+@pytest.mark.parametrize("policy", [[], ["--policy", "uniform-random"]])
+def test_files_needs_whole_file_policy(capsys, policy):
+    # Any other policy would ignore the file list rather than apply it.
+    code = main(
+        [
+            "simulate", "--k", "2", "--n", "1", "--mu", "1/2", "--file-bits", "4",
+            "--files", "0", *policy,
+        ]
+    )
+    assert code == 1
+    _assert_one_line_error(capsys, "--files applies only with --policy whole-file-prefix")
+
+
 @pytest.mark.parametrize(
     "policy, message",
     [

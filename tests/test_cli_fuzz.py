@@ -2,26 +2,25 @@
 
 Every subcommand is driven with small random integers, ratios and
 significance levels, with any flag possibly left out; sizes stay tiny so
-each run takes milliseconds.  ``realization_from_json`` gets the same
-treatment with malformed documents: it returns a realization or raises
-``ValueError``.
+each run takes milliseconds.  A negative count (files, databases, bits,
+trials, restarts or sessions) is a usage error wherever it is given.
 """
 
 import contextlib
 import io
-import json
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decpir.cli import main
-from decpir.model import CacheRealization, realization_from_json
 
 SMALL = st.integers(-1, 4)
 RATIO = st.one_of(
     st.builds("{}/{}".format, st.integers(-1, 4), st.integers(0, 4)),
     st.sampled_from(["0.5", "1", "0", "-0.25", "2", "x", ""]),
 )
+# Counts that no command accepts below zero.
+COUNTS = {"--k", "--n", "--file-bits", "--trials", "--restarts", "--sessions"}
 SIGNIFICANCE = st.one_of(
     st.sampled_from(["0", "1", "-1", "nan", "inf", "0.05", "x"]),
     st.floats(0, 1).map(str),
@@ -121,44 +120,23 @@ def run_cli(argv):
 @example(
     argv=["optimize", "--k", "1", "--n", "0", "--mu", "1/2", "--file-bits", "0", "--restarts", "0"]
 )
+# Negative database and restart counts, which once ran as if valid.
+@example(argv=["converse", "--k", "3", "--n", "-1", "--mu", "1/2", "--file-bits", "10"])
+@example(
+    argv=["optimize", "--k", "1", "--n", "-1", "--mu", "1/2", "--file-bits", "2", "--restarts", "0"]
+)
+@example(
+    argv=["optimize", "--k", "1", "--n", "1", "--mu", "1/2", "--file-bits", "2", "--restarts", "-1"]
+)
 def test_cli_exits_cleanly_on_random_input(argv):
     code, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if code == 1:
         assert err.strip(), argv
+    if argv[0] in ("simulate", "converse", "optimize", "privacy-test") and any(
+        flag in COUNTS and value.startswith("-")
+        for flag, value in zip(argv, argv[1:])
+    ):
+        assert code == 1, (argv, code, err)
 
-
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(["K", "L", "N", "budget", "sets"]), inner),
-    max_leaves=12,
-)
-PAIR = st.one_of(
-    st.lists(st.integers(-1, 4), min_size=2, max_size=2), st.lists(JSON, max_size=3)
-)
-DOCUMENT = st.one_of(
-    JSON,
-    st.fixed_dictionaries(
-        {},
-        optional={
-            "K": st.one_of(st.integers(-1, 3), JSON),
-            "L": st.one_of(st.integers(-1, 4), JSON),
-            "N": st.one_of(st.integers(-1, 3), JSON),
-            "budget": st.one_of(st.integers(-1, 6), JSON),
-            "sets": st.one_of(st.lists(st.lists(PAIR, max_size=4), max_size=3), JSON),
-        },
-    ),
-)
-
-
-@given(doc=DOCUMENT)
-@settings(max_examples=80)
-def test_realization_from_json_refuses_malformed_documents(doc):
-    doc = json.loads(json.dumps(doc))  # only what a JSON file can hold
-    try:
-        realization = realization_from_json(doc)
-    except ValueError:
-        return
-    assert isinstance(realization, CacheRealization)

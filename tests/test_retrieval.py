@@ -3,18 +3,23 @@
 ``reference_retrieve`` runs one protocol session per storage set, the
 straightforward form of the scheme; :func:`retrieve_file` runs every set of
 one size as a segment of a single plan and must agree with it exactly.
+``retrieve_with_sessions`` cuts each set's session out of the plans and
+answers that :func:`retrieve_file` really builds, so the session checks
+read what retrieval ran, not a rebuilt copy.
 """
 
 import json
 import math
 import re
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import decpir.retrieval as retrieval
 from decpir.analysis import capacity_classical
 from decpir.errors import ReliabilityError
 from decpir.model import build_file_store, partition_by_storage_set
@@ -88,6 +93,63 @@ def reference_retrieve(store, realization, desired, seed):
     return recovered, tuple(per_node), per_partition, sum(per_node), ideal, sessions
 
 
+class Session(NamedTuple):
+    """One storage set's protocol session, cut from what retrieval built."""
+
+    nodes: tuple[int, ...]
+    stores: Optional[tuple]  # None for the data-center-only set: no plan
+    answers: tuple[np.ndarray, ...]
+
+
+def retrieve_with_sessions(store, realization, desired, seed, partition=None):
+    """:func:`retrieve_file` and one :class:`Session` per storage set.
+
+    For the length of the call, ``decpir.retrieval.generate_query_plan`` and
+    ``answer_queries`` are wrapped to record every plan and answer string
+    retrieval builds.  Segment ``i`` of the plan for sets of ``s`` nodes is
+    the ``i``-th set of that size: its stores are ``plan.segment(i).stores``
+    and its answers each store's string cut at ``plan.query_starts()``.  The
+    data-center-only set runs no plan; its one answer string is the store's
+    bits at its addresses, and its length must be the set's charge.
+    """
+    if partition is None:
+        partition = partition_by_storage_set(realization)
+    plans, strings = [], []
+    generate, answer = retrieval.generate_query_plan, retrieval.answer_queries
+
+    def record_plan(*args, **kwargs):
+        plans.append(generate(*args, **kwargs))
+        return plans[-1]
+
+    def record_answer(queries, symbols):
+        strings.append(answer(queries, symbols))
+        return strings[-1]
+
+    retrieval.generate_query_plan = record_plan
+    retrieval.answer_queries = record_answer
+    try:
+        result = retrieve_file(store, realization, desired, seed, partition=partition)
+    finally:
+        retrieval.generate_query_plan = generate
+        retrieval.answer_queries = answer
+
+    k, nodes = partition.num_files, partition.node_tuples()
+    sessions = []
+    if partition.sizes[0] == 1:
+        raw = store.bits.reshape(-1)[partition.addresses[: partition.starts[k]]]
+        assert len(raw) == result.report.per_partition[nodes[0]]
+        sessions.append(Session(nodes[0], None, (raw,)))
+    for plan in plans:
+        first = int(np.searchsorted(partition.sizes, plan.num_replicas))
+        answers, strings = strings[: plan.num_replicas], strings[plan.num_replicas :]
+        q = plan.query_starts().tolist()
+        for i, (qa, qb) in enumerate(zip(q, q[1:])):
+            cut = tuple(a[qa:qb] for a in answers)
+            sessions.append(Session(nodes[first + i], plan.segment(i).stores, cut))
+    assert not strings
+    return result, sessions
+
+
 def test_data_center_only_costs_everything():
     # N=0: downloading privately means downloading all K files.
     store = build_file_store(3, 10, seed=1)
@@ -153,11 +215,11 @@ def test_cost_is_theta_invariant():
 def test_cost_report_consistency():
     store = build_file_store(3, 40, seed=16)
     real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 3, 40, 3, seed=17)
-    result = retrieve_file(store, real, 1, seed=18)
+    result, sessions = retrieve_with_sessions(store, real, 1, seed=18)
     report = result.report
     assert report.total == sum(report.per_node)
     assert report.total == sum(report.per_partition.values())
-    transcript_bits = sum(len(a) for s in result.sessions for a in s.answers)
+    transcript_bits = sum(len(a) for s in sessions for a in s.answers)
     assert report.total == transcript_bits
     assert report.ideal <= report.total
     assert report.normalized == Fraction(report.total, 40)
@@ -170,17 +232,19 @@ def check_queries_stay_local(k, n, mu, length):
     real = sample_placement(UniformRandomPlacement(mu), k, length, n, seed=20)
     part = partition_by_storage_set(real)
     cached = [set(s.tolist()) for s in real.sets]
-    result = retrieve_file(store, real, k - 1, seed=21, partition=part)
-    assert len(result.sessions) == len(part.entries)
+    _, sessions = retrieve_with_sessions(store, real, k - 1, seed=21, partition=part)
+    assert len(sessions) == len(part.entries)
     lengths = part.lengths().tolist()
     padded_lens = {}
     for size, first, end, blocks in _size_groups(part, math.inf):
         if blocks is not None:
             padded_lens.update(zip(range(first, end), (blocks * size**k).tolist()))
     starts = part.starts.tolist()
-    for i, (session, s) in enumerate(zip(result.sessions, part.entries)):
+    for i, (session, s) in enumerate(zip(sessions, part.entries)):
         assert session.nodes == tuple(sorted(s))
-        lam = padded_lens.get(i, max(lengths[i]))
+        if session.stores is None:
+            continue  # the data-center-only set, checked by the helper
+        lam = padded_lens[i]
         for node, queries in zip(session.nodes, session.stores):
             if len(queries.indices):
                 assert 0 <= queries.indices.min() and queries.indices.max() < lam
@@ -206,20 +270,6 @@ def test_queries_stay_local_when_sets_share_a_plan():
 def test_queries_stay_local_with_only_the_data_center():
     # N=0: the data-center-only set is the whole partition.
     check_queries_stay_local(3, 0, Fraction(1, 3), 30)
-
-
-def test_simulation_builds_no_sessions(monkeypatch):
-    # Sessions are cut from the plans only when read; simulate never reads them.
-    import decpir.retrieval as retrieval
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a session was built")
-
-    monkeypatch.setattr(retrieval, "PartitionSession", refuse)
-    monkeypatch.setattr(retrieval, "download_everything", refuse)
-    mu = Fraction(1, 3)
-    result = simulate_trials(3, 9000, 2, mu, UniformRandomPlacement(mu), 2, seed=1)
-    assert len(result.rows) == 2
 
 
 def test_per_partition_serializes_to_json():
@@ -248,7 +298,9 @@ def test_batched_retrieval_matches_per_set_sessions(
         UniformRandomPlacement(Fraction(mu_num, 4)), k, length, n, derive_seed(seed, 1)
     )
     desired = desired_pick % k
-    result = retrieve_file(store, real, desired, derive_seed(seed, 2))
+    result, got_sessions = retrieve_with_sessions(
+        store, real, desired, derive_seed(seed, 2)
+    )
     bits, per_node, per_partition, total, ideal, sessions = reference_retrieve(
         store, real, desired, derive_seed(seed, 2)
     )
@@ -258,8 +310,8 @@ def test_batched_retrieval_matches_per_set_sessions(
     assert report.per_partition == per_partition
     assert list(report.per_partition) == list(per_partition)
     assert (report.total, report.ideal) == (total, ideal)
-    assert len(result.sessions) == len(sessions)
-    for got, (nodes, answers, plan) in zip(result.sessions, sessions):
+    assert len(got_sessions) == len(sessions)
+    for got, (nodes, answers, plan) in zip(got_sessions, sessions):
         assert got.nodes == nodes
         assert [a.tolist() for a in got.answers] == [a.tolist() for a in answers]
         if plan is not None:
@@ -368,8 +420,6 @@ def test_partition_must_match_realization():
 def test_nonzero_padding_is_caught(monkeypatch):
     # Corrupt one padding symbol of the last storage set of size 2: the
     # retrieval must refuse it and name that set, not the first of its size.
-    import decpir.retrieval as retrieval
-
     store = build_file_store(2, 40, seed=38)
     real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 2, 40, 3, seed=39)
     part = partition_by_storage_set(real)
