@@ -225,7 +225,15 @@ class MarginalProfile:
             )
 
 
+def _check_profile_shape(num_files: int, file_len: int) -> None:
+    if num_files < 1:
+        raise ValueError(f"need at least one file, got {num_files}")
+    if file_len < 0:
+        raise ValueError(f"file length must be non-negative, got {file_len}")
+
+
 def uniform_profile(num_files: int, file_len: int, mu) -> MarginalProfile:
+    _check_profile_shape(num_files, file_len)
     probs = np.full((num_files, file_len), Fraction(mu), dtype=object)
     return MarginalProfile(probs)
 
@@ -373,9 +381,10 @@ def minimize_expected_bound(
     Projected gradient descent with backtracking line search, restarted from
     the uniform profile and ``restarts`` random feasible points; restarts
     reduce by minimum value.  Non-convergence within the iteration cap is
-    flagged, not raised; a negative database or restart count raises
-    ``ValueError``.
+    flagged, not raised; fewer than one file, a negative file length,
+    database count or restart count raises ``ValueError``.
     """
+    _check_profile_shape(num_files, file_len)
     if num_dbs < 0:
         raise ValueError(f"database count must be non-negative, got {num_dbs}")
     if restarts < 0:

@@ -25,7 +25,7 @@ from .model import (
     realization_from_addresses,
     storage_budget,
 )
-from .rng import derive_seed, generator
+from .rng import derive_seeds, generators
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,10 @@ def sample_placement(
 ) -> CacheRealization:
     """Draw one caching-phase realization for ``num_dbs`` databases.
 
-    Uniform placement samples each database from an independent stream
-    derived from ``seed``; deterministic policies ignore the randomness but
-    still validate the budget.
+    Uniform placement samples database ``d`` from what
+    ``generator(derive_seed(seed, d))`` draws, all databases seeded in one
+    pass by :func:`decpir.rng.generators`; deterministic policies ignore the
+    randomness but still validate the budget.
     """
     if num_dbs < 0:
         raise ValueError(f"database count must be non-negative, got {num_dbs}")
@@ -125,12 +126,11 @@ def sample_placement(
     total = num_files * file_len
 
     if isinstance(policy, UniformRandomPlacement):
-        sets = []
-        for d in range(num_dbs):
-            rng = generator(derive_seed(seed, d))
-            picked = rng.choice(total, size=budget, replace=False)
-            sets.append(np.sort(picked).astype(np.int64))
-        return CacheRealization(num_files, file_len, num_dbs, budget, tuple(sets))
+        sets = tuple(
+            np.sort(rng.choice(total, size=budget, replace=False)).astype(np.int64)
+            for rng in generators(derive_seeds(seed, indices=range(num_dbs)))
+        )
+        return CacheRealization(num_files, file_len, num_dbs, budget, sets)
 
     if isinstance(policy, WholeFilePrefixPlacement):
         files = sorted(set(policy.files))

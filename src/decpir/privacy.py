@@ -11,18 +11,16 @@ construction order.
 
 Session ``s`` for desired file ``d`` has seed ``derive_seed(seed, d, s)``.
 The sessions of one desired file run as the equal segments of one plan, as
-many at a time as fit in ``_CHUNK_SYMBOLS`` symbols, so memory stays bounded
-for any session count; every session keeps its own seed, so the result does
-not depend on the chunking.
+many at a time as fit in ``_CHUNK_SYMBOLS`` symbols, and keys are folded into
+the bins about as often, so memory stays bounded for any session count; every
+session keeps its own seed, so the result does not depend on the chunking.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
 
 import numpy as np
 
@@ -30,7 +28,9 @@ from .protocol import (
     QueryPlan,
     generate_query_plan,
     plan_transcripts,  # unused here; the benchmark's tracer looks it up in this module
+    query_codes,
     structural_privacy_histogram,
+    unique_rows,
 )
 from .rng import derive_seeds
 
@@ -39,55 +39,70 @@ from .rng import derive_seeds
 _CHUNK_SYMBOLS = 1 << 16
 
 
-def two_sample_chisquare(counts_a: Mapping, counts_b: Mapping):
+def two_sample_chisquare(counts_a, counts_b):
     """Pearson chi-square for whether two observed samples share one law.
 
-    Returns (statistic, degrees of freedom, p-value).  Identical
+    The samples are count arrays over the same bins; bins empty in both are
+    left out.  Returns (statistic, degrees of freedom, p-value); identical
     single-support samples have zero degrees of freedom and p-value 1.  The
-    terms are summed exactly rounded, so the statistic does not depend on
-    the order of the bins.
+    terms are summed exactly rounded, so the order of the bins is moot.
+    Unequal lengths, a negative count or an empty sample raise ``ValueError``.
     """
     from scipy.special import chdtrc  # here, or it dominates `import decpir`
 
-    bins = set(counts_a) | set(counts_b)
-    n_a = sum(counts_a.values())
-    n_b = sum(counts_b.values())
-    total = n_a + n_b
-    terms = []
-    for b in bins:
-        col = counts_a.get(b, 0) + counts_b.get(b, 0)
-        for n_i, counts in ((n_a, counts_a), (n_b, counts_b)):
-            expected = n_i * col / total
-            terms.append((counts.get(b, 0) - expected) ** 2 / expected)
-    stat = math.fsum(terms)
-    df = len(bins) - 1
+    observed = [np.asarray(counts_a), np.asarray(counts_b)]
+    if observed[0].ndim != 1 or observed[0].shape != observed[1].shape:
+        raise ValueError("need two count arrays over the same bins")
+    observed = np.stack(observed)
+    if observed.min(initial=0) < 0:
+        raise ValueError("counts must be non-negative")
+    observed = observed[:, observed.any(axis=0)]
+    sizes = observed.sum(axis=1)
+    if not sizes.all():
+        raise ValueError("each sample needs at least one observation")
+    # Python's float power squares, as numpy's square can differ from it in
+    # the last bit; the counts are exact while their products stay below 2**53.
+    expected = sizes[:, None] * observed.sum(axis=0) / sizes.sum()
+    terms = zip((observed - expected).ravel().tolist(), expected.ravel().tolist())
+    stat = math.fsum(d**2 / e for d, e in terms)
+    df = observed.shape[1] - 1
     p_value = float(chdtrc(df, stat)) if df > 0 else 1.0
     return stat, df, p_value
 
 
-def _session_keys(plan: QueryPlan, sessions: int) -> list[list[bytes]]:
-    """Per store, one canonical transcript key per segment of ``plan``.
+def _session_keys(plan: QueryPlan, sessions: int) -> np.ndarray:
+    """The canonical keys of ``plan``'s segments, one row per store and session.
 
-    ``plan`` holds ``sessions`` segments of equal length.  A query becomes
-    the row, by file, of its terms' segment-local indices plus one, with 0
-    for the files it leaves out; a query holds each file at most once, so
-    the row determines it.  A session's key is the bytes of its rows in
-    lexicographic order, so two sessions get one key exactly when the store
-    sees the same set of queries in both.
+    ``plan`` holds ``sessions`` segments of equal length, and its stores share
+    the term files and counts.  A query is its :func:`query_codes` row of
+    segment-local indices plus one, and a session's key its rows sorted, so
+    two sessions get one key exactly when the store sees the same set of
+    queries in both.
     """
-    lam = plan.num_symbols // sessions
-    keys = []
-    for q in plan.stores:
-        per_session = len(q) // sessions
-        query = np.repeat(np.arange(len(q)), q.orders)
-        rows = np.zeros((len(q), plan.num_files), dtype=np.int64)
-        rows[query, q.files] = q.indices - query // per_session * lam + 1
-        rows = rows.reshape(sessions, per_session, -1)
-        # Sort each session's rows, the first column most significant.
-        order = np.lexsort(rows.transpose(2, 0, 1)[::-1], axis=-1)
-        rows = np.take_along_axis(rows, order[..., None], axis=1)
-        keys.append(list(map(bytes, rows.reshape(sessions, -1))))
-    return keys
+    lam, q = plan.num_symbols // sessions, plan.stores[0]
+    local = np.stack([s.indices for s in plan.stores]) + 1
+    local -= np.arange(len(q.files)) // (len(q.files) // sessions) * lam
+    codes = query_codes(q.files, q.orders, local, lam + 1, plan.num_files)
+    codes = codes.reshape(len(plan.stores) * sessions, len(q) // sessions, -1)
+    if codes.shape[-1] == 1:  # one word a row: far cheaper than a lexsort
+        return np.sort(codes, axis=1).reshape(len(codes), -1)
+    order = np.lexsort(np.moveaxis(codes, -1, 0), axis=-1)
+    return np.take_along_axis(codes, order[..., None], axis=1).reshape(len(codes), -1)
+
+
+def _bin_keys(bins, pending, owners: int):
+    """Add the ``(owner, keys)`` pairs of ``pending`` to ``bins``.
+
+    The bins are the distinct keys so far and their (owner, key) counts,
+    ``None`` before any keys; only they are kept, so memory follows the bins.
+    """
+    keys, owned = [k for _, k in pending], np.concatenate([o for o, _ in pending])
+    distinct, counts = bins or (keys[0][:0], np.zeros((owners, 0), np.int64))
+    merged, where = unique_rows(np.concatenate([distinct, *keys]), return_inverse=True)
+    cells = owned * len(merged) + where[len(distinct) :]
+    total = np.bincount(cells, minlength=owners * len(merged)).reshape(owners, -1)
+    total[:, where[: len(distinct)]] += counts
+    return merged.view(np.int64).reshape(len(merged), -1), total
 
 
 @dataclass(frozen=True)
@@ -145,9 +160,11 @@ def transcript_distribution_test(
 ) -> PrivacyTestResult:
     """Run the structural and distributional privacy checks.
 
-    ``permute=False`` is the negative control: without per-file permutations
-    transcripts are deterministic and distinguish the desired file, so the
-    distribution test must fail.
+    Keys are binned by ``np.unique``, a plan's worth at a time, into one
+    count matrix by (desired file, store) and key, and each store's rows are
+    compared pairwise by :func:`two_sample_chisquare`.  ``permute=False``
+    is the negative control: without per-file permutations transcripts are
+    deterministic and distinguish the desired file, so the test must fail.
     """
     check_instance(num_files, num_replicas, num_symbols)
     if not 0 < significance < 1:
@@ -161,12 +178,13 @@ def transcript_distribution_test(
 
     structural_ok = True
     reference = None
-    per_store_counts = [
-        [Counter() for _ in range(num_replicas)] for _ in range(num_files)
-    ]
+    # Keys are owned by (desired file, store); ``pending`` ones not yet binned.
+    bins, pending, owners = None, [], num_files * num_replicas
     chunk = max(1, _CHUNK_SYMBOLS // num_symbols)
     for desired in range(num_files):
         for first in range(0, sessions, chunk):
+            if sum(len(keys) for _, keys in pending) >= chunk * num_replicas:
+                bins, pending = _bin_keys(bins, pending, owners), []
             count = min(chunk, sessions - first)
             plan = generate_query_plan(
                 num_replicas,
@@ -182,15 +200,13 @@ def transcript_distribution_test(
                     reference = hist
                 elif hist != reference:
                     structural_ok = False
-            keys = _session_keys(plan, count)
-            for counts, store_keys in zip(per_store_counts[desired], keys):
-                counts.update(store_keys)
+            owner = np.arange(num_replicas).repeat(count) + desired * num_replicas
+            pending.append((owner, _session_keys(plan, count)))
 
+    counts = _bin_keys(bins, pending, owners)[1].reshape(num_files, num_replicas, -1)
     comparisons = []
     for a, b in combinations(range(num_files), 2):
         for store in range(num_replicas):
-            stat, df, p = two_sample_chisquare(
-                per_store_counts[a][store], per_store_counts[b][store]
-            )
+            stat, df, p = two_sample_chisquare(counts[a, store], counts[b, store])
             comparisons.append(PairComparison(store, a, b, stat, df, p))
     return PrivacyTestResult(structural_ok, tuple(comparisons), significance)

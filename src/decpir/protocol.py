@@ -182,8 +182,8 @@ def _block_template(n: int, k: int, desired: int) -> _BlockTemplate:
             else:
                 pool[d].append((idx, (t,)))
 
-    # Rounds 2..K.
-    for order in range(2, k + 1):
+    # Rounds 2..K, none at n = 1: (n-1)**(order-1) = 0 sums per subset.
+    for order in range(2, k + 1 if n > 1 else 2):
         new_pool: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
         for d in range(n):
             # Desired sums: one fresh desired symbol mixed with each
@@ -295,11 +295,11 @@ def generate_query_plan(
 
     perms = np.tile(np.arange(total), (k, 1))
     if permute:
-        # Shuffling a segment's slice in place draws exactly what
-        # ``permutation(lam)`` would, already offset by the segment start.
+        # Permuting a segment's rows in place draws exactly what ``k`` calls
+        # of ``permutation(lam)`` would, already offset by the segment start.
         for rng, start, end in zip(generators(seeds), starts, starts[1:]):
-            for j in range(k):
-                rng.shuffle(perms[j, start:end])
+            seg = perms[:, start:end]
+            rng.permuted(seg, axis=1, out=seg)
 
     t = _block_template(n, k, desired)
     blocks = total // block
@@ -375,29 +375,43 @@ def decode_desired(plan: QueryPlan, answers: Sequence[np.ndarray]) -> np.ndarray
     return out
 
 
+def query_codes(files, orders, digits, base: int, num_files: int) -> np.ndarray:
+    """Each query of a flat term record as one row of exact ``int64`` words.
+
+    Term ``t`` puts ``digits[..., t]`` (1 to ``base - 1``) at its file's
+    place, absent files 0; a word holds as many places as stay below
+    ``2**63``, so no code wraps.  Shape: ``digits.shape[:-1] + (queries, words)``.
+    """
+    per_word = min(63 // (base - 1).bit_length(), num_files)
+    words = -(-num_files // per_word)
+    rows = np.zeros(np.shape(digits)[:-1] + (len(orders), words * per_word), np.int64)
+    rows[..., np.repeat(np.arange(len(orders)), orders), files] = digits
+    places = base ** np.arange(per_word, dtype=np.int64)
+    return rows.reshape(rows.shape[:-1] + (words, per_word)) @ places
+
+
+def unique_rows(rows: np.ndarray, **kwargs):
+    """``np.unique`` over a 2-D array's rows as raw bytes: like ``axis=0``, cheaper."""
+    rows = np.ascontiguousarray(rows)
+    return np.unique(rows.view(f"V{rows.shape[1] * rows.itemsize}")[:, 0], **kwargs)
+
+
 def structural_privacy_histogram(plan: QueryPlan) -> tuple[dict[frozenset, int], ...]:
     """Per-store counts of sum queries keyed by their exact file set.
 
     The histogram is the store-visible request "shape"; by construction it
-    does not depend on which file is desired.
+    does not depend on which file is desired.  All stores count in one pass.
     """
-    out = []
-    for q in plan.stores:
-        member = np.zeros((len(q), plan.num_files), dtype=bool)
-        member[np.repeat(np.arange(len(q)), q.orders), q.files] = True
-        # Group equal rows by one sort: np.unique(axis=0) sorts them as
-        # opaque records, which takes about twice as long.
-        member = member[np.lexsort(member.T)]
-        first = np.ones(len(q), dtype=bool)
-        first[1:] = (member[1:] != member[:-1]).any(axis=1)
-        starts = np.flatnonzero(first)
-        counts = np.diff(starts, append=len(q))
-        out.append(
-            {
-                frozenset(np.flatnonzero(row).tolist()): int(count)
-                for row, count in zip(member[starts], counts)
-            }
-        )
+    files = np.concatenate([q.files for q in plan.stores])
+    orders = np.concatenate([q.orders for q in plan.stores])
+    store = np.repeat(np.arange(len(plan.stores)), [len(q) for q in plan.stores])
+    rows = np.column_stack([store, query_codes(files, orders, 1, 2, plan.num_files)])
+    _, first, counts = unique_rows(rows, return_index=True, return_counts=True)
+    ends, sizes = np.cumsum(orders)[first].tolist(), orders[first].tolist()
+    files = files.tolist()
+    out = [{} for _ in plan.stores]
+    for d, e, o, c in zip(store[first].tolist(), ends, sizes, counts.tolist()):
+        out[d][frozenset(files[e - o : e])] = c
     return tuple(out)
 
 

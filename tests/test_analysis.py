@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from decpir import analysis
 from decpir.analysis import (
     capacity_classical,
     capacity_decentralized,
@@ -151,6 +152,32 @@ def test_negative_counts_are_refused():
         minimize_expected_bound(2, -1, Fraction(1, 2), 3)
     with pytest.raises(ValueError, match="restart count must be non-negative"):
         minimize_expected_bound(2, 1, Fraction(1, 2), 3, restarts=-1)
+
+
+@pytest.mark.parametrize(
+    "k, length, match",
+    [
+        (0, 3, "at least one file, got 0"),
+        (-1, -1, "at least one file, got -1"),
+        (1, -1, "file length must be non-negative, got -1"),
+    ],
+)
+def test_bad_shapes_are_refused_before_the_optimizer(monkeypatch, k, length, match):
+    # The optimizer's objective is never built for a shape that has no profile.
+    def unbuilt(*args):
+        raise AssertionError("the objective was built")
+
+    monkeypatch.setattr(analysis, "_objective_factory", unbuilt)
+    with pytest.raises(ValueError, match=match):
+        uniform_profile(k, length, Fraction(1, 2))
+    with pytest.raises(ValueError, match=match):
+        minimize_expected_bound(k, 1, Fraction(1, 2), length)
+
+
+def test_zero_length_files_stay_valid():
+    assert expected_converse_bound(uniform_profile(2, 0, Fraction(1, 2)), 1) == 0
+    result = minimize_expected_bound(2, 1, Fraction(1, 2), 0, restarts=1)
+    assert result.best_value == 0
 
 
 def test_converse_bound_k3n2_form_agrees():

@@ -17,7 +17,7 @@ from decpir.placement import (
     policy_from_dict,
     sample_placement,
 )
-from decpir.rng import derive_seed
+from decpir.rng import derive_seed, generator
 
 
 def empirical_marginals(policy, num_files, file_len, trials, seed, mu=None):
@@ -130,6 +130,19 @@ def test_sampling_is_deterministic(seed, n):
     a = sample_placement(UniformRandomPlacement(Fraction(1, 3)), 2, 6, n, seed)
     b = sample_placement(UniformRandomPlacement(Fraction(1, 3)), 2, 6, n, seed)
     assert all(np.array_equal(x, y) for x, y in zip(a.sets, b.sets))
+
+
+@pytest.mark.parametrize("num_dbs", [1, 7, 8, 20])
+def test_databases_draw_from_their_own_derived_seed(num_dbs):
+    # Batch seeding starts at eight databases; either side must draw, for
+    # database d, what a generator of its own seed draws.
+    real = sample_placement(
+        UniformRandomPlacement(Fraction(1, 4)), 3, 40, num_dbs, seed=2024
+    )
+    assert len(real.sets) == num_dbs
+    for d, cached in enumerate(real.sets):
+        rng = generator(derive_seed(2024, d))
+        assert np.array_equal(cached, np.sort(rng.choice(120, 30, replace=False)))
 
 
 def test_policy_from_dict_round_trip():

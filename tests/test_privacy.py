@@ -6,7 +6,6 @@ implementation, which is an independent route to the same number.
 
 import subprocess
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,8 +16,8 @@ from decpir.privacy import transcript_distribution_test, two_sample_chisquare
 
 
 def test_chisquare_matches_scipy_contingency():
-    a = Counter({"x": 40, "y": 60, "z": 10})
-    b = Counter({"x": 35, "y": 70, "z": 5})
+    a = [40, 60, 10]
+    b = [35, 70, 5]
     stat, df, p = two_sample_chisquare(a, b)
     table = [[40, 60, 10], [35, 70, 5]]
     ref = chi2_contingency(table, correction=False)
@@ -38,9 +37,9 @@ def test_package_import_leaves_scipy_stats_unloaded():
 def test_chisquare_leaves_scipy_stats_unloaded():
     # The p-value comes from scipy.special, which loads much less.
     code = (
-        "import sys; from collections import Counter; "
+        "import sys; "
         "from decpir.privacy import two_sample_chisquare; "
-        "print(two_sample_chisquare(Counter('aab'), Counter('abb'))[2] < 1, "
+        "print(two_sample_chisquare([2, 1], [1, 2])[2] < 1, "
         "'scipy.stats' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -54,22 +53,46 @@ def test_chisquare_p_value_equals_chi2_sf():
     x = np.array([0.0, 1e-300, 1e-6, 0.3, 1.0, 2.5, 7.0, 30.0, 99.9, 500.0, 4000.0])
     x = np.concatenate([np.tile(x, (len(df), 1)), df * [0.9, 1.0, 1.1]], axis=1)
     assert np.array_equal(chdtrc(df, x), chi2.sf(x, df))
-    a = Counter({"x": 40, "y": 60, "z": 10})
-    b = Counter({"x": 35, "y": 70, "z": 5})
+    a = [40, 60, 10]
+    b = [35, 70, 5]
     stat, dof, p = two_sample_chisquare(a, b)
     assert p == float(chi2.sf(stat, dof))
 
 
 def test_chisquare_identical_deterministic_samples():
-    a = Counter({"only": 100})
-    stat, df, p = two_sample_chisquare(a, Counter({"only": 50}))
+    a = [100]
+    stat, df, p = two_sample_chisquare(a, [50])
     assert stat == 0 and df == 0 and p == 1.0
 
 
 def test_chisquare_disjoint_supports_is_significant():
-    stat, df, p = two_sample_chisquare(Counter({"a": 200}), Counter({"b": 200}))
+    stat, df, p = two_sample_chisquare([200, 0], [0, 200])
     assert df == 1
     assert p < 1e-10
+
+
+def test_chisquare_leaves_out_bins_empty_in_both():
+    # An empty bin is no observation: neither term nor degree of freedom.
+    assert two_sample_chisquare([0, 40, 0, 60, 10], [0, 35, 0, 70, 5]) == (
+        two_sample_chisquare([40, 60, 10], [35, 70, 5])
+    )
+
+
+@pytest.mark.parametrize(
+    "a, b, match",
+    [
+        ([1, 2], [1, 2, 3], "same bins"),
+        ([[1, 2]], [[1, 2]], "same bins"),
+        ([1, -1, 3], [1, 2, 3], "non-negative"),
+        ([0, 0], [3, 4], "at least one observation"),
+        ([3, 4], [0, 0], "at least one observation"),
+        ([], [], "at least one observation"),
+    ],
+)
+def test_chisquare_refuses_malformed_counts(a, b, match):
+    # A sample with no observation would divide by zero, or give nan.
+    with pytest.raises(ValueError, match=match):
+        two_sample_chisquare(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
 
 
 def test_honest_scheme_passes():

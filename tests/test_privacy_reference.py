@@ -8,15 +8,19 @@ but must group them identically, so every count, and with it every
 statistic, degree of freedom and p-value, must agree.
 """
 
+import math
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import chdtrc
 from scipy.stats import chi2
 
-from decpir import privacy
-from decpir.privacy import transcript_distribution_test
+from decpir import privacy, protocol
+from decpir.privacy import transcript_distribution_test, two_sample_chisquare
 from decpir.protocol import (
     generate_query_plan,
     plan_transcripts,
@@ -39,6 +43,23 @@ def reference_chisquare(counts_a, counts_b):
     df = len(bins) - 1
     p_value = float(chi2.sf(stat, df)) if df > 0 else 1.0
     return stat, df, p_value
+
+
+def dict_loop_chisquare(counts_a, counts_b):
+    """The chi-square as a loop over the bins of two dicts, exactly rounded."""
+    bins = set(counts_a) | set(counts_b)
+    n_a = sum(counts_a.values())
+    n_b = sum(counts_b.values())
+    total = n_a + n_b
+    terms = []
+    for b in bins:
+        col = counts_a.get(b, 0) + counts_b.get(b, 0)
+        for n_i, counts in ((n_a, counts_a), (n_b, counts_b)):
+            expected = n_i * col / total
+            terms.append((counts.get(b, 0) - expected) ** 2 / expected)
+    stat = math.fsum(terms)
+    df = len(bins) - 1
+    return stat, df, float(chdtrc(df, stat)) if df > 0 else 1.0
 
 
 def reference_distribution_test(k, n, lam, sessions, seed, permute):
@@ -102,6 +123,23 @@ def test_matches_reference_across_chunks(monkeypatch, k, n, lam, per_chunk, perm
     assert result.distribution_ok == permute
 
 
+def test_keys_are_binned_as_plans_run(monkeypatch):
+    # Between plans only the distinct keys are kept: no fold is handed more
+    # than two plans' keys, whatever the session count, and every key once.
+    monkeypatch.setattr(privacy, "_CHUNK_SYMBOLS", 4 * 10)
+    folded = []
+    bin_keys = privacy._bin_keys
+
+    def spy(bins, pending, owners):
+        folded.append(sum(len(keys) for _, keys in pending))
+        return bin_keys(bins, pending, owners)
+
+    monkeypatch.setattr(privacy, "_bin_keys", spy)
+    assert_matches_reference(2, 2, 4, 95, 3, True)
+    assert len(folded) > 2 and max(folded) <= 2 * 10 * 2
+    assert sum(folded) == 2 * 95 * 2
+
+
 def test_one_plan_per_desired_file(monkeypatch):
     # K=3, n=3, two blocks, 50 sessions: each desired file's sessions fit
     # in one plan.
@@ -129,3 +167,69 @@ def test_first_session_is_the_separate_plan(k, n, blocks, desired):
     assert np.array_equal(first.permutations, alone.permutations)
     assert np.array_equal(first.sources, alone.sources)
     assert plan_transcripts(first) == plan_transcripts(alone)
+
+
+@pytest.mark.parametrize("k, n, lam", [(3, 3, 54), (8, 2, 256), (40, 1, 3)])
+def test_session_keys_hold_each_sessions_queries(k, n, lam):
+    # A key is one store's queries of one session as whole rows in a fixed
+    # order: decoded, it gives that session's transcript, one or more words
+    # a row.
+    sessions = 3
+    seeds = [derive_seed(4, s) for s in range(sessions)]
+    plan = generate_query_plan(n, k, 1, [lam] * sessions, seeds)
+    keys = privacy._session_keys(plan, sessions).reshape(n, sessions, -1)
+    per_word = min(63 // lam.bit_length(), k)
+    words = -(-k // per_word)
+    for s in range(sessions):
+        for store, text in enumerate(plan_transcripts(plan.segment(s), sort=True)):
+            rows = keys[store, s].reshape(-1, words).tolist()
+            assert rows == sorted(rows, key=lambda row: row[::-1])
+            lines = []
+            for row in rows:
+                terms = []
+                for w, code in enumerate(row):
+                    for place in range(per_word):
+                        digit = code // (lam + 1) ** place % (lam + 1)
+                        if digit:
+                            terms.append(f"{w * per_word + place}:{digit - 1}")
+                lines.append(" ".join(terms))
+            assert sorted(lines) == text.split("\n")
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 400), st.integers(0, 400)), min_size=1, max_size=60
+    ).filter(lambda bins: all(sum(side) for side in zip(*bins)))
+)
+def test_array_chisquare_equals_the_dict_loop(bins):
+    # Same statistic to the last bit, so digests of the test do not move.
+    a, b = (np.array(side) for side in zip(*bins))
+    dict_a = {i: int(c) for i, c in enumerate(a) if c}
+    dict_b = {i: int(c) for i, c in enumerate(b) if c}
+    got = two_sample_chisquare(a, b)
+    assert repr(got) == repr(dict_loop_chisquare(dict_a, dict_b))
+
+
+@pytest.mark.parametrize("permute", [True, False])
+@pytest.mark.parametrize(
+    "k, n, lam, sessions",
+    [(64, 1, 1, 3), (64, 1, 2, 3), (8, 2, 256, 3)],
+)
+def test_codes_wider_than_one_word(k, n, lam, sessions, permute):
+    # (lam + 1)**K exceeds 2**63 here, so each query takes several words,
+    # and K > 62 file sets fill more than one histogram word.
+    for seed in (0, 1):
+        assert_matches_reference(k, n, lam, sessions, seed, permute)
+
+
+def test_single_store_instances_walk_no_subsets(monkeypatch):
+    # At n = 1 no undesired sum is built, so no subset of the undesired
+    # files is walked; 2**63 subsets would never finish.
+    def refuse(*args):
+        raise AssertionError("walked the undesired-file subsets at n = 1")
+
+    protocol._block_template.cache_clear()
+    monkeypatch.setattr(protocol, "combinations", refuse)
+    assert all(len(protocol._block_template(1, 64, d).orders) == 64 for d in range(64))
+    result = transcript_distribution_test(64, 1, 1, 2, 0)
+    assert result.ok and len(result.comparisons) == 64 * 63 // 2

@@ -21,8 +21,10 @@ from decpir.protocol import (
     decode_desired,
     generate_query_plan,
     plan_transcripts,
+    query_codes,
     serialize_transcript,
     structural_privacy_histogram,
+    unique_rows,
 )
 
 
@@ -269,6 +271,42 @@ def test_structural_histogram_theta_invariant(n, k, seed):
         for desired in range(k)
     ]
     assert all(h == hists[0] for h in hists[1:])
+
+
+@pytest.mark.parametrize(
+    "n, k, lam", [(1, 1, 3), (2, 3, 16), (3, 3, 54), (2, 8, 256), (1, 64, 2), (2, 2, 0)]
+)
+def test_structural_histogram_counts_file_sets(n, k, lam):
+    # Against a count of each query's file set, past 63 files included.
+    plan = generate_query_plan(n, k, k - 1, lam, seed=5)
+    want = []
+    for store in plan.stores:
+        ends = np.cumsum(store.orders).tolist()
+        files = store.files.tolist()
+        want.append(
+            Counter(frozenset(files[e - o : e]) for e, o in zip(ends, store.orders))
+        )
+    assert structural_privacy_histogram(plan) == tuple(map(dict, want))
+
+
+@pytest.mark.parametrize(
+    "n, k, lam", [(3, 3, 54), (2, 8, 256), (1, 64, 2), (1, 63, 1), (1, 40, 3)]
+)
+def test_query_codes_stay_exact(n, k, lam):
+    # Rows must group queries exactly as their per-file digits do, with no
+    # word past 2**63 - 1, also where (lam + 1)**K needs several words; at
+    # lam = 3 a word of 32 base-4 places would reach 2**64.
+    plan = generate_query_plan(n, k, 0, lam, seed=3)
+    store = plan.stores[-1]
+    codes = query_codes(store.files, store.orders, store.indices + 1, lam + 1, k)
+    assert codes.shape[0] == len(store) and (codes >= 0).all()
+    ends = np.cumsum(store.orders).tolist()
+    terms = list(zip(store.files.tolist(), (store.indices + 1).tolist()))
+    digits = [tuple(terms[e - o : e]) for e, o in zip(ends, store.orders.tolist())]
+    _, inverse = unique_rows(codes.reshape(len(store), -1), return_inverse=True)
+    labels = inverse.tolist()
+    pairs = set(zip(labels, digits))
+    assert len(pairs) == len(set(labels)) == len(set(digits))
 
 
 def test_side_information_accounting():

@@ -66,3 +66,29 @@ def test_numpy_integers_count_as_the_ints_they_equal():
         assert got == derive_seeds(-5, -2, indices=indices)
     seeds = [np.int64(-1 - i) for i in range(9)]
     assert_same_draws(seeds)
+
+
+def _draw_rows(rng, k, lam, one_call):
+    # A strided slice of a wider array, as a plan segment's rows are.
+    wide = np.tile(np.arange(lam + 7), (k + 2, 1))
+    view = wide[1 : k + 1, 3 : 3 + lam]
+    if one_call:
+        rng.permuted(view, axis=1, out=view)
+    else:
+        for row in view:
+            rng.shuffle(row)
+    return wide, rng.integers(0, 2**62, 4).tolist()
+
+
+@pytest.mark.parametrize("lam", [0, 1, 2, 27, 300])
+@pytest.mark.parametrize("k", range(1, 6))
+def test_permuted_draws_what_row_shuffles_draw(k, lam):
+    # Query plans permute each segment's K rows with one `permuted` call.  A
+    # numpy that draws its rows in another order, or draws more, fails here.
+    seeds = [derive_seed(31, k, lam, i) for i in range(9)]
+    for seed, reused in zip(seeds, generators(seeds)):
+        want, want_next = _draw_rows(generator(seed), k, lam, one_call=False)
+        for rng in (generator(seed), reused):
+            got, got_next = _draw_rows(rng, k, lam, one_call=True)
+            assert np.array_equal(got, want), (seed, k, lam)
+            assert got_next == want_next, (seed, k, lam)
