@@ -49,7 +49,6 @@ from .placement import (
 from .privacy import PrivacyTestResult, transcript_distribution_test
 from .protocol import (
     QueryPlan,
-    StoreQueries,
     answer_queries,
     decode_desired,
     generate_query_plan,

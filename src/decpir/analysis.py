@@ -180,7 +180,9 @@ class MarginalProfile:
     ``probs`` is a (K, L) array; Fraction or int entries keep the expectation
     evaluators exact, float entries are what the optimizer works with.
     ``levels`` maps each distinct marginal to its number of entries; it is
-    built once, here, so ``probs`` must not be modified afterwards.
+    built once, here, so ``probs`` must not be modified afterwards.  A
+    ``probs`` that broadcasts one value (all strides zero, as
+    :func:`uniform_profile` builds) is one level, read without a per-entry walk.
     """
 
     probs: np.ndarray
@@ -189,13 +191,10 @@ class MarginalProfile:
     def __post_init__(self) -> None:
         if self.num_files < 1:
             raise ValueError(f"need at least one file, got {self.num_files}")
-        if self.probs.dtype == object:
-            # Hash each distinct object once, not each entry (np.full shares one).
-            flat = self.probs.reshape(-1).tolist()
-            objects = dict(zip(map(id, flat), flat))
-            levels = Counter()
-            for key, count in Counter(map(id, flat)).items():
-                levels[objects[key]] += count
+        if self.probs.size and not any(self.probs.strides):
+            levels = {self.probs.flat[0]: self.probs.size}
+        elif self.probs.dtype == object:
+            levels = Counter(self.probs.reshape(-1).tolist())
         else:
             values, counts = np.unique(self.probs, return_counts=True)
             levels = dict(zip(values.tolist(), counts.tolist()))
@@ -234,8 +233,8 @@ def _check_profile_shape(num_files: int, file_len: int) -> None:
 
 def uniform_profile(num_files: int, file_len: int, mu) -> MarginalProfile:
     _check_profile_shape(num_files, file_len)
-    probs = np.full((num_files, file_len), Fraction(mu), dtype=object)
-    return MarginalProfile(probs)
+    level = np.array(Fraction(mu), dtype=object)
+    return MarginalProfile(np.broadcast_to(level, (num_files, file_len)))
 
 
 def expected_size_masses(profile: MarginalProfile, num_dbs: int) -> tuple:

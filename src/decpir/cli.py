@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .errors import BudgetViolation, InvariantViolation, ProtocolError, Reliabil
 from .model import partition_by_storage_set
 from .placement import PlacementPolicy, UniformRandomPlacement, policy_from_dict
 from .privacy import check_instance, transcript_distribution_test
-from .retrieval import simulate_trials
+from .retrieval import DEFAULT_DOWNLOAD_CAP, simulate_trials
 from .rng import derive_seed
 from .placement import sample_placement
 
@@ -313,11 +314,12 @@ def cmd_optimize(args) -> int:
 
 def cmd_privacy_test(args) -> int:
     check_instance(args.k, args.n, args.file_bits)
-    block = args.n**args.k
-    if args.k > 3 or args.n > 3 or args.file_bits > 2 * block:
+    # One bit per query: what the sessions of all K desired files download.
+    bits = args.k * args.sessions * args.file_bits * capacity_classical(args.k, args.n)
+    if bits > DEFAULT_DOWNLOAD_CAP:
         raise ValueError(
-            "instance too large to bin transcripts; use K <= 3, n <= 3 and at "
-            f"most two {block}-symbol blocks"
+            f"privacy test too large: its sessions would download {math.ceil(bits)} "
+            f"bits, over the {DEFAULT_DOWNLOAD_CAP}-bit cap"
         )
     result = transcript_distribution_test(
         args.k,

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import BudgetViolation
 from .model import (
     CacheRealization,
-    flat_address,
     realization_from_addresses,
     storage_budget,
 )
@@ -143,10 +142,8 @@ def sample_placement(
                 f"caching {len(files)} whole files needs {len(files) * file_len} "
                 f"bits, budget is {budget}"
             )
-        addrs = np.asarray(
-            [flat_address(f, p, file_len) for f in files for p in range(file_len)],
-            dtype=np.int64,
-        )
+        column = np.array(files, dtype=np.int64)[:, None]
+        addrs = (column * file_len + np.arange(file_len)).reshape(-1)
         sets = tuple(addrs.copy() for _ in range(num_dbs))
         return CacheRealization(num_files, file_len, num_dbs, budget, sets)
 

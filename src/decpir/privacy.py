@@ -1,8 +1,8 @@
 """Statistical indistinguishability testing of retrieval transcripts.
 
-Structural invariance (identical per-store query histograms for every
-desired file) is exact and checked directly on ``plan.segment(0)``, each
-desired file's first session.  The distributional check runs many
+Structural invariance (one query histogram, shared by every store, that is
+the same for every desired file) is exact and checked on ``plan.segment(0)``,
+each desired file's first session.  The distributional check runs many
 independent sessions per desired file, bins each store's transcript by a
 canonical key, and applies a two-sample chi-square test per (store, file
 pair); the scheme passes when no comparison is significant.  The key sorts
@@ -73,17 +73,16 @@ def two_sample_chisquare(counts_a, counts_b):
 def _session_keys(plan: QueryPlan, sessions: int) -> np.ndarray:
     """The canonical keys of ``plan``'s segments, one row per store and session.
 
-    ``plan`` holds ``sessions`` segments of equal length, and its stores share
-    the term files and counts.  A query is its :func:`query_codes` row of
-    segment-local indices plus one, and a session's key its rows sorted, so
-    two sessions get one key exactly when the store sees the same set of
-    queries in both.
+    ``plan`` holds ``sessions`` segments of equal length.  A query is its
+    :func:`query_codes` row of segment-local indices plus one, and a session's
+    key its rows sorted, so two sessions get one key exactly when the store
+    sees the same set of queries in both.
     """
-    lam, q = plan.num_symbols // sessions, plan.stores[0]
-    local = np.stack([s.indices for s in plan.stores]) + 1
-    local -= np.arange(len(q.files)) // (len(q.files) // sessions) * lam
-    codes = query_codes(q.files, q.orders, local, lam + 1, plan.num_files)
-    codes = codes.reshape(len(plan.stores) * sessions, len(q) // sessions, -1)
+    lam, files, orders = plan.num_symbols // sessions, plan.files, plan.orders
+    local = plan.indices + 1
+    local -= np.arange(len(files)) // (len(files) // sessions) * lam
+    codes = query_codes(files, orders, local, lam + 1, plan.num_files)
+    codes = codes.reshape(plan.num_replicas * sessions, len(orders) // sessions, -1)
     if codes.shape[-1] == 1:  # one word a row: far cheaper than a lexsort
         return np.sort(codes, axis=1).reshape(len(codes), -1)
     order = np.lexsort(np.moveaxis(codes, -1, 0), axis=-1)

@@ -17,16 +17,17 @@ the same for every choice of desired file, which is what makes the request
 pattern uninformative.  ``n = 1`` needs no special case: its block is one
 symbol and its plan downloads every symbol of every file.
 
-A plan is integer arrays only: each store's queries are one
-:class:`StoreQueries` record of flat term files, term indices and per-query
-term counts, and the decode sources are one ``(lam, 4)`` table.  This is the
-single form every function here reads and writes; a store answers it against
-its ``(K, lam)`` symbol matrix with one gather and one XOR reduction.
+A plan is integer arrays only.  Every store receives queries of the same
+shapes, so one flat pair of term files and per-query term counts serves all
+stores; only the symbol indices differ, one ``(n, terms)`` row per store.  The
+decode sources are one ``(lam, 4)`` table.  Every store of a session holds the
+same ``(K, lam)`` symbol matrix, so one gather and one XOR reduction answer
+all stores at once, as the ``(n, queries)`` matrix that decoding reads.
 
 The block structure depends on ``(n, K, desired)`` alone, so the rounds
 above run once per shape over one block of counters and the result is cached
-as a read-only template: per store the flat term files, term counters and
-per-query term counts, plus a table of where each desired counter is decoded
+as a read-only template: the shared term files and term counts, per store
+its term counters, plus a table of where each desired counter is decoded
 from.  A plan for ``lam`` symbols tiles the template over ``lam / n**K``
 blocks, offsetting counters by the block start, and maps each (file,
 counter) term to its symbol index through the plan's ``(K, lam)``
@@ -58,26 +59,12 @@ from .rng import generators
 
 
 @dataclass(frozen=True)
-class StoreQueries:
-    """One store's sum queries in order, as flat term arrays.
-
-    Query ``q`` covers the next ``orders[q]`` entries of ``files`` and
-    ``indices``, which give each term's file and symbol index, files
-    ascending within a query.
-    """
-
-    files: np.ndarray
-    indices: np.ndarray
-    orders: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.orders)
-
-
-@dataclass(frozen=True)
 class QueryPlan:
-    """A full retrieval session: per-store query arrays plus decoding state.
+    """A full retrieval session: every store's queries plus decoding state.
 
+    Query ``q`` covers the next ``orders[q]`` terms, at every store: ``files``
+    gives each term's file, files ascending within a query, and
+    ``indices[d]`` store ``d``'s symbol index of each term.
     ``sources[c]`` is the ``(db, query index, side db, side query index)``
     row telling how the desired file's symbol with counter ``c`` is
     recovered: the query carrying it and, for sums of order >= 2, the reused
@@ -92,13 +79,15 @@ class QueryPlan:
     desired: int
     num_symbols: int
     permutations: np.ndarray
-    stores: tuple[StoreQueries, ...]
+    files: np.ndarray
+    indices: np.ndarray
+    orders: np.ndarray
     sources: np.ndarray
     segment_starts: tuple[int, ...]
 
     @property
     def total_queries(self) -> int:
-        return sum(len(s) for s in self.stores)
+        return self.num_replicas * len(self.orders)
 
     def query_starts(self) -> np.ndarray:
         """Each segment's first query number at every store, then the total."""
@@ -109,8 +98,8 @@ class QueryPlan:
         """Segment ``i`` as the plan of its own session, as generated alone.
 
         Every block (one ``sources`` row per symbol) carries the same queries
-        and terms, so the segment's share of each store's record starts at
-        its first block times theirs.
+        and terms, so the segment's queries and terms start at its first
+        block times theirs.
         """
         shape = (self.num_replicas, self.num_files, self.desired)
         t = _block_template(*shape)
@@ -118,14 +107,13 @@ class QueryPlan:
         first, end = a // len(t.sources), b // len(t.sources)
         qa, qb = first * len(t.orders), end * len(t.orders)
         ta, tb = first * len(t.files), end * len(t.files)
-        stores = tuple(
-            StoreQueries(q.files[ta:tb], q.indices[ta:tb] - a, q.orders[qa:qb])
-            for q in self.stores
-        )
         sources = self.sources[a:b] - (0, qa, 0, qa)
         sources[sources[:, 2] < 0, 3] = -1
         perms = self.permutations[:, a:b] - a
-        return QueryPlan(*shape, b - a, perms, stores, sources, (0, b - a))
+        return QueryPlan(
+            *shape, b - a, perms, self.files[ta:tb], self.indices[:, ta:tb] - a,
+            self.orders[qa:qb], sources, (0, b - a),
+        )
 
 
 class _BlockTemplate(NamedTuple):
@@ -152,9 +140,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _block_template(n: int, k: int, desired: int) -> _BlockTemplate:
     block = n**k
-    files: list[list[int]] = [[] for _ in range(n)]
+    # Every store gets the same query shapes: store 0 records them.
+    files: list[int] = []
+    orders: list[int] = []
     counters_of: list[list[int]] = [[] for _ in range(n)]
-    orders: list[list[int]] = [[] for _ in range(n)]
+    queries = [0] * n
     sources = np.full((block, 4), -1, dtype=np.int64)
     counters = [0] * k
     undesired_files = [j for j in range(k) if j != desired]
@@ -165,11 +155,12 @@ def _block_template(n: int, k: int, desired: int) -> _BlockTemplate:
         return (j, c)
 
     def add(d: int, terms) -> int:
-        for f, c in terms:
-            files[d].append(f)
-            counters_of[d].append(c)
-        orders[d].append(len(terms))
-        return len(orders[d]) - 1
+        if d == 0:
+            files.extend(f for f, _ in terms)
+            orders.append(len(terms))
+        counters_of[d].extend(c for _, c in terms)
+        queries[d] += 1
+        return queries[d] - 1
 
     # Round 1: one fresh singleton per file at every store.
     pool: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
@@ -210,16 +201,13 @@ def _block_template(n: int, k: int, desired: int) -> _BlockTemplate:
     if any(counters[j] > block for j in undesired_files):
         raise ProtocolError("an undesired counter overran its block")
 
-    if any(f != files[0] for f in files) or any(o != orders[0] for o in orders):
-        raise ProtocolError("stores received differently shaped queries")
-
     steps = np.zeros_like(sources)
-    steps[:, 1] = len(orders[0])
-    steps[:, 3] = np.where(sources[:, 2] >= 0, len(orders[0]), 0)
+    steps[:, 1] = len(orders)
+    steps[:, 3] = np.where(sources[:, 2] >= 0, len(orders), 0)
     return _BlockTemplate(
         *(
             _read_only(np.asarray(a, dtype=np.int64))
-            for a in (files[0], counters_of, orders[0], sources, steps)
+            for a in (files, counters_of, orders, sources, steps)
         )
     )
 
@@ -305,70 +293,68 @@ def generate_query_plan(
     blocks = total // block
     b = np.arange(blocks)[:, None, None]
     files = np.tile(t.files, blocks)
-    orders = np.tile(t.orders, blocks)
     counters = (t.counters[:, None, :] + b[:, 0] * block).reshape(n, -1)
     indices = perms[files, counters]
-    stores = tuple(StoreQueries(files, indices[d], orders) for d in range(n))
+    orders = np.tile(t.orders, blocks)
     sources = (t.sources + b * t.steps).reshape(-1, 4)
-    return QueryPlan(n, k, desired, total, perms, stores, sources, starts)
+    return QueryPlan(
+        n, k, desired, total, perms, files, indices, orders, sources, starts
+    )
 
 
-def answer_queries(queries: StoreQueries, symbols: np.ndarray) -> np.ndarray:
-    """Evaluate a store's answer string: one GF(2) sum per query, in order.
+def answer_queries(plan: QueryPlan, symbols: np.ndarray) -> np.ndarray:
+    """Every store's answer string: row ``d`` holds store ``d``'s GF(2) sums.
 
-    ``symbols`` is the store's ``(K, lam)`` symbol matrix, zero padding
-    included, row ``j`` holding file ``j``.  Raises :class:`ProtocolError`
-    on a malformed record (a query without terms, or term counts that do not
-    add up to the term arrays) and on a reference to a symbol the store
-    cannot resolve.
+    ``symbols`` is the ``(K, lam)`` symbol matrix each store of the plan
+    holds, zero padding included, row ``j`` holding file ``j``.  Returns the
+    ``(n, queries)`` answer matrix.  Raises :class:`ProtocolError` on a
+    malformed plan (a query without terms, term counts that do not add up to
+    the term files, or an index matrix that is not one row of them per
+    store) and on a reference to a symbol the stores cannot resolve.
     """
     symbols = np.asarray(symbols, dtype=np.uint8)
     num_files, lam = symbols.shape
-    files, idx, orders = queries.files, queries.indices, queries.orders
+    files, idx, orders = plan.files, plan.indices, plan.orders
     ends = np.cumsum(orders)
     terms = int(ends[-1]) if len(ends) else 0
-    if orders.min(initial=1) < 1 or terms != len(files) or len(idx) != len(files):
+    shaped = terms == len(files) and idx.shape == (plan.num_replicas, terms)
+    if orders.min(initial=1) < 1 or not shaped:
         raise ProtocolError(
-            "malformed query record: every query needs a term and the term "
-            "counts must add up to the term arrays"
+            "malformed query plan: every query needs a term, the term counts "
+            "must add up to the term files and every store needs one index each"
         )
     if not terms:
-        return np.zeros(0, dtype=np.uint8)
+        return np.zeros((plan.num_replicas, 0), dtype=np.uint8)
     if files.min() < 0 or files.max() >= num_files:
         raise ProtocolError("query references an unknown file")
     if idx.min() < 0 or idx.max() >= lam:
         raise ProtocolError("query references a symbol outside the stored range")
 
     values = symbols.reshape(-1)[files * lam + idx]
-    return np.bitwise_xor.reduceat(values, ends - orders)
+    return np.bitwise_xor.reduceat(values, ends - orders, axis=1)
 
 
-def decode_desired(plan: QueryPlan, answers: Sequence[np.ndarray]) -> np.ndarray:
+def decode_desired(plan: QueryPlan, answers: np.ndarray) -> np.ndarray:
     """Recover the desired file's ``num_symbols`` symbols in original order.
 
-    Singleton answers are read directly; each desired sum is decoded by
-    XORing in the linked undesired sum's downloaded answer bit.  Undesired
-    sums are only ever reused wholesale, never decoded.
+    ``answers`` is the ``(n, queries)`` matrix :func:`answer_queries`
+    returns.  Singleton answers are read directly; each desired sum is
+    decoded by XORing in the linked undesired sum's downloaded answer bit.
+    Undesired sums are only ever reused wholesale, never decoded.
     """
-    if len(answers) != plan.num_replicas:
+    answers = np.asarray(answers, dtype=np.uint8)
+    if answers.shape != (plan.num_replicas, len(plan.orders)):
         raise ProtocolError(
-            f"expected {plan.num_replicas} answer strings, got {len(answers)}"
+            f"expected a {plan.num_replicas} x {len(plan.orders)} answer matrix, "
+            f"got shape {answers.shape}"
         )
-    arrays = [np.asarray(a, dtype=np.uint8) for a in answers]
-    for d, (a, qs) in enumerate(zip(arrays, plan.stores)):
-        if len(a) != len(qs):
-            raise ProtocolError(
-                f"store {d} answered {len(a)} bits for {len(qs)} queries"
-            )
     if plan.num_symbols == 0:
         return np.zeros(0, dtype=np.uint8)
 
-    offsets = np.cumsum([0] + [len(a) for a in arrays])
-    flat = np.concatenate(arrays)
     src = plan.sources
-    bits = flat[offsets[src[:, 0]] + src[:, 1]]
+    bits = answers[src[:, 0], src[:, 1]]
     linked = src[:, 2] >= 0
-    bits[linked] ^= flat[offsets[src[linked, 2]] + src[linked, 3]]
+    bits[linked] ^= answers[src[linked, 2], src[linked, 3]]
 
     out = np.empty(plan.num_symbols, dtype=np.uint8)
     out[plan.permutations[plan.desired]] = bits
@@ -396,45 +382,37 @@ def unique_rows(rows: np.ndarray, **kwargs):
     return np.unique(rows.view(f"V{rows.shape[1] * rows.itemsize}")[:, 0], **kwargs)
 
 
-def structural_privacy_histogram(plan: QueryPlan) -> tuple[dict[frozenset, int], ...]:
-    """Per-store counts of sum queries keyed by their exact file set.
+def structural_privacy_histogram(plan: QueryPlan) -> dict[frozenset, int]:
+    """Counts of sum queries keyed by their exact file set.
 
-    The histogram is the store-visible request "shape"; by construction it
-    does not depend on which file is desired.  All stores count in one pass.
+    The histogram is the store-visible request "shape"; every store of the
+    plan sees the same one, and by construction it does not depend on which
+    file is desired.
     """
-    files = np.concatenate([q.files for q in plan.stores])
-    orders = np.concatenate([q.orders for q in plan.stores])
-    store = np.repeat(np.arange(len(plan.stores)), [len(q) for q in plan.stores])
-    rows = np.column_stack([store, query_codes(files, orders, 1, 2, plan.num_files)])
-    _, first, counts = unique_rows(rows, return_index=True, return_counts=True)
+    files, orders = plan.files, plan.orders
+    codes = query_codes(files, orders, 1, 2, plan.num_files)
+    _, first, counts = unique_rows(codes, return_index=True, return_counts=True)
     ends, sizes = np.cumsum(orders)[first].tolist(), orders[first].tolist()
-    files = files.tolist()
-    out = [{} for _ in plan.stores]
-    for d, e, o, c in zip(store[first].tolist(), ends, sizes, counts.tolist()):
-        out[d][frozenset(files[e - o : e])] = c
-    return tuple(out)
+    files, counts = files.tolist(), counts.tolist()
+    return {frozenset(files[e - o : e]): c for e, o, c in zip(ends, sizes, counts)}
 
 
-def serialize_transcript(queries: StoreQueries, sort: bool = False) -> str:
-    """Canonical text form of one store's query record, one query per line.
+def serialize_transcript(plan: QueryPlan, store: int, sort: bool = False) -> str:
+    """Canonical text form of store ``store``'s queries, one query per line.
 
     Terms are ``file:index`` separated by spaces.  Queries appear in
     generation order (the wire/golden-file format); with ``sort=True`` the
     lines are sorted, which drops the ordering and is the store-visible view
     used for distribution testing.
     """
-    terms = [
-        f"{f}:{i}" for f, i in zip(queries.files.tolist(), queries.indices.tolist())
-    ]
-    lines = []
-    end = 0
-    for order in queries.orders.tolist():
-        lines.append(" ".join(terms[end : end + order]))
-        end += order
-    if sort:
-        lines.sort()
-    return "\n".join(lines)
+    files, indices = plan.files.tolist(), plan.indices[store].tolist()
+    terms = [f"{f}:{i}" for f, i in zip(files, indices)]
+    bounds = list(accumulate(plan.orders.tolist(), initial=0))
+    lines = [" ".join(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return "\n".join(sorted(lines) if sort else lines)
 
 
 def plan_transcripts(plan: QueryPlan, sort: bool = False) -> tuple[str, ...]:
-    return tuple(serialize_transcript(qs, sort=sort) for qs in plan.stores)
+    return tuple(
+        serialize_transcript(plan, d, sort=sort) for d in range(plan.num_replicas)
+    )

@@ -12,7 +12,7 @@ included) is charged to the cost report.
 
 All storage sets of one size share a block template, so their sessions run
 as the segments of one plan: one padded ``(K, sum of lambda_S)`` symbol
-matrix, one answer pass per store position and one decode per size.  Each
+matrix, one answer pass for all its stores and one decode per size.  Each
 segment keeps its own permutation seed, so its queries, answers and decoded
 bits are exactly those of the set's separate session.  A size's plan and
 answers are dropped once its sets are decoded and charged; the result is
@@ -228,8 +228,7 @@ def _retrieve_group(
     padded = np.zeros((k, total), dtype=np.uint8)
     padded.reshape(-1)[target] = bits[partition.addresses[lo : int(starts[-1])]]
 
-    answers = tuple(answer_queries(q, padded) for q in plan.stores)
-    decoded = decode_desired(plan, answers)
+    decoded = decode_desired(plan, answer_queries(plan, padded))
     # Set i's desired bits are the first lens[i] symbols of its segment and
     # the rest is padding, which decodes to zero exactly when no non-zero
     # symbol lies outside those columns.

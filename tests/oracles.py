@@ -39,3 +39,28 @@ def converse_bound_k3n2(partition) -> Fraction:
         + Fraction(11, 108) * sum_single
         + Fraction(17, 54) * sum_pair
     )
+
+
+def store_view(plan, d):
+    """Store ``d``'s queries as ``(files, indices, orders)`` flat term arrays.
+
+    Query ``q`` covers the next ``orders[q]`` terms; the files and counts are
+    the same at every store, the indices are store ``d``'s own.
+    """
+    return plan.files, plan.indices[d], plan.orders
+
+
+def xor_answers(plan, symbols):
+    """Every store's answer bits, one query at a time: ``[[bit, ...], ...]``."""
+    out = []
+    for d in range(plan.num_replicas):
+        files, indices, orders = (a.tolist() for a in store_view(plan, d))
+        bits, end = [], 0
+        for order in orders:
+            bit = 0
+            for f, i in zip(files[end : end + order], indices[end : end + order]):
+                bit ^= int(symbols[f][i])
+            bits.append(bit)
+            end += order
+        out.append(bits)
+    return out

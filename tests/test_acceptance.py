@@ -27,7 +27,7 @@ from decpir.protocol import generate_query_plan, structural_privacy_histogram
 from decpir.retrieval import retrieve_file, simulate_trials
 from decpir.rng import derive_seed
 
-from oracles import converse_bound_k3n2
+from oracles import converse_bound_k3n2, store_view
 
 
 @contextmanager
@@ -89,8 +89,8 @@ def test_criterion_2_protocol_count_identities():
                 per_db = sum(
                     math.comb(k, j) * (n - 1) ** (j - 1) for j in range(1, k + 1)
                 )
-                for store in plan.stores:
-                    assert len(store) == per_db
+                for d in range(n):
+                    assert len(store_view(plan, d)[2]) == per_db
                 assert plan.total_queries == block * sum(
                     Fraction(1, n**m) for m in range(k)
                 )

@@ -174,6 +174,32 @@ def test_bad_shapes_are_refused_before_the_optimizer(monkeypatch, k, length, mat
         minimize_expected_bound(k, 1, Fraction(1, 2), length)
 
 
+@pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 3), Fraction(1), 0.5])
+def test_uniform_profile_is_its_per_bit_profile(mu):
+    per_bit = MarginalProfile(np.full((3, 7), Fraction(mu), dtype=object))
+    uniform = uniform_profile(3, 7, mu)
+    assert uniform.levels == per_bit.levels == {Fraction(mu): 21}
+    assert (uniform.num_files, uniform.file_len) == (3, 7)
+    assert (uniform.probs == per_bit.probs).all()
+    for n in (0, 1, 4):
+        assert expected_converse_bound(uniform, n) == expected_converse_bound(
+            per_bit, n
+        )
+
+
+def test_uniform_profile_holds_no_per_bit_array():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        profile = uniform_profile(10, 10**6, Fraction(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.levels == {Fraction(1, 2): 10**7}
+    assert peak < 1 << 20
+
+
 def test_zero_length_files_stay_valid():
     assert expected_converse_bound(uniform_profile(2, 0, Fraction(1, 2)), 1) == 0
     result = minimize_expected_bound(2, 1, Fraction(1, 2), 0, restarts=1)

@@ -337,14 +337,33 @@ def test_privacy_test_negative_control_fails(capsys):
 
 
 def test_privacy_test_refuses_large_instances(capsys):
+    # 3 files x 10**6 sessions x 54 symbols x 13/9 bits a symbol.
     code = main(
         [
-            "privacy-test", "--k", "2", "--n", "2", "--file-bits", "64",
-            "--sessions", "100", "--seed", "0",
+            "privacy-test", "--k", "3", "--n", "3", "--file-bits", "54",
+            "--sessions", "1000000", "--seed", "0",
         ]
     )
     assert code == 1
-    assert "too large" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "too large" in err
+    assert "234000000 bits" in err and "50000000-bit cap" in err
+    assert err.count("\n") == 1
+
+
+def test_privacy_test_runs_instances_under_the_cap(capsys):
+    # Four files, one 16-symbol block: past the old K <= 3 rule, far under
+    # the download cap.
+    code = main(
+        [
+            "privacy-test", "--k", "4", "--n", "2", "--file-bits", "16",
+            "--sessions", "200", "--seed", "0",
+        ]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "structural histograms theta-invariant: True" in out
+    assert "PASS" in out
 
 
 def test_forced_bound_violation_exits_2(monkeypatch, capsys):

@@ -128,6 +128,10 @@ def run_cli(argv):
 @example(
     argv=["optimize", "--k", "1", "--n", "1", "--mu", "1/2", "--file-bits", "2", "--restarts", "-1"]
 )
+# Four files: under the download cap, so the privacy test runs.
+@example(
+    argv=["privacy-test", "--k", "4", "--n", "2", "--file-bits", "16", "--sessions", "200"]
+)
 def test_cli_exits_cleanly_on_random_input(argv):
     code, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code, err)

@@ -60,6 +60,17 @@ def test_whole_file_prefix():
         assert addrs.tolist() == expected
 
 
+@pytest.mark.parametrize("files, k, length", [((2, 0), 4, 5), ((1,), 2, 1), ((), 3, 4)])
+def test_whole_file_prefix_caches_each_listed_file_whole(files, k, length):
+    # Each listed file's bits, files ascending, at every database.
+    real = sample_placement(
+        WholeFilePrefixPlacement(files), k, length, 3, seed=0, mu=Fraction(len(files), k)
+    )
+    want = [f * length + p for f in sorted(files) for p in range(length)]
+    for addrs in real.sets:
+        assert addrs.dtype == np.int64 and addrs.tolist() == want
+
+
 def test_whole_file_prefix_budget_violation():
     with pytest.raises(BudgetViolation):
         sample_placement(

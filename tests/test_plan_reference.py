@@ -11,6 +11,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from oracles import store_view
 
 from decpir.protocol import (
     answer_queries,
@@ -107,8 +108,8 @@ def test_array_plan_matches_reference(n, k):
                     reference_transcript(qs, sort) for qs in per_db
                 )
             assert plan.sources.tolist() == [list(s) for s in sources]
-            answers = [answer_queries(q, symbols) for q in plan.stores]
-            for got, qs in zip(answers, per_db):
+            answers = answer_queries(plan, symbols)
+            for got, qs in zip(answers, per_db, strict=True):
                 assert got.tolist() == reference_answers(qs, symbols)
             assert np.array_equal(decode_desired(plan, answers), symbols[desired])
 
@@ -136,18 +137,16 @@ def test_segmented_plan_joins_single_plans(n, k):
             joined.permutations,
             np.hstack([p.permutations + s for p, s in zip(singles, starts)]),
         )
-        for d, store in enumerate(joined.stores):
-            parts = [p.stores[d] for p in singles]
-            for name in ("files", "orders"):
-                assert np.array_equal(
-                    getattr(store, name),
-                    np.concatenate([getattr(q, name) for q in parts]),
-                )
+        for d in range(n):
+            files, indices, orders = store_view(joined, d)
+            parts = [store_view(p, d) for p in singles]
+            assert np.array_equal(files, np.concatenate([q[0] for q in parts]))
+            assert np.array_equal(orders, np.concatenate([q[2] for q in parts]))
             assert np.array_equal(
-                store.indices,
-                np.concatenate([q.indices + s for q, s in zip(parts, starts)]),
+                indices,
+                np.concatenate([q[1] + s for q, s in zip(parts, starts)]),
             )
-        q_starts = np.cumsum([0] + [len(p.stores[0]) for p in singles])
+        q_starts = np.cumsum([0] + [len(store_view(p, 0)[2]) for p in singles])
         shifted = []
         for p, q0 in zip(singles, q_starts):
             src = p.sources.copy()
@@ -155,7 +154,7 @@ def test_segmented_plan_joins_single_plans(n, k):
             src[src[:, 2] >= 0, 3] += q0
             shifted.append(src)
         assert np.array_equal(joined.sources, np.vstack(shifted))
-        answers = [answer_queries(q, symbols) for q in joined.stores]
+        answers = answer_queries(joined, symbols)
         assert np.array_equal(decode_desired(joined, answers), symbols[desired])
         # Each segment cut back out is its single plan.
         for i, single in enumerate(singles):
@@ -163,9 +162,10 @@ def test_segmented_plan_joins_single_plans(n, k):
             assert part.num_symbols == single.num_symbols
             for name in ("permutations", "sources"):
                 assert np.array_equal(getattr(part, name), getattr(single, name))
-            for got, want in zip(part.stores, single.stores, strict=True):
-                for name in ("files", "indices", "orders"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert part.num_replicas == single.num_replicas
+            for d in range(n):
+                for got, want in zip(store_view(part, d), store_view(single, d)):
+                    assert np.array_equal(got, want)
 
 
 def test_segment_lengths_must_fill_blocks():

@@ -2,10 +2,12 @@
 
 Count expectations are recomputed here from their combinatorial definitions
 (math.comb), and answers are cross-checked against a plain nested-loop XOR
-evaluator, independent of the vectorized implementation.
+evaluator, independent of the vectorized implementation.  Per-store checks
+read each store's queries through ``oracles.store_view``.
 """
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -13,10 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import store_view, xor_answers
 
 from decpir.errors import ProtocolError
 from decpir.protocol import (
-    StoreQueries,
     answer_queries,
     decode_desired,
     generate_query_plan,
@@ -36,24 +38,18 @@ def desired_per_db(n, k):
     return sum(comb(k - 1, j - 1) * (n - 1) ** (j - 1) for j in range(1, k + 1))
 
 
-def make_store(files, indices, orders):
-    return StoreQueries(
-        *(np.asarray(a, dtype=np.int64) for a in (files, indices, orders))
-    )
+def make_plan(files, indices, orders):
+    """A one-store plan whose queries are exactly these term arrays."""
+    base = generate_query_plan(1, 1, 0, 1, seed=0)
+    files, orders = (np.asarray(a, dtype=np.int64) for a in (files, orders))
+    indices = np.asarray(indices, dtype=np.int64).reshape(1, -1)
+    return replace(base, files=files, indices=indices, orders=orders)
 
 
-def query_files(store):
-    """Each query's file array, split from the flat term arrays."""
-    return np.split(store.files, np.cumsum(store.orders)[:-1])
-
-
-def query_terms(store):
-    """Each query's (file, index) terms, split from the flat term arrays."""
-    cuts = np.cumsum(store.orders)[:-1]
-    return [
-        list(zip(f.tolist(), i.tolist()))
-        for f, i in zip(np.split(store.files, cuts), np.split(store.indices, cuts))
-    ]
+def query_files(plan, d):
+    """Store ``d``'s query file arrays, split from the flat term arrays."""
+    files, _, orders = store_view(plan, d)
+    return np.split(files, np.cumsum(orders)[:-1])
 
 
 def side_links(plan):
@@ -65,23 +61,13 @@ def side_links(plan):
     }
 
 
-def brute_force_answers(store, symbols):
-    out = []
-    for terms in query_terms(store):
-        bit = 0
-        for f, i in terms:
-            bit ^= int(symbols[f][i])
-        out.append(bit)
-    return out
-
-
 @pytest.mark.parametrize("n", range(2, 6))
 @pytest.mark.parametrize("k", range(1, 6))
 def test_count_identities_per_block(n, k):
     block = n**k
     plan = generate_query_plan(n, k, 0, block, seed=7)
-    for store in plan.stores:
-        assert len(store) == per_db_count(n, k)
+    for d in range(n):
+        assert len(store_view(plan, d)[2]) == per_db_count(n, k)
     assert plan.total_queries == n * (n**k - 1) // (n - 1)
     # same total written as block * sum of inverse powers
     assert Fraction(plan.total_queries) == block * sum(
@@ -93,29 +79,30 @@ def test_count_identities_per_block(n, k):
 
 def test_example_n2_k3():
     plan = generate_query_plan(2, 3, 0, 8, seed=0)
-    assert [len(s) for s in plan.stores] == [7, 7]
+    assert [len(store_view(plan, d)[2]) for d in range(2)] == [7, 7]
     assert plan.total_queries == 14
     assert len(plan.sources) == 8
     assert Fraction(plan.total_queries, 8) == 1 + Fraction(1, 2) + Fraction(1, 4)
     # 3 singletons, 3 two-sums, 1 three-sum at each store
-    for store in plan.stores:
-        assert Counter(store.orders.tolist()) == {1: 3, 2: 3, 3: 1}
+    for d in range(2):
+        assert Counter(store_view(plan, d)[2].tolist()) == {1: 3, 2: 3, 3: 1}
 
 
 def test_example_n1_downloads_everything():
     plan = generate_query_plan(1, 3, 1, 11, seed=0)
-    assert len(plan.stores) == 1
+    assert plan.num_replicas == len(plan.indices) == 1
     assert plan.total_queries == 3 * 11
-    assert (plan.stores[0].orders == 1).all()
+    assert (store_view(plan, 0)[2] == 1).all()
 
 
 def test_example_n3_k2():
     plan = generate_query_plan(3, 2, 0, 9, seed=1)
-    for store in plan.stores:
-        assert len(store) == 4
-        assert Counter(store.orders.tolist()) == {1: 2, 2: 2}
+    for d in range(3):
+        orders = store_view(plan, d)[2]
+        assert len(orders) == 4
+        assert Counter(orders.tolist()) == {1: 2, 2: 2}
         # both 2-sums carry the desired file (no undesired pair exists at K=2)
-        assert all(0 in files for files in query_files(store) if len(files) == 2)
+        assert all(0 in files for files in query_files(plan, d) if len(files) == 2)
     assert plan.total_queries == 12
     assert Fraction(plan.total_queries) == 9 * (1 + Fraction(1, 3))
 
@@ -132,47 +119,70 @@ def test_plan_argument_validation():
 def test_answer_gf2_basics():
     symbols = np.array([[1, 0], [1, 1]], dtype=np.uint8)
     # a singleton, a sum of two ones, and a mixed sum
-    queries = make_store([0, 0, 1, 0, 1], [0, 0, 0, 1, 0], [1, 2, 2])
-    bits = answer_queries(queries, symbols)
-    assert bits.tolist() == [1, 0, 1]
+    plan = make_plan([0, 0, 1, 0, 1], [0, 0, 0, 1, 0], [1, 2, 2])
+    bits = answer_queries(plan, symbols)
+    assert bits.tolist() == [[1, 0, 1]]
 
 
 def test_answer_matches_brute_force_on_fixed_store():
     symbols = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8)
     plan = generate_query_plan(2, 2, 0, 4, seed=3)
-    for store in plan.stores:
-        assert len(store) == 3
-        fast = answer_queries(store, symbols)
-        assert fast.tolist() == brute_force_answers(store, symbols)
+    fast = answer_queries(plan, symbols)
+    for d in range(2):
+        assert len(store_view(plan, d)[2]) == len(fast[d]) == 3
+    assert fast.tolist() == xor_answers(plan, symbols)
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_answer_rows_match_per_query_xor_on_segments(n, k):
+    # Row d of the answer matrix is store d's answers, query by query, for
+    # a plan of several segments and for each segment cut out of it.
+    block = n**k
+    plan = generate_query_plan(n, k, k - 1, [block, 3 * block, 2 * block], [4, 5, 6])
+    rng = np.random.Generator(np.random.PCG64(n * 10 + k))
+    symbols = rng.integers(0, 2, (k, plan.num_symbols), dtype=np.uint8)
+    answers = answer_queries(plan, symbols)
+    assert answers.shape == (n, len(plan.orders))
+    assert answers.tolist() == xor_answers(plan, symbols)
+    for i, (a, b) in enumerate(zip(plan.segment_starts, plan.segment_starts[1:])):
+        part = plan.segment(i)
+        assert answer_queries(part, symbols[:, a:b]).tolist() == xor_answers(
+            part, symbols[:, a:b]
+        )
 
 
 def test_answer_rejects_out_of_range():
     symbols = np.array([[1]], dtype=np.uint8)
     with pytest.raises(ProtocolError):
-        answer_queries(make_store([0], [1], [1]), symbols)
+        answer_queries(make_plan([0], [1], [1]), symbols)
     with pytest.raises(ProtocolError):
-        answer_queries(make_store([1], [0], [1]), symbols)
+        answer_queries(make_plan([1], [0], [1]), symbols)
     with pytest.raises(ProtocolError):
-        answer_queries(make_store([0], [-1], [1]), symbols)
+        answer_queries(make_plan([0], [-1], [1]), symbols)
 
 
 def test_answer_rejects_malformed_record():
     symbols = np.array([[1, 0], [1, 1]], dtype=np.uint8)
     with pytest.raises(ProtocolError):
-        answer_queries(make_store([0, 1], [0, 0], [1]), symbols)  # short orders
+        answer_queries(make_plan([0, 1], [0, 0], [1]), symbols)  # short orders
     with pytest.raises(ProtocolError):
-        answer_queries(make_store([0], [0], [1, 1]), symbols)  # long orders
+        answer_queries(make_plan([0], [0], [1, 1]), symbols)  # long orders
     with pytest.raises(ProtocolError):
-        answer_queries(make_store([0, 1], [0, 0], [0, 2]), symbols)  # no terms
+        answer_queries(make_plan([0, 1], [0, 0], [0, 2]), symbols)  # no terms
     with pytest.raises(ProtocolError):
-        answer_queries(make_store([0, 1], [0, 3], []), symbols)  # no queries
+        answer_queries(make_plan([0, 1], [0, 3], []), symbols)  # no queries
+    plan = make_plan([0, 1], [0, 1], [2])
+    with pytest.raises(ProtocolError):  # an index row per store, not two
+        answer_queries(replace(plan, indices=np.zeros((2, 2), np.int64)), symbols)
+    with pytest.raises(ProtocolError):  # one index row short of its terms
+        answer_queries(replace(plan, indices=plan.indices[:, :1]), symbols)
 
 
 def test_decode_cancels_side_information():
     # A desired 2-sum answering 1 whose linked singleton answered 1 decodes 0.
     plan = generate_query_plan(2, 2, 0, 4, seed=5)
     symbols = np.array([np.zeros(4, dtype=np.uint8), np.ones(4, dtype=np.uint8)])
-    answers = [answer_queries(s, symbols) for s in plan.stores]
+    answers = answer_queries(plan, symbols)
     links = side_links(plan)
     assert links  # one desired 2-sum per store
     for (db, qidx), (sdb, sqidx) in links.items():
@@ -191,7 +201,7 @@ def test_decode_round_trip(n, k, blocks):
     symbols = np.array([rng.integers(0, 2, lam, dtype=np.uint8) for _ in range(k)])
     for desired in range(k):
         plan = generate_query_plan(n, k, desired, lam, seed=11 + desired)
-        answers = [answer_queries(s, symbols) for s in plan.stores]
+        answers = answer_queries(plan, symbols)
         decoded = decode_desired(plan, answers)
         assert np.array_equal(decoded, symbols[desired])
 
@@ -209,17 +219,25 @@ def test_decode_round_trip_property(n, k, blocks, desired_pick, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     symbols = np.array([rng.integers(0, 2, lam, dtype=np.uint8) for _ in range(k)])
     plan = generate_query_plan(n, k, desired, lam, seed=seed)
-    answers = [answer_queries(s, symbols) for s in plan.stores]
+    answers = answer_queries(plan, symbols)
     assert np.array_equal(decode_desired(plan, answers), symbols[desired])
 
 
 def test_decode_validates_answer_shape():
     plan = generate_query_plan(2, 2, 0, 4, seed=5)
-    good = [np.zeros(3, dtype=np.uint8), np.zeros(3, dtype=np.uint8)]
+    good = np.zeros((2, 3), dtype=np.uint8)
+    assert decode_desired(plan, good).tolist() == [0, 0, 0, 0]
     with pytest.raises(ProtocolError):
         decode_desired(plan, good[:1])
     with pytest.raises(ProtocolError):
-        decode_desired(plan, [good[0][:2], good[1]])
+        decode_desired(plan, good[:, :2])
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (6,), (2, 4), (2, 3, 1), (0, 3)])
+def test_decode_refuses_answer_matrices_of_another_shape(shape):
+    plan = generate_query_plan(2, 2, 1, 4, seed=5)
+    with pytest.raises(ProtocolError, match="answer matrix"):
+        decode_desired(plan, np.zeros(shape, dtype=np.uint8))
 
 
 def test_desired_indices_appear_at_most_once():
@@ -228,8 +246,8 @@ def test_desired_indices_appear_at_most_once():
         plan = generate_query_plan(n, k, 0, lam, seed=6)
         seen = [
             i
-            for store in plan.stores
-            for f, i in zip(store.files.tolist(), store.indices.tolist())
+            for d in range(n)
+            for f, i in zip(*(a.tolist() for a in store_view(plan, d)[:2]))
             if f == plan.desired
         ]
         assert len(seen) == len(set(seen)) == lam
@@ -240,22 +258,21 @@ def test_structural_histogram_n2_k3():
     reference = None
     for desired in range(3):
         plan = generate_query_plan(2, 3, desired, 8, seed=13 + desired)
-        hists = structural_privacy_histogram(plan)
-        for h in hists:
-            assert all(count == 1 for count in h.values())
-            assert len(h) == 7  # all non-empty subsets of three files
+        h = structural_privacy_histogram(plan)
+        assert all(count == 1 for count in h.values())
+        assert len(h) == 7  # all non-empty subsets of three files
         if reference is None:
-            reference = hists
+            reference = h
         else:
-            assert hists == reference
+            assert h == reference
 
 
 def test_structural_histogram_n3_k2():
     plan = generate_query_plan(3, 2, 1, 9, seed=2)
-    for h in structural_privacy_histogram(plan):
-        assert h[frozenset({0})] == 1
-        assert h[frozenset({1})] == 1
-        assert h[frozenset({0, 1})] == 2  # (n-1)**(k-1) == 2
+    h = structural_privacy_histogram(plan)
+    assert h[frozenset({0})] == 1
+    assert h[frozenset({1})] == 1
+    assert h[frozenset({0, 1})] == 2  # (n-1)**(k-1) == 2
 
 
 @given(
@@ -277,16 +294,15 @@ def test_structural_histogram_theta_invariant(n, k, seed):
     "n, k, lam", [(1, 1, 3), (2, 3, 16), (3, 3, 54), (2, 8, 256), (1, 64, 2), (2, 2, 0)]
 )
 def test_structural_histogram_counts_file_sets(n, k, lam):
-    # Against a count of each query's file set, past 63 files included.
+    # Against a count of each store's query file sets, past 63 files included.
     plan = generate_query_plan(n, k, k - 1, lam, seed=5)
-    want = []
-    for store in plan.stores:
-        ends = np.cumsum(store.orders).tolist()
-        files = store.files.tolist()
-        want.append(
-            Counter(frozenset(files[e - o : e]) for e, o in zip(ends, store.orders))
-        )
-    assert structural_privacy_histogram(plan) == tuple(map(dict, want))
+    hist = structural_privacy_histogram(plan)
+    for d in range(n):
+        files, _, orders = store_view(plan, d)
+        ends = np.cumsum(orders).tolist()
+        files = files.tolist()
+        want = Counter(frozenset(files[e - o : e]) for e, o in zip(ends, orders))
+        assert hist == dict(want)
 
 
 @pytest.mark.parametrize(
@@ -297,13 +313,13 @@ def test_query_codes_stay_exact(n, k, lam):
     # word past 2**63 - 1, also where (lam + 1)**K needs several words; at
     # lam = 3 a word of 32 base-4 places would reach 2**64.
     plan = generate_query_plan(n, k, 0, lam, seed=3)
-    store = plan.stores[-1]
-    codes = query_codes(store.files, store.orders, store.indices + 1, lam + 1, k)
-    assert codes.shape[0] == len(store) and (codes >= 0).all()
-    ends = np.cumsum(store.orders).tolist()
-    terms = list(zip(store.files.tolist(), (store.indices + 1).tolist()))
-    digits = [tuple(terms[e - o : e]) for e, o in zip(ends, store.orders.tolist())]
-    _, inverse = unique_rows(codes.reshape(len(store), -1), return_inverse=True)
+    files, indices, orders = store_view(plan, n - 1)
+    codes = query_codes(files, orders, indices + 1, lam + 1, k)
+    assert codes.shape[0] == len(orders) and (codes >= 0).all()
+    ends = np.cumsum(orders).tolist()
+    terms = list(zip(files.tolist(), (indices + 1).tolist()))
+    digits = [tuple(terms[e - o : e]) for e, o in zip(ends, orders.tolist())]
+    _, inverse = unique_rows(codes.reshape(len(orders), -1), return_inverse=True)
     labels = inverse.tolist()
     pairs = set(zip(labels, digits))
     assert len(pairs) == len(set(labels)) == len(set(digits))
@@ -319,8 +335,8 @@ def test_side_information_accounting():
         consumer_dbs = {}
         for (db, _), target in links.items():
             consumer_dbs.setdefault(target, set()).add(db)
-        for dp, store in enumerate(plan.stores):
-            for idx, files in enumerate(query_files(store)):
+        for dp in range(n):
+            for idx, files in enumerate(query_files(plan, dp)):
                 if plan.desired not in files and len(files) < k:
                     assert consumers[(dp, idx)] == n - 1
                     assert consumer_dbs[(dp, idx)] == set(range(n)) - {dp}
@@ -338,9 +354,7 @@ def test_transcript_serialization_format():
             assert 0 <= int(f) < 2
             assert 0 <= int(i) < 4
     # sorted view is the same multiset of lines
-    assert sorted(lines) == serialize_transcript(
-        plan.stores[0], sort=True
-    ).split("\n")
+    assert sorted(lines) == serialize_transcript(plan, 0, sort=True).split("\n")
 
 
 def test_plans_are_deterministic_under_seed():

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import store_view
 
 import decpir.retrieval as retrieval
 from decpir.analysis import capacity_classical
@@ -30,6 +31,7 @@ from decpir.placement import (
     sample_placement,
 )
 from decpir.protocol import (
+    QueryPlan,
     answer_queries,
     decode_desired,
     generate_query_plan,
@@ -81,7 +83,7 @@ def reference_retrieve(store, realization, desired, seed):
         padded = np.zeros((k, lam), dtype=np.uint8)
         for j in range(k):
             padded[j, : lengths[j]] = store.bits[j][positions[j]]
-        answers = tuple(answer_queries(q, padded) for q in plan.stores)
+        answers = answer_queries(plan, padded)
         decoded = decode_desired(plan, answers)
         assert not decoded[lengths[desired] :].any()
         recovered[positions[desired]] = decoded[: lengths[desired]]
@@ -97,7 +99,7 @@ class Session(NamedTuple):
     """One storage set's protocol session, cut from what retrieval built."""
 
     nodes: tuple[int, ...]
-    stores: Optional[tuple]  # None for the data-center-only set: no plan
+    plan: Optional[QueryPlan]  # None for the data-center-only set
     answers: tuple[np.ndarray, ...]
 
 
@@ -105,25 +107,25 @@ def retrieve_with_sessions(store, realization, desired, seed, partition=None):
     """:func:`retrieve_file` and one :class:`Session` per storage set.
 
     For the length of the call, ``decpir.retrieval.generate_query_plan`` and
-    ``answer_queries`` are wrapped to record every plan and answer string
+    ``answer_queries`` are wrapped to record every plan and answer matrix
     retrieval builds.  Segment ``i`` of the plan for sets of ``s`` nodes is
-    the ``i``-th set of that size: its stores are ``plan.segment(i).stores``
-    and its answers each store's string cut at ``plan.query_starts()``.  The
+    the ``i``-th set of that size: its plan is ``plan.segment(i)`` and its
+    answers each store's row of the matrix cut at ``plan.query_starts()``.  The
     data-center-only set runs no plan; its one answer string is the store's
     bits at its addresses, and its length must be the set's charge.
     """
     if partition is None:
         partition = partition_by_storage_set(realization)
-    plans, strings = [], []
+    plans, matrices = [], []
     generate, answer = retrieval.generate_query_plan, retrieval.answer_queries
 
     def record_plan(*args, **kwargs):
         plans.append(generate(*args, **kwargs))
         return plans[-1]
 
-    def record_answer(queries, symbols):
-        strings.append(answer(queries, symbols))
-        return strings[-1]
+    def record_answer(plan, symbols):
+        matrices.append(answer(plan, symbols))
+        return matrices[-1]
 
     retrieval.generate_query_plan = record_plan
     retrieval.answer_queries = record_answer
@@ -139,14 +141,14 @@ def retrieve_with_sessions(store, realization, desired, seed, partition=None):
         raw = store.bits.reshape(-1)[partition.addresses[: partition.starts[k]]]
         assert len(raw) == result.report.per_partition[nodes[0]]
         sessions.append(Session(nodes[0], None, (raw,)))
-    for plan in plans:
+    assert len(matrices) == len(plans)
+    for plan, answers in zip(plans, matrices):
         first = int(np.searchsorted(partition.sizes, plan.num_replicas))
-        answers, strings = strings[: plan.num_replicas], strings[plan.num_replicas :]
+        assert answers.shape == (plan.num_replicas, plan.query_starts()[-1])
         q = plan.query_starts().tolist()
         for i, (qa, qb) in enumerate(zip(q, q[1:])):
-            cut = tuple(a[qa:qb] for a in answers)
-            sessions.append(Session(nodes[first + i], plan.segment(i).stores, cut))
-    assert not strings
+            cut = tuple(answers[:, qa:qb])
+            sessions.append(Session(nodes[first + i], plan.segment(i), cut))
     return result, sessions
 
 
@@ -242,13 +244,14 @@ def check_queries_stay_local(k, n, mu, length):
     starts = part.starts.tolist()
     for i, (session, s) in enumerate(zip(sessions, part.entries)):
         assert session.nodes == tuple(sorted(s))
-        if session.stores is None:
+        if session.plan is None:
             continue  # the data-center-only set, checked by the helper
         lam = padded_lens[i]
-        for node, queries in zip(session.nodes, session.stores):
-            if len(queries.indices):
-                assert 0 <= queries.indices.min() and queries.indices.max() < lam
-            for f, idx in zip(queries.files.tolist(), queries.indices.tolist()):
+        for d, node in enumerate(session.nodes):
+            files, indices, _ = store_view(session.plan, d)
+            if len(indices):
+                assert 0 <= indices.min() and indices.max() < lam
+            for f, idx in zip(files.tolist(), indices.tolist()):
                 if idx >= lengths[i][f]:
                     continue  # zero padding
                 addr = int(part.addresses[starts[i * k + f] + idx])
@@ -315,9 +318,9 @@ def test_batched_retrieval_matches_per_set_sessions(
         assert got.nodes == nodes
         assert [a.tolist() for a in got.answers] == [a.tolist() for a in answers]
         if plan is not None:
-            assert tuple(serialize_transcript(q) for q in got.stores) == (
-                plan_transcripts(plan)
-            )
+            assert tuple(
+                serialize_transcript(got.plan, d) for d in range(len(nodes))
+            ) == plan_transcripts(plan)
 
 
 @given(

@@ -1,0 +1,72 @@
+"""The wire text and decoded symbols of two fixed plans, pinned literally.
+
+The transcripts are what a store receives, in generation order and sorted,
+so any change to how a plan lays out its queries shows here first.  Answers
+come from the per-query XOR oracle, so only decoding is the code under test.
+"""
+
+import numpy as np
+import pytest
+from oracles import xor_answers
+
+from decpir.protocol import decode_desired, generate_query_plan, plan_transcripts
+from decpir.rng import generator
+
+
+def single_plan():
+    return generate_query_plan(2, 2, 1, 8, seed=42)
+
+
+def middle_segment():
+    return generate_query_plan(3, 2, 0, [9, 18, 9], [5, 6, 7]).segment(1)
+
+
+PINS = [
+    (
+        single_plan,
+        (
+            "0:3\n1:0\n0:4 1:7\n0:6\n1:4\n0:1 1:3",
+            "0:4\n1:2\n0:3 1:1\n0:1\n1:5\n0:6 1:6",
+        ),
+        (
+            "0:1 1:3\n0:3\n0:4 1:7\n0:6\n1:0\n1:4",
+            "0:1\n0:3 1:1\n0:4\n0:6 1:6\n1:2\n1:5",
+        ),
+        [[1, 0, 0, 1, 1, 0], [1, 0, 0, 0, 0, 0]],
+        [0, 1, 0, 0, 1, 0, 1, 1],
+    ),
+    (
+        middle_segment,
+        (
+            "0:2\n1:6\n0:1 1:11\n0:4 1:14\n0:9\n1:3\n0:0 1:0\n0:5 1:15",
+            "0:16\n1:11\n0:13 1:6\n0:14 1:14\n0:11\n1:0\n0:12 1:3\n0:15 1:15",
+            "0:10\n1:14\n0:8 1:6\n0:6 1:11\n0:3\n1:15\n0:7 1:3\n0:17 1:0",
+        ),
+        (
+            "0:0 1:0\n0:1 1:11\n0:2\n0:4 1:14\n0:5 1:15\n0:9\n1:3\n1:6",
+            "0:11\n0:12 1:3\n0:13 1:6\n0:14 1:14\n0:15 1:15\n0:16\n1:0\n1:11",
+            "0:10\n0:17 1:0\n0:3\n0:6 1:11\n0:7 1:3\n0:8 1:6\n1:14\n1:15",
+        ),
+        [
+            [1, 1, 1, 1, 0, 0, 1, 0],
+            [1, 0, 1, 0, 0, 0, 0, 0],
+            [1, 1, 1, 0, 1, 1, 0, 1],
+        ],
+        [1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1],
+    ),
+]
+
+
+@pytest.mark.parametrize("make, wire, sorted_wire, answers, decoded", PINS)
+def test_plan_text_and_decoded_symbols_are_pinned(
+    make, wire, sorted_wire, answers, decoded
+):
+    plan = make()
+    assert plan_transcripts(plan) == wire
+    assert plan_transcripts(plan, sort=True) == sorted_wire
+    symbols = generator(plan.num_symbols).integers(
+        0, 2, (plan.num_files, plan.num_symbols), dtype=np.uint8
+    )
+    assert xor_answers(plan, symbols) == answers
+    got = decode_desired(plan, np.array(answers, dtype=np.uint8))
+    assert got.tolist() == decoded == symbols[plan.desired].tolist()
