@@ -28,15 +28,15 @@ from .model import StorageSetPartition
 def capacity_classical(num_files: int, num_replicas: int) -> Fraction:
     """Optimal normalized download cost for fully replicated stores.
 
-    ``1 + 1/n + ... + 1/n**(K-1)`` for ``n`` replicas of ``K`` files.
+    ``1 + 1/n + ... + 1/n**(K-1)`` for ``n`` replicas of ``K`` files, summed
+    in closed form: ``K`` at ``n = 1``, else ``(n**K - 1) / ((n - 1) n**(K-1))``.
     """
-    if num_files < 1:
-        raise ValueError(f"need at least one file, got {num_files}")
-    if num_replicas < 1:
-        raise ValueError(f"need at least one replica, got {num_replicas}")
-    return sum(
-        (Fraction(1, num_replicas**m) for m in range(num_files)), Fraction(0)
-    )
+    k, n = num_files, num_replicas
+    if k < 1:
+        raise ValueError(f"need at least one file, got {k}")
+    if n < 1:
+        raise ValueError(f"need at least one replica, got {n}")
+    return Fraction(k) if n == 1 else Fraction(n**k - 1, (n - 1) * n ** (k - 1))
 
 
 def harmonic_weight(set_size: int, num_files: int) -> Fraction:

@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +35,9 @@ from .placement import sample_placement
 
 USAGE_EXIT = 1
 INVARIANT_EXIT = 2
+# Exact costs are fractions over powers such as n**K, of K * log10(n) digits:
+# past this many files they grow too long to evaluate and print quickly.
+MAX_FILES = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,8 +320,8 @@ def cmd_privacy_test(args) -> int:
     bits = args.k * args.sessions * args.file_bits * capacity_classical(args.k, args.n)
     if bits > DEFAULT_DOWNLOAD_CAP:
         raise ValueError(
-            f"privacy test too large: its sessions would download {math.ceil(bits)} "
-            f"bits, over the {DEFAULT_DOWNLOAD_CAP}-bit cap"
+            f"privacy test too large: its sessions would download more than "
+            f"the {DEFAULT_DOWNLOAD_CAP}-bit cap"
         )
     result = transcript_distribution_test(
         args.k,
@@ -430,6 +432,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "k", None) is not None and args.k > MAX_FILES:
+            raise ValueError(f"--k must be at most {MAX_FILES}, got {args.k}")
         return args.func(args)
     except (BudgetViolation, ReliabilityError, InvariantViolation, ProtocolError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

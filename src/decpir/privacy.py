@@ -19,7 +19,7 @@ session keeps its own seed, so the result does not depend on the chunking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -78,11 +78,11 @@ def _session_keys(plan: QueryPlan, sessions: int) -> np.ndarray:
     key its rows sorted, so two sessions get one key exactly when the store
     sees the same set of queries in both.
     """
-    lam, files, orders = plan.num_symbols // sessions, plan.files, plan.orders
-    local = plan.indices + 1
-    local -= np.arange(len(files)) // (len(files) // sessions) * lam
-    codes = query_codes(files, orders, local, lam + 1, plan.num_files)
-    codes = codes.reshape(plan.num_replicas * sessions, len(orders) // sessions, -1)
+    lam, one = plan.num_symbols // sessions, plan.segment(0)
+    # Segment s holds symbols s * lam onwards, so mod lam gives its own indices.
+    local = replace(plan, permutations=plan.permutations % lam).indices + 1
+    digits = local.reshape(plan.num_replicas * sessions, -1)
+    codes = query_codes(one.files, one.orders, digits, lam + 1, plan.num_files)
     if codes.shape[-1] == 1:  # one word a row: far cheaper than a lexsort
         return np.sort(codes, axis=1).reshape(len(codes), -1)
     order = np.lexsort(np.moveaxis(codes, -1, 0), axis=-1)

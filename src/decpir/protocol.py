@@ -17,38 +17,27 @@ the same for every choice of desired file, which is what makes the request
 pattern uninformative.  ``n = 1`` needs no special case: its block is one
 symbol and its plan downloads every symbol of every file.
 
-A plan is integer arrays only.  Every store receives queries of the same
-shapes, so one flat pair of term files and per-query term counts serves all
-stores; only the symbol indices differ, one ``(n, terms)`` row per store.  The
-decode sources are one ``(lam, 4)`` table.  Every store of a session holds the
-same ``(K, lam)`` symbol matrix, so one gather and one XOR reduction answer
-all stores at once, as the ``(n, queries)`` matrix that decoding reads.
-
 The block structure depends on ``(n, K, desired)`` alone, so the rounds
-above run once per shape over one block of counters and the result is cached
-as a read-only template: the shared term files and term counts, per store
-its term counters, plus a table of where each desired counter is decoded
-from.  A plan for ``lam`` symbols tiles the template over ``lam / n**K``
-blocks, offsetting counters by the block start, and maps each (file,
-counter) term to its symbol index through the plan's ``(K, lam)``
-permutation array.  Several sessions of one shape can share a plan as
-consecutive segments: each segment draws its own permutations from its own
-seed, offset by its start, so the permutation array is block-diagonal and
-each segment's slice of the plan is that session's plan, shifted;
-:meth:`QueryPlan.segment` cuts it back out.  The segments' generators come
-from :func:`decpir.rng.generators`, which seeds many at once without
-building one generator per segment.
-
-Query symbol indices refer to positions in each store's symbol array after
-the plan's permutation has been applied at construction time; stores never
-need the permutations to answer.
+above run once per shape over one block of counters and are cached as a
+read-only template of (file, counter) terms that every block repeats over
+its own counters: a plan is its shape and its ``(K, lam)`` permutations.
+Answering gathers the symbols through the permutations into one row per
+(file, counter) of a block and one column per block, then XORs each
+query's template terms for all blocks and all stores at once, giving the
+``(n, queries)`` answer matrix, block-major; decoding reads each desired
+counter's answer and side answer the same way and scatters them through
+the desired file's permutation.  Sessions of one shape can share a plan as
+segments, each permuted from its own seed and offset by its start, so
+:meth:`QueryPlan.segment` cuts a session back out.  The per-term record
+(files, term counts, each store's symbol indices, the decode table) is
+derived only when read, for transcripts and privacy keys.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
@@ -60,18 +49,16 @@ from .rng import generators
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """A full retrieval session: every store's queries plus decoding state.
+    """A retrieval session: its shape and its ``(K, lam)`` permutations.
 
-    Query ``q`` covers the next ``orders[q]`` terms, at every store: ``files``
-    gives each term's file, files ascending within a query, and
-    ``indices[d]`` store ``d``'s symbol index of each term.
-    ``sources[c]`` is the ``(db, query index, side db, side query index)``
-    row telling how the desired file's symbol with counter ``c`` is
-    recovered: the query carrying it and, for sums of order >= 2, the reused
-    undesired sum whose answer bit cancels the interference (-1, -1 for
-    singletons).  ``permutations[j, c]`` is the symbol array position that
-    counter ``c`` of file ``j`` was mapped to.  Segment ``i`` of the plan
-    holds symbols ``segment_starts[i]`` to ``segment_starts[i + 1]``.
+    ``permutations[j, c]`` is where counter ``c`` of file ``j`` sits in the
+    symbol array; block ``b`` repeats the block template over counters
+    ``b * n**K`` onwards, and segment ``i`` holds symbols
+    ``segment_starts[i]`` to ``segment_starts[i + 1]``.  Derived when read:
+    query ``q`` covers the next ``orders[q]`` terms at every store, term
+    files ``files`` (ascending within a query) and store ``d``'s symbol
+    indices ``indices[d]``; ``sources[c]`` is the ``(db, query, side db,
+    side query)`` row decoding desired counter ``c`` (-1, -1: no side sum).
     """
 
     num_replicas: int
@@ -79,57 +66,73 @@ class QueryPlan:
     desired: int
     num_symbols: int
     permutations: np.ndarray
-    files: np.ndarray
-    indices: np.ndarray
-    orders: np.ndarray
-    sources: np.ndarray
     segment_starts: tuple[int, ...]
 
     @property
+    def _template(self) -> _BlockTemplate:
+        return _block_template(self.num_replicas, self.num_files, self.desired)
+
+    @property
+    def blocks(self) -> int:
+        return self.num_symbols // len(self._template.sources)
+
+    @property
     def total_queries(self) -> int:
-        return self.num_replicas * len(self.orders)
+        return self.num_replicas * self.blocks * len(self._template.orders)
 
     def query_starts(self) -> np.ndarray:
         """Each segment's first query number at every store, then the total."""
-        t = _block_template(self.num_replicas, self.num_files, self.desired)
+        t = self._template
         return np.array(self.segment_starts) // len(t.sources) * len(t.orders)
 
     def segment(self, i: int) -> QueryPlan:
-        """Segment ``i`` as the plan of its own session, as generated alone.
-
-        Every block (one ``sources`` row per symbol) carries the same queries
-        and terms, so the segment's queries and terms start at its first
-        block times theirs.
-        """
-        shape = (self.num_replicas, self.num_files, self.desired)
-        t = _block_template(*shape)
+        """Segment ``i`` as the plan of its own session, as generated alone."""
         a, b = self.segment_starts[i : i + 2]
-        first, end = a // len(t.sources), b // len(t.sources)
-        qa, qb = first * len(t.orders), end * len(t.orders)
-        ta, tb = first * len(t.files), end * len(t.files)
-        sources = self.sources[a:b] - (0, qa, 0, qa)
-        sources[sources[:, 2] < 0, 3] = -1
-        perms = self.permutations[:, a:b] - a
-        return QueryPlan(
-            *shape, b - a, perms, self.files[ta:tb], self.indices[:, ta:tb] - a,
-            self.orders[qa:qb], sources, (0, b - a),
-        )
+        shape = (self.num_replicas, self.num_files, self.desired)
+        return QueryPlan(*shape, b - a, self.permutations[:, a:b] - a, (0, b - a))
+
+    @cached_property
+    def files(self) -> np.ndarray:
+        return np.tile(self._template.files, self.blocks)
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        return np.tile(self._template.orders, self.blocks)
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        t, blocks = self._template, np.arange(self.blocks)[:, None]
+        counters = t.counters[:, None, :] + blocks * len(t.sources)
+        return self.permutations[t.files, counters].reshape(self.num_replicas, -1)
+
+    @cached_property
+    def sources(self) -> np.ndarray:
+        # Each block adds its first query number to the query columns in use.
+        t, blocks = self._template, np.arange(self.blocks)[:, None, None]
+        steps = (t.sources >= 0) * np.array((0, 1, 0, 1)) * len(t.orders)
+        return (t.sources + blocks * steps).reshape(-1, 4)
 
 
 class _BlockTemplate(NamedTuple):
     """The plan for one block of counters, ``n**K`` per file.
 
     Every store gets the same query shapes, so ``files`` and ``orders`` are
-    shared; ``counters[d]`` holds store ``d``'s term counters.  ``steps`` is
-    what each further block adds to ``sources``: the per-store query count
-    in the query-index columns (the side one only where a side sum exists).
+    shared; ``counters[d]`` holds store ``d``'s term counters and
+    ``sources`` the block's decode table.  Laid out to answer and decode all
+    blocks at once: ``terms[w, d, q]`` is the ``file * n**K + counter`` row
+    of term ``w`` of store ``d``'s query ``q``, or past the query's last term
+    the zero row ``K * n**K``; desired counter ``c`` is decoded from answer
+    rows ``direct[c]`` and ``side[c]``, each ``db * queries + query``, the
+    side the zero row ``n * queries`` for singletons.
     """
 
     files: np.ndarray
     counters: np.ndarray
     orders: np.ndarray
     sources: np.ndarray
-    steps: np.ndarray
+    terms: np.ndarray
+    direct: np.ndarray
+    side: np.ndarray
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -201,15 +204,18 @@ def _block_template(n: int, k: int, desired: int) -> _BlockTemplate:
     if any(counters[j] > block for j in undesired_files):
         raise ProtocolError("an undesired counter overran its block")
 
-    steps = np.zeros_like(sources)
-    steps[:, 1] = len(orders)
-    steps[:, 3] = np.where(sources[:, 2] >= 0, len(orders), 0)
-    return _BlockTemplate(
-        *(
-            _read_only(np.asarray(a, dtype=np.int64))
-            for a in (files, counters_of, orders, sources, steps)
-        )
-    )
+    files, counters_of, orders = (np.asarray(a) for a in (files, counters_of, orders))
+    queries = len(orders)
+    first = np.repeat(np.cumsum(orders) - orders, orders)
+    terms = np.full((orders.max(), n, queries), k * block)
+    terms[np.arange(len(files)) - first, :, np.repeat(np.arange(queries), orders)] = (
+        files * block + counters_of
+    ).T
+    direct = sources[:, 0] * queries + sources[:, 1]
+    side = sources[:, 2] * queries + sources[:, 3]
+    side[sources[:, 2] < 0] = n * queries
+    arrays = (files, counters_of, orders, sources, terms, direct, side)
+    return _BlockTemplate(*(_read_only(np.asarray(a, dtype=np.int64)) for a in arrays))
 
 
 def generate_query_plan(
@@ -220,26 +226,22 @@ def generate_query_plan(
     seed: int | Sequence[int],
     permute: bool = True,
 ) -> QueryPlan:
-    """Build the query plan for one retrieval session.
+    """Build the query plan for one retrieval session: its permutations.
 
-    ``num_symbols`` must be a multiple of ``num_replicas ** num_files``; the
-    plan then consists of that many independent blocks over consecutive
-    counter ranges.  ``permute=False`` skips the per-file permutations and
-    exists only as a negative control for privacy tests.
+    ``num_symbols`` must be a multiple of ``num_replicas ** num_files``, the
+    block size.  ``permute=False`` skips the per-file permutations and exists
+    only as a negative control for privacy tests.
 
-    Several sessions of the same shape run as one plan when ``num_symbols``
-    and ``seed`` are equal-length sequences, one entry per segment.  Segment
-    ``i`` draws its permutations from ``generators(seed)``'s ``i``-th
-    generator, which draws exactly what ``generator(seed[i])`` would for a
-    plan of its own, offset by the segment's start, so the permutations are
-    block-diagonal: its queries, decode sources and decoded symbols are
-    those of the separate plan with symbol indices shifted by the start and
-    query numbers by the queries of the segments before it.  The plan's
-    ``num_symbols`` is then the sum of the segment lengths.
-
-    Seeds are integers, taken modulo ``2**64``; a single ``num_symbols``
-    takes a single seed.  Any other seed type, or a mismatch between one
-    length and a sequence of seeds or the reverse, raises ``ValueError``.
+    Several sessions of one shape run as one plan when ``num_symbols`` and
+    ``seed`` are equal-length sequences, one entry per segment.  Segment
+    ``i`` draws from ``generators(seed)``'s ``i``-th generator exactly what
+    ``generator(seed[i])`` would for a plan of its own, offset by the
+    segment's start, so the permutations are block-diagonal and its queries,
+    decode sources and decoded symbols are those of the separate plan,
+    shifted.  Seeds are integers, taken modulo ``2**64``; a single
+    ``num_symbols`` takes a single seed.  Any other seed type, or a mismatch
+    between one length and a sequence of seeds or the reverse, raises
+    ``ValueError``.
     """
     n, k = num_replicas, num_files
     if n < 1:
@@ -275,31 +277,19 @@ def generate_query_plan(
             raise ValueError(f"symbol count must be non-negative, got {lam}")
         if lam % block != 0:
             raise ValueError(
-                f"symbol count {lam} is not a multiple of the "
-                f"{block}-symbol block size for n={n}, K={k}"
+                f"symbol count {lam} is not a multiple of the block size "
+                f"n**K = {n}**{k}"
             )
     starts = tuple(accumulate(lams, initial=0))
-    total = starts[-1]
-
-    perms = np.tile(np.arange(total), (k, 1))
+    perms = np.tile(np.arange(starts[-1]), (k, 1))
     if permute:
         # Permuting a segment's rows in place draws exactly what ``k`` calls
         # of ``permutation(lam)`` would, already offset by the segment start.
         for rng, start, end in zip(generators(seeds), starts, starts[1:]):
             seg = perms[:, start:end]
             rng.permuted(seg, axis=1, out=seg)
-
-    t = _block_template(n, k, desired)
-    blocks = total // block
-    b = np.arange(blocks)[:, None, None]
-    files = np.tile(t.files, blocks)
-    counters = (t.counters[:, None, :] + b[:, 0] * block).reshape(n, -1)
-    indices = perms[files, counters]
-    orders = np.tile(t.orders, blocks)
-    sources = (t.sources + b * t.steps).reshape(-1, 4)
-    return QueryPlan(
-        n, k, desired, total, perms, files, indices, orders, sources, starts
-    )
+    _block_template(n, k, desired)  # built with the plan, not on first answer
+    return QueryPlan(n, k, desired, starts[-1], perms, starts)
 
 
 def answer_queries(plan: QueryPlan, symbols: np.ndarray) -> np.ndarray:
@@ -307,31 +297,36 @@ def answer_queries(plan: QueryPlan, symbols: np.ndarray) -> np.ndarray:
 
     ``symbols`` is the ``(K, lam)`` symbol matrix each store of the plan
     holds, zero padding included, row ``j`` holding file ``j``.  Returns the
-    ``(n, queries)`` answer matrix.  Raises :class:`ProtocolError` on a
-    malformed plan (a query without terms, term counts that do not add up to
-    the term files, or an index matrix that is not one row of them per
-    store) and on a reference to a symbol the stores cannot resolve.
+    ``(n, queries)`` answer matrix, block by block.  Raises
+    :class:`ProtocolError` on a symbol matrix of another shape and on
+    permutations that are not one symbol position per (file, counter).
     """
     symbols = np.asarray(symbols, dtype=np.uint8)
-    num_files, lam = symbols.shape
-    files, idx, orders = plan.files, plan.indices, plan.orders
-    ends = np.cumsum(orders)
-    terms = int(ends[-1]) if len(ends) else 0
-    shaped = terms == len(files) and idx.shape == (plan.num_replicas, terms)
-    if orders.min(initial=1) < 1 or not shaped:
+    k, lam = plan.num_files, plan.num_symbols
+    if symbols.shape != (k, lam):
         raise ProtocolError(
-            "malformed query plan: every query needs a term, the term counts "
-            "must add up to the term files and every store needs one index each"
+            f"expected a {k} x {lam} symbol matrix, got shape {symbols.shape}"
         )
-    if not terms:
-        return np.zeros((plan.num_replicas, 0), dtype=np.uint8)
-    if files.min() < 0 or files.max() >= num_files:
-        raise ProtocolError("query references an unknown file")
-    if idx.min() < 0 or idx.max() >= lam:
-        raise ProtocolError("query references a symbol outside the stored range")
-
-    values = symbols.reshape(-1)[files * lam + idx]
-    return np.bitwise_xor.reduceat(values, ends - orders, axis=1)
+    t, perms = plan._template, plan.permutations
+    block, blocks = len(t.sources), plan.blocks
+    if perms.shape != (k, blocks * block) or perms.size and (
+        perms.min() < 0 or perms.max() >= lam
+    ):
+        raise ProtocolError(
+            f"malformed query plan: need {k} x {lam} permutations into the "
+            f"symbols, whole blocks of {block}"
+        )
+    # Row ``j * block + c``, column ``b``: file j's symbol at counter c of
+    # block b; the last row stays zero for the terms past a query's end.
+    by_counter = np.zeros((k * block + 1, blocks), dtype=np.uint8)
+    where = perms.reshape(k, blocks, block).transpose(0, 2, 1)
+    # The permutations were checked, so clipping changes no index.
+    np.take(
+        symbols, where + (np.arange(k) * lam)[:, None, None],
+        out=by_counter[:-1].reshape(k, block, blocks), mode="clip",
+    )
+    answers = np.bitwise_xor.reduce(by_counter[t.terms], axis=0)
+    return answers.transpose(0, 2, 1).reshape(plan.num_replicas, -1)
 
 
 def decode_desired(plan: QueryPlan, answers: np.ndarray) -> np.ndarray:
@@ -343,21 +338,22 @@ def decode_desired(plan: QueryPlan, answers: np.ndarray) -> np.ndarray:
     Undesired sums are only ever reused wholesale, never decoded.
     """
     answers = np.asarray(answers, dtype=np.uint8)
-    if answers.shape != (plan.num_replicas, len(plan.orders)):
+    t = plan._template
+    n, queries, blocks = plan.num_replicas, len(t.orders), plan.blocks
+    if answers.shape != (n, blocks * queries):
         raise ProtocolError(
-            f"expected a {plan.num_replicas} x {len(plan.orders)} answer matrix, "
+            f"expected a {n} x {blocks * queries} answer matrix, "
             f"got shape {answers.shape}"
         )
-    if plan.num_symbols == 0:
-        return np.zeros(0, dtype=np.uint8)
-
-    src = plan.sources
-    bits = answers[src[:, 0], src[:, 1]]
-    linked = src[:, 2] >= 0
-    bits[linked] ^= answers[src[linked, 2], src[linked, 3]]
-
+    # Row ``d * queries + q``, column ``b``: store d's answer to query q of
+    # block b; the last row stays zero for the singletons' missing side.
+    by_query = np.zeros((n * queries + 1, blocks), dtype=np.uint8)
+    by_query[:-1].reshape(n, queries, blocks)[...] = answers.reshape(
+        n, blocks, queries
+    ).transpose(0, 2, 1)
     out = np.empty(plan.num_symbols, dtype=np.uint8)
-    out[plan.permutations[plan.desired]] = bits
+    where = plan.permutations[plan.desired].reshape(blocks, len(t.sources)).T
+    out[where] = by_query[t.direct] ^ by_query[t.side]
     return out
 
 

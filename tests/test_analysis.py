@@ -43,6 +43,14 @@ def test_capacity_classical_goldens():
         assert capacity_classical(k, 1) == k
 
 
+def test_capacity_classical_closed_form_matches_the_sum():
+    # The closed form against 1 + 1/n + ... + 1/n**(K-1) summed term by term.
+    for k in range(1, 41):
+        for n in range(1, 9):
+            want = sum((Fraction(1, n**m) for m in range(k)), Fraction(0))
+            assert capacity_classical(k, n) == want, (k, n)
+
+
 def test_capacity_matches_quadratic_for_k3_n2():
     for i in range(11):
         mu = Fraction(i, 10)

@@ -346,9 +346,46 @@ def test_privacy_test_refuses_large_instances(capsys):
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert "too large" in err
-    assert "234000000 bits" in err and "50000000-bit cap" in err
+    assert "too large" in err and "more than the 50000000-bit cap" in err
     assert err.count("\n") == 1
+
+
+def test_privacy_test_refusal_prints_no_bit_count(capsys):
+    # Sessions and bits of 4,000 digits each: the download has ~8,000, past
+    # what Python will format, so the refusal must not print it.
+    big = "9" * 4000
+    code = main(
+        ["privacy-test", "--k", "3", "--n", "3", "--file-bits", big, "--sessions", big]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: privacy test too large") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classical", "--k", "20000", "--n", "2"],
+        ["capacity", "--k", "20000", "--n", "2", "--mu", "1/2"],
+        ["envelope", "--k", "20000", "--n", "2"],
+        [
+            "privacy-test", "--k", "20000", "--n", "2", "--file-bits", "1",
+            "--sessions", "2",
+        ],
+    ],
+)
+def test_huge_file_counts_are_refused_naming_k(capsys, argv):
+    # Exact costs at K = 20,000 have thousands of digits; the limit on K is
+    # enforced before any of them is computed.
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --k must be at most 1000, got 20000\n"
+
+
+def test_file_count_limit_is_inclusive(capsys):
+    assert main(["classical", "--k", "1000", "--n", "2"]) == 0
+    assert capsys.readouterr().out.startswith("classical(K=1000, n=2) = ")
 
 
 def test_privacy_test_runs_instances_under_the_cap(capsys):

@@ -1,25 +1,55 @@
-"""Array plans against a nested-loop reference builder.
+"""Array plans against a nested-loop reference builder and a tiler.
 
 ``reference_plan`` builds the Sun-Jafar block plan one query at a time, over
 every block in turn, with per-file counters mapped through the same
 permutations :func:`generate_query_plan` draws.  The array plan must give the
 same transcripts (in generation order and sorted), the same decode sources
 and the same answer strings.
+
+``tiled_record`` builds a plan's per-term record the direct way, by tiling
+the block template over every block, offsetting counters by the block start
+and mapping every term through the permutations; the plan derives its
+record, and answers and decodes block by block, without those tiles.
 """
 
 from itertools import combinations
 
 import numpy as np
 import pytest
-from oracles import store_view
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import store_view, xor_answers
 
 from decpir.protocol import (
+    _block_template,
     answer_queries,
     decode_desired,
     generate_query_plan,
     plan_transcripts,
 )
 from decpir.rng import generator
+
+RECORD = ("files", "indices", "orders", "sources")
+
+
+def tiled_record(plan):
+    """``files``, ``indices``, ``orders`` and ``sources`` by tiling the template."""
+    n = plan.num_replicas
+    t = _block_template(n, plan.num_files, plan.desired)
+    block = len(t.sources)
+    blocks = plan.num_symbols // block
+    b = np.arange(blocks)[:, None, None]
+    files = np.tile(t.files, blocks)
+    counters = (t.counters[:, None, :] + b[:, 0] * block).reshape(n, -1)
+    steps = np.zeros_like(t.sources)
+    steps[:, 1] = len(t.orders)
+    steps[:, 3] = np.where(t.sources[:, 2] >= 0, len(t.orders), 0)
+    return (
+        files,
+        plan.permutations[files, counters],
+        np.tile(t.orders, blocks),
+        (t.sources + b * steps).reshape(-1, 4),
+    )
 
 
 def reference_plan(n, k, desired, num_symbols, seed):
@@ -173,3 +203,33 @@ def test_segment_lengths_must_fill_blocks():
         generate_query_plan(2, 2, 0, [4, 6, 8], [1, 2, 3])
     with pytest.raises(ValueError, match="segment"):
         generate_query_plan(2, 2, 0, [4, 8], [1])
+
+
+@given(
+    n=st.integers(1, 4),
+    k=st.integers(1, 4),
+    blocks=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_block_wise_plan_matches_tiled_record(n, k, blocks, seed):
+    # Every desired file of a 1-3 segment plan: answers equal the per-query
+    # XOR over the derived record, decoding returns the desired file, the
+    # derived record equals the tiled one, and each segment cut out derives
+    # the record of the plan generated alone.
+    block = n**k
+    lams = [b * block for b in blocks]
+    seeds = [seed + i for i in range(len(lams))]
+    symbols = generator(seed).integers(0, 2, (k, sum(lams)), dtype=np.uint8)
+    for desired in range(k):
+        joined = generate_query_plan(n, k, desired, lams, seeds)
+        answers = answer_queries(joined, symbols)
+        assert answers.tolist() == xor_answers(joined, symbols)
+        assert np.array_equal(decode_desired(joined, answers), symbols[desired])
+        for name, want in zip(RECORD, tiled_record(joined), strict=True):
+            assert np.array_equal(getattr(joined, name), want), name
+        for i, (lam, s) in enumerate(zip(lams, seeds)):
+            part, alone = joined.segment(i), generate_query_plan(n, k, desired, lam, s)
+            assert part.num_symbols == alone.num_symbols
+            for name in ("permutations",) + RECORD:
+                assert np.array_equal(getattr(part, name), getattr(alone, name)), name

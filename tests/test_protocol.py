@@ -38,14 +38,6 @@ def desired_per_db(n, k):
     return sum(comb(k - 1, j - 1) * (n - 1) ** (j - 1) for j in range(1, k + 1))
 
 
-def make_plan(files, indices, orders):
-    """A one-store plan whose queries are exactly these term arrays."""
-    base = generate_query_plan(1, 1, 0, 1, seed=0)
-    files, orders = (np.asarray(a, dtype=np.int64) for a in (files, orders))
-    indices = np.asarray(indices, dtype=np.int64).reshape(1, -1)
-    return replace(base, files=files, indices=indices, orders=orders)
-
-
 def query_files(plan, d):
     """Store ``d``'s query file arrays, split from the flat term arrays."""
     files, _, orders = store_view(plan, d)
@@ -117,11 +109,26 @@ def test_plan_argument_validation():
 
 
 def test_answer_gf2_basics():
-    symbols = np.array([[1, 0], [1, 1]], dtype=np.uint8)
-    # a singleton, a sum of two ones, and a mixed sum
-    plan = make_plan([0, 0, 1, 0, 1], [0, 0, 0, 1, 0], [1, 2, 2])
-    bits = answer_queries(plan, symbols)
-    assert bits.tolist() == [[1, 0, 1]]
+    # Unpermuted, store 0 asks for symbol 0 of each file and 0:2 ^ 1:1,
+    # store 1 for symbol 1 of each file and 0:3 ^ 1:0: singletons, a sum of
+    # two ones and a mixed sum.
+    plan = generate_query_plan(2, 2, 0, 4, seed=0, permute=False)
+    assert plan_transcripts(plan) == ("0:0\n1:0\n0:2 1:1", "0:1\n1:1\n0:3 1:0")
+    symbols = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8)
+    assert answer_queries(plan, symbols).tolist() == [[1, 0, 0], [0, 1, 1]]
+
+
+def test_plan_stores_only_its_permutations():
+    # A retrieval-sized plan holds no per-term or per-query array until one
+    # of the derived record's arrays is read.
+    plan = generate_query_plan(3, 3, 1, 40 * 27, seed=4)
+    stored = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in stored) == plan.permutations.nbytes
+    plan.segment(0)
+    answer_queries(plan, np.zeros((3, plan.num_symbols), dtype=np.uint8))
+    stored = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in stored) == plan.permutations.nbytes
+    assert plan.indices.shape == (3, len(plan.files))  # derived when read
 
 
 def test_answer_matches_brute_force_on_fixed_store():
@@ -152,30 +159,36 @@ def test_answer_rows_match_per_query_xor_on_segments(n, k):
 
 
 def test_answer_rejects_out_of_range():
-    symbols = np.array([[1]], dtype=np.uint8)
-    with pytest.raises(ProtocolError):
-        answer_queries(make_plan([0], [1], [1]), symbols)
-    with pytest.raises(ProtocolError):
-        answer_queries(make_plan([1], [0], [1]), symbols)
-    with pytest.raises(ProtocolError):
-        answer_queries(make_plan([0], [-1], [1]), symbols)
+    # A counter mapped past the stored symbols or below them, and stores
+    # missing a file or a symbol that the plan refers to.
+    plan = generate_query_plan(2, 2, 0, 4, seed=3)
+    symbols = np.ones((2, 4), dtype=np.uint8)
+    for value in (4, -1):
+        perms = plan.permutations.copy()
+        perms[1, 2] = value
+        with pytest.raises(ProtocolError, match="permutations"):
+            answer_queries(replace(plan, permutations=perms), symbols)
+    for bad in (symbols[:1], symbols[:, :3]):
+        with pytest.raises(ProtocolError, match="symbol matrix"):
+            answer_queries(plan, bad)
 
 
 def test_answer_rejects_malformed_record():
-    symbols = np.array([[1, 0], [1, 1]], dtype=np.uint8)
-    with pytest.raises(ProtocolError):
-        answer_queries(make_plan([0, 1], [0, 0], [1]), symbols)  # short orders
-    with pytest.raises(ProtocolError):
-        answer_queries(make_plan([0], [0], [1, 1]), symbols)  # long orders
-    with pytest.raises(ProtocolError):
-        answer_queries(make_plan([0, 1], [0, 0], [0, 2]), symbols)  # no terms
-    with pytest.raises(ProtocolError):
-        answer_queries(make_plan([0, 1], [0, 3], []), symbols)  # no queries
-    plan = make_plan([0, 1], [0, 1], [2])
-    with pytest.raises(ProtocolError):  # an index row per store, not two
-        answer_queries(replace(plan, indices=np.zeros((2, 2), np.int64)), symbols)
-    with pytest.raises(ProtocolError):  # one index row short of its terms
-        answer_queries(replace(plan, indices=plan.indices[:, :1]), symbols)
+    # A plan's record is its permutations: one row per file, one column per
+    # symbol, in whole blocks.  Symbols must be one (K, lam) matrix.
+    plan = generate_query_plan(2, 2, 0, 8, seed=3)
+    symbols = np.ones((2, 8), dtype=np.uint8)
+    perms = plan.permutations
+    for bad in (perms[:1], perms[:, :4], perms.reshape(-1), perms[:, :7] % 7):
+        with pytest.raises(ProtocolError, match="permutations"):
+            answer_queries(replace(plan, permutations=bad), symbols)
+    for bad in (np.ones((3, 8)), symbols.reshape(-1), symbols[None]):
+        with pytest.raises(ProtocolError, match="symbol matrix"):
+            answer_queries(plan, bad)
+    # Lengths that are not whole blocks, with permutations to match.
+    odd = replace(plan, num_symbols=6, permutations=perms[:, :6] % 6)
+    with pytest.raises(ProtocolError, match="permutations"):
+        answer_queries(odd, symbols[:, :6])
 
 
 def test_decode_cancels_side_information():
