@@ -57,16 +57,32 @@ def parse_mu(text: str) -> Fraction:
     return mu
 
 
+def _exact(value: Fraction) -> str:
+    """``str(value)``, refused in one line past Python's digit limit.
+
+    Python will not convert an int of more digits than
+    ``sys.get_int_max_str_digits()`` to text; exact costs reach that at
+    large K and N.  Callers format every value before writing any.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(
+            f"exact value has more than {sys.get_int_max_str_digits()} digits, "
+            f"too many to print; lower --k or --n"
+        ) from None
+
+
 def _fmt(value) -> str:
     if isinstance(value, Fraction):
-        return str(value)
+        return _exact(value)
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
 
 
 def _print_value(label: str, value: Fraction) -> None:
-    print(f"{label} = {value} ≈ {float(value):.6f}")
+    print(f"{label} = {_exact(value)} ≈ {float(value):.6f}")
 
 
 @dataclass

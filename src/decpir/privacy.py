@@ -2,12 +2,16 @@
 
 Structural invariance (one query histogram, shared by every store, that is
 the same for every desired file) is exact and checked on ``plan.segment(0)``,
-each desired file's first session.  The distributional check runs many
-independent sessions per desired file, bins each store's transcript by a
-canonical key, and applies a two-sample chi-square test per (store, file
-pair); the scheme passes when no comparison is significant.  The key sorts
-the queries, so it compares the store-visible query set rather than the
-construction order.
+each desired file's first session; the histogram is the block template's,
+cached per shape and scaled by the block count.  The distributional check
+runs many independent sessions per desired file, bins each store's
+transcript by a canonical key, and applies a two-sample chi-square test per
+(store, file pair); the scheme passes when no comparison is significant.
+The key sorts the queries, so it compares the store-visible query set
+rather than the construction order.  Each comparison is a row of two count
+matrices, and one statistics pass, with one p-value call, takes a batch of
+``K * n`` rows, so a batch is no larger than the count matrix; up to three
+files that is every comparison.
 
 Session ``s`` for desired file ``d`` has seed ``derive_seed(seed, d, s)``.
 The sessions of one desired file run as the equal segments of one plan, as
@@ -19,7 +23,7 @@ session keeps its own seed, so the result does not depend on the chunking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -47,27 +51,50 @@ def two_sample_chisquare(counts_a, counts_b):
     single-support samples have zero degrees of freedom and p-value 1.  The
     terms are summed exactly rounded, so the order of the bins is moot.
     Unequal lengths, a negative count or an empty sample raise ``ValueError``.
+    This is one comparison of :func:`_chisquare_rows`.
+    """
+    a, b = np.asarray(counts_a), np.asarray(counts_b)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("need two count arrays over the same bins")
+    return _chisquare_rows(a[None], b[None])[0]
+
+
+def _chisquare_rows(counts_a, counts_b) -> list[tuple[float, int, float]]:
+    """:func:`two_sample_chisquare` of each row pair of two count matrices.
+
+    ``counts_a`` and ``counts_b`` have one row per comparison and one column
+    per bin.  Python's float power squares each distinct difference, as
+    numpy's square can differ from it in the last bit; the quotients are
+    IEEE divisions either way, and the counts are exact while their
+    products stay below 2**53.  Each row is summed exactly rounded, and every
+    p-value comes from one ``chdtrc`` call.
     """
     from scipy.special import chdtrc  # here, or it dominates `import decpir`
 
-    observed = [np.asarray(counts_a), np.asarray(counts_b)]
-    if observed[0].ndim != 1 or observed[0].shape != observed[1].shape:
-        raise ValueError("need two count arrays over the same bins")
-    observed = np.stack(observed)
+    observed = np.stack([counts_a, counts_b])
     if observed.min(initial=0) < 0:
         raise ValueError("counts must be non-negative")
-    observed = observed[:, observed.any(axis=0)]
-    sizes = observed.sum(axis=1)
+    sizes = observed.sum(axis=2)
     if not sizes.all():
         raise ValueError("each sample needs at least one observation")
-    # Python's float power squares, as numpy's square can differ from it in
-    # the last bit; the counts are exact while their products stay below 2**53.
-    expected = sizes[:, None] * observed.sum(axis=0) / sizes.sum()
-    terms = zip((observed - expected).ravel().tolist(), expected.ravel().tolist())
-    stat = math.fsum(d**2 / e for d, e in terms)
-    df = observed.shape[1] - 1
-    p_value = float(chdtrc(df, stat)) if df > 0 else 1.0
-    return stat, df, p_value
+    # The kept bins, row by row: each comparison's terms are one run.
+    rows, bins = np.nonzero(observed.any(axis=0))
+    observed, kept_sizes = observed[:, rows, bins], sizes[:, rows]
+    expected = kept_sizes * observed.sum(axis=0) / kept_sizes.sum(axis=0)
+    distinct, where = np.unique((observed - expected).ravel(), return_inverse=True)
+    squares = np.array([d**2 for d in distinct.tolist()])
+    terms = (squares[where].reshape(expected.shape) / expected).tolist()
+    kept = np.bincount(rows, minlength=sizes.shape[1])
+    ends = np.cumsum(kept).tolist()
+    stats = [
+        math.fsum(terms[0][start:end] + terms[1][start:end])
+        for start, end in zip([0, *ends], ends)
+    ]
+    dof = kept - 1
+    p_values = np.ones(len(stats))
+    tested = dof > 0
+    p_values[tested] = chdtrc(dof[tested], np.array(stats)[tested])
+    return list(zip(stats, dof.tolist(), p_values.tolist()))
 
 
 def _session_keys(plan: QueryPlan, sessions: int) -> np.ndarray:
@@ -78,11 +105,14 @@ def _session_keys(plan: QueryPlan, sessions: int) -> np.ndarray:
     key its rows sorted, so two sessions get one key exactly when the store
     sees the same set of queries in both.
     """
-    lam, one = plan.num_symbols // sessions, plan.segment(0)
-    # Segment s holds symbols s * lam onwards, so mod lam gives its own indices.
-    local = replace(plan, permutations=plan.permutations % lam).indices + 1
-    digits = local.reshape(plan.num_replicas * sessions, -1)
-    codes = query_codes(one.files, one.orders, digits, lam + 1, plan.num_files)
+    t, lam = plan._template, plan.num_symbols // sessions
+    # Block b reads counters b * block onwards, all of them in the segment
+    # that starts at symbol b * block // lam * lam.
+    starts = np.arange(0, plan.num_symbols, len(t.sources))[:, None]
+    terms = (t.files * plan.num_symbols + t.counters)[:, None, :] + starts
+    digits = np.take(plan.permutations, terms) - (starts // lam * lam - 1)
+    codes = query_codes(t.files, t.orders, digits, lam + 1, plan.num_files)
+    codes = codes.reshape(plan.num_replicas * sessions, -1, codes.shape[-1])
     if codes.shape[-1] == 1:  # one word a row: far cheaper than a lexsort
         return np.sort(codes, axis=1).reshape(len(codes), -1)
     order = np.lexsort(np.moveaxis(codes, -1, 0), axis=-1)
@@ -161,9 +191,10 @@ def transcript_distribution_test(
 
     Keys are binned by ``np.unique``, a plan's worth at a time, into one
     count matrix by (desired file, store) and key, and each store's rows are
-    compared pairwise by :func:`two_sample_chisquare`.  ``permute=False``
-    is the negative control: without per-file permutations transcripts are
-    deterministic and distinguish the desired file, so the test must fail.
+    compared pairwise, every pair as one row of :func:`_chisquare_rows`.
+    ``permute=False`` is the negative control: without per-file permutations
+    transcripts are deterministic and distinguish the desired file, so the
+    test must fail.
     """
     check_instance(num_files, num_replicas, num_symbols)
     if not 0 < significance < 1:
@@ -203,9 +234,18 @@ def transcript_distribution_test(
             pending.append((owner, _session_keys(plan, count)))
 
     counts = _bin_keys(bins, pending, owners)[1].reshape(num_files, num_replicas, -1)
+    pairs = [
+        (store, a, b)
+        for a, b in combinations(range(num_files), 2)
+        for store in range(num_replicas)
+    ]
+    stores, a, b = np.array(pairs).T
     comparisons = []
-    for a, b in combinations(range(num_files), 2):
-        for store in range(num_replicas):
-            stat, df, p = two_sample_chisquare(counts[a, store], counts[b, store])
-            comparisons.append(PairComparison(store, a, b, stat, df, p))
+    # Batches of ``owners`` comparisons: no larger than the count matrix.
+    for lo in range(0, len(pairs), owners):
+        batch = slice(lo, lo + owners)
+        results = _chisquare_rows(
+            counts[a[batch], stores[batch]], counts[b[batch], stores[batch]]
+        )
+        comparisons += [PairComparison(*p, *r) for p, r in zip(pairs[batch], results)]
     return PrivacyTestResult(structural_ok, tuple(comparisons), significance)

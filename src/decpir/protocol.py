@@ -30,7 +30,7 @@ the desired file's permutation.  Sessions of one shape can share a plan as
 segments, each permuted from its own seed and offset by its start, so
 :meth:`QueryPlan.segment` cuts a session back out.  The per-term record
 (files, term counts, each store's symbol indices, the decode table) is
-derived only when read, for transcripts and privacy keys.
+derived only when read, for transcripts and tests.
 """
 
 from __future__ import annotations
@@ -369,7 +369,7 @@ def query_codes(files, orders, digits, base: int, num_files: int) -> np.ndarray:
     rows = np.zeros(np.shape(digits)[:-1] + (len(orders), words * per_word), np.int64)
     rows[..., np.repeat(np.arange(len(orders)), orders), files] = digits
     places = base ** np.arange(per_word, dtype=np.int64)
-    return rows.reshape(rows.shape[:-1] + (words, per_word)) @ places
+    return (rows.reshape(-1, per_word) @ places).reshape(rows.shape[:-1] + (words,))
 
 
 def unique_rows(rows: np.ndarray, **kwargs):
@@ -383,14 +383,27 @@ def structural_privacy_histogram(plan: QueryPlan) -> dict[frozenset, int]:
 
     The histogram is the store-visible request "shape"; every store of the
     plan sees the same one, and by construction it does not depend on which
-    file is desired.
+    file is desired.  Every block repeats the block template's queries, so
+    this is the template's histogram times the block count.
     """
-    files, orders = plan.files, plan.orders
-    codes = query_codes(files, orders, 1, 2, plan.num_files)
+    blocks = plan.blocks
+    if not blocks:
+        return {}
+    shape = (plan.num_replicas, plan.num_files, plan.desired)
+    return {files: count * blocks for files, count in _block_histogram(*shape)}
+
+
+@lru_cache(maxsize=256)
+def _block_histogram(n: int, k: int, desired: int) -> tuple[tuple[frozenset, int], ...]:
+    """The histogram of one block's queries, as (file set, count) pairs."""
+    t = _block_template(n, k, desired)
+    codes = query_codes(t.files, t.orders, 1, 2, k)
     _, first, counts = unique_rows(codes, return_index=True, return_counts=True)
-    ends, sizes = np.cumsum(orders)[first].tolist(), orders[first].tolist()
-    files, counts = files.tolist(), counts.tolist()
-    return {frozenset(files[e - o : e]): c for e, o, c in zip(ends, sizes, counts)}
+    ends, sizes = np.cumsum(t.orders)[first].tolist(), t.orders[first].tolist()
+    files, counts = t.files.tolist(), counts.tolist()
+    return tuple(
+        (frozenset(files[e - o : e]), c) for e, o, c in zip(ends, sizes, counts)
+    )
 
 
 def serialize_transcript(plan: QueryPlan, store: int, sort: bool = False) -> str:

@@ -383,6 +383,30 @@ def test_huge_file_counts_are_refused_naming_k(capsys, argv):
     assert err == "error: --k must be at most 1000, got 20000\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "--k", "1000", "--n", "30", "--mu", "1/2"],
+        ["converse", "--k", "1000", "--n", "30", "--mu", "1/2", "--file-bits", "1"],
+        [
+            "sweep", "--vary", "n", "--k", "1000", "--mu", "1/2",
+            "--start", "29", "--to", "30",
+        ],
+    ],
+)
+def test_exact_values_past_the_digit_limit_are_refused(capsys, tmp_path, argv):
+    # At K = 1000, N = 30 the exact cost has more digits than Python will
+    # convert to text: one line naming the flags, and nothing written.
+    out_path = tmp_path / "out.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out_path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error: exact value has more than ")
+    assert "--k" in err and "--n" in err and err.count("\n") == 1
+
+
 def test_file_count_limit_is_inclusive(capsys):
     assert main(["classical", "--k", "1000", "--n", "2"]) == 0
     assert capsys.readouterr().out.startswith("classical(K=1000, n=2) = ")

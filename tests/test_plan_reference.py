@@ -10,8 +10,13 @@ and the same answer strings.
 the block template over every block, offsetting counters by the block start
 and mapping every term through the permutations; the plan derives its
 record, and answers and decodes block by block, without those tiles.
+
+``coded_histogram`` counts the file sets of a plan's derived ``files`` and
+``orders`` query by query; the structural histogram scales the block
+template's own count instead.
 """
 
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -26,6 +31,7 @@ from decpir.protocol import (
     decode_desired,
     generate_query_plan,
     plan_transcripts,
+    structural_privacy_histogram,
 )
 from decpir.rng import generator
 
@@ -233,3 +239,34 @@ def test_block_wise_plan_matches_tiled_record(n, k, blocks, seed):
             assert part.num_symbols == alone.num_symbols
             for name in ("permutations",) + RECORD:
                 assert np.array_equal(getattr(part, name), getattr(alone, name)), name
+
+
+def coded_histogram(plan):
+    """Each query's file set, counted over the plan's derived record."""
+    ends, files = np.cumsum(plan.orders).tolist(), plan.files.tolist()
+    return dict(
+        Counter(frozenset(files[e - o : e]) for e, o in zip(ends, plan.orders.tolist()))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_template_histogram_matches_the_coded_record(n, k):
+    # Every desired file, segments of 1-3 blocks: each segment's histogram,
+    # and the whole plan's, is the count over its derived record.
+    block = n**k
+    lams = [b * block for b in (1, 2, 3)]
+    for desired in range(k):
+        plan = generate_query_plan(n, k, desired, lams, [7, 8, 9])
+        for part in [plan] + [plan.segment(i) for i in range(len(lams))]:
+            assert structural_privacy_histogram(part) == coded_histogram(part)
+
+
+def test_template_histogram_is_a_fresh_dict_each_call():
+    plan = generate_query_plan(2, 3, 1, 16, 0)
+    first = structural_privacy_histogram(plan)
+    want = dict(first)
+    first[frozenset({0})] += 5
+    first[frozenset({9})] = 1
+    del first[frozenset({1, 2})]
+    assert structural_privacy_histogram(plan) == want == coded_histogram(plan)

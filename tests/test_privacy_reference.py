@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 from scipy.stats import chi2
@@ -140,6 +140,21 @@ def test_keys_are_binned_as_plans_run(monkeypatch):
     assert sum(folded) == 2 * 95 * 2
 
 
+def test_comparisons_are_batched_no_larger_than_the_counts(monkeypatch):
+    # K=4, n=2: 12 comparisons over 8 count rows run as batches of 8 and 4,
+    # so the batch matrices never outgrow the count matrix.
+    batches = []
+    chisquare_rows = privacy._chisquare_rows
+
+    def spy(counts_a, counts_b):
+        batches.append(len(counts_a))
+        return chisquare_rows(counts_a, counts_b)
+
+    monkeypatch.setattr(privacy, "_chisquare_rows", spy)
+    assert_matches_reference(4, 2, 16, 40, 6, True)
+    assert batches == [8, 4]
+
+
 def test_one_plan_per_desired_file(monkeypatch):
     # K=3, n=3, two blocks, 50 sessions: each desired file's sessions fit
     # in one plan.
@@ -208,6 +223,49 @@ def test_array_chisquare_equals_the_dict_loop(bins):
     dict_b = {i: int(c) for i, c in enumerate(b) if c}
     got = two_sample_chisquare(a, b)
     assert repr(got) == repr(dict_loop_chisquare(dict_a, dict_b))
+
+
+@st.composite
+def count_matrices(draw):
+    """Two (rows, bins) count matrices; each row of each has an observation."""
+    rows, bins = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    row = st.lists(st.integers(0, 300) | st.just(0), min_size=bins, max_size=bins)
+    counts = st.lists(row.filter(any), min_size=rows, max_size=rows)
+    return np.array(draw(counts)), np.array(draw(counts))
+
+
+@given(count_matrices())
+@example((np.array([[15, 2, 0], [2, 22, 25]]), np.array([[2, 11, 0], [12, 37, 6]])))
+def test_batched_chisquare_equals_the_dict_loop_row_by_row(matrices):
+    # Unequal sample sizes and bins empty in one row or both, in different
+    # places per row: every row's result is the dict loop's to the last bit.
+    # Both rows of the example sum to another statistic if numpy squares.
+    a, b = matrices
+    got = privacy._chisquare_rows(a, b)
+    assert len(got) == len(a)
+    for row, (row_a, row_b) in zip(got, zip(a, b)):
+        dict_a = {i: int(c) for i, c in enumerate(row_a) if c}
+        dict_b = {i: int(c) for i, c in enumerate(row_b) if c}
+        assert repr(row) == repr(dict_loop_chisquare(dict_a, dict_b))
+        assert repr(row) == repr(two_sample_chisquare(row_a, row_b))
+
+
+@pytest.mark.parametrize(
+    "bad_a, bad_b, match",
+    [
+        ([1, -1, 3], [1, 2, 3], "non-negative"),
+        ([0, 0, 0], [3, 4, 0], "at least one observation"),
+        ([3, 4, 5], [0, 0, 0], "at least one observation"),
+    ],
+)
+def test_batched_chisquare_refuses_as_the_single_comparison(bad_a, bad_b, match):
+    # One malformed row among good ones: the batch refuses with the error
+    # the single comparison raises on that row.
+    good = [[5, 0, 7], [2, 2, 2]]
+    with pytest.raises(ValueError, match=match):
+        two_sample_chisquare(np.array(bad_a), np.array(bad_b))
+    with pytest.raises(ValueError, match=match):
+        privacy._chisquare_rows(np.array([*good, bad_a]), np.array([*good, bad_b]))
 
 
 @pytest.mark.parametrize("permute", [True, False])
