@@ -2,8 +2,11 @@
 """How fast the simulated mean download cost approaches the formula.
 
 Runs the K=3, N=2, mu=1/3 Monte Carlo at growing file sizes and prints the
-relative gap to 184/81.  The per-partition padding overhead is the o(L)
-term: it shrinks roughly like 1/L.
+relative gap to 184/81.  Most of the finite-L gap is imbalance, not padding:
+a storage set costs by its longest file, and the excess over its files' mean
+length shrinks only like 1/sqrt(L) per bit (about 0.0166 L at L = 9000),
+while padding to whole blocks shrinks like 1/L (about 0.0035 L there).  The
+"ideal gap" column leaves the padding out, so it still holds the imbalance.
 """
 
 import argparse

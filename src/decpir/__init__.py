@@ -53,7 +53,6 @@ from .protocol import (
     decode_desired,
     generate_query_plan,
     plan_transcripts,
-    serialize_transcript,
     structural_privacy_histogram,
 )
 from .retrieval import (

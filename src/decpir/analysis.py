@@ -97,36 +97,22 @@ class CentralizedEnvelope:
 
     Corner ``t`` (0..N) stores ``t/N`` of the corpus per database and costs
     ``capacity_classical(K, t+1)``; arbitrary ratios are served by the lower
-    convex envelope through the corners.
+    convex envelope, which is the corners themselves: ``1/n**m`` is strictly
+    convex in ``n``, so for ``K >= 2`` no corner lies on the chord of its
+    neighbours or above it, and for ``K = 1`` every corner costs 1.
     """
 
     num_files: int
     num_dbs: int
     corners: tuple[tuple[Fraction, Fraction], ...]
-    hull: tuple[tuple[Fraction, Fraction], ...]
 
     def evaluate(self, mu):
         if not 0 <= mu <= 1:
             raise ValueError(f"storage ratio must lie in [0, 1], got {mu}")
-        # the hull runs from x=0 to x=1 with strictly increasing x
-        i = max(1, bisect_left(self.hull, mu, key=itemgetter(0)))
-        (x0, y0), (x1, y1) = self.hull[i - 1], self.hull[i]
+        # the corners run from x=0 to x=1 with strictly increasing x
+        i = max(1, bisect_left(self.corners, mu, key=itemgetter(0)))
+        (x0, y0), (x1, y1) = self.corners[i - 1], self.corners[i]
         return y0 + (y1 - y0) * (mu - x0) / (x1 - x0)
-
-    __call__ = evaluate
-
-
-def _lower_hull(points):
-    hull: list = []
-    for p in points:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            # pop hull[-1] unless the path turns strictly counterclockwise
-            if (x1 - x0) * (p[1] - y0) - (p[0] - x0) * (y1 - y0) > 0:
-                break
-            hull.pop()
-        hull.append(p)
-    return tuple(hull)
 
 
 @lru_cache(maxsize=256)
@@ -137,7 +123,7 @@ def centralized_envelope(num_files: int, num_dbs: int) -> CentralizedEnvelope:
         (Fraction(t, num_dbs), capacity_classical(num_files, t + 1))
         for t in range(num_dbs + 1)
     )
-    return CentralizedEnvelope(num_files, num_dbs, corners, _lower_hull(corners))
+    return CentralizedEnvelope(num_files, num_dbs, corners)
 
 
 @dataclass(frozen=True)
@@ -289,6 +275,10 @@ def expected_converse_bound(
 # Minimization of the expected bound over feasible marginal profiles.
 # ---------------------------------------------------------------------------
 
+# A descent stops after this many steps or at this projected-gradient norm.
+_MAX_ITER = 100_000
+_GRAD_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class BoundMinimization:
@@ -372,8 +362,6 @@ def minimize_expected_bound(
     file_len: int,
     restarts: int = 20,
     seed: int = 0,
-    max_iter: int = 100_000,
-    grad_tol: float = 1e-10,
 ) -> BoundMinimization:
     """Minimize the expected bound over feasible marginal profiles.
 
@@ -402,8 +390,8 @@ def minimize_expected_bound(
     def descend(start: np.ndarray) -> tuple[np.ndarray, float, float, bool, int]:
         p = project_capped_simplex(start, budget)
         value, grad = f_grad(p)
-        for it in range(max_iter):
-            if _pg_norm(p, grad, budget) <= grad_tol:
+        for it in range(_MAX_ITER):
+            if _pg_norm(p, grad, budget) <= _GRAD_TOL:
                 return p, value, _pg_norm(p, grad, budget), True, it
             step = 1.0
             accepted = False
@@ -422,7 +410,7 @@ def minimize_expected_bound(
                 # numerically stationary: no measurable progress possible
                 return p, value, _pg_norm(p, grad, budget), True, it
             p, value, grad = cand, cand_value, cand_grad
-        return p, value, _pg_norm(p, grad, budget), False, max_iter
+        return p, value, _pg_norm(p, grad, budget), False, _MAX_ITER
 
     starts = [uniform] + [rng.random(dim) for _ in range(restarts)]
     best = None

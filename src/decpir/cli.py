@@ -29,7 +29,7 @@ from .errors import BudgetViolation, InvariantViolation, ProtocolError, Reliabil
 from .model import partition_by_storage_set
 from .placement import PlacementPolicy, UniformRandomPlacement, policy_from_dict
 from .privacy import check_instance, transcript_distribution_test
-from .retrieval import DEFAULT_DOWNLOAD_CAP, simulate_trials
+from .retrieval import DOWNLOAD_CAP, simulate_trials
 from .rng import derive_seed
 from .placement import sample_placement
 
@@ -334,10 +334,10 @@ def cmd_privacy_test(args) -> int:
     check_instance(args.k, args.n, args.file_bits)
     # One bit per query: what the sessions of all K desired files download.
     bits = args.k * args.sessions * args.file_bits * capacity_classical(args.k, args.n)
-    if bits > DEFAULT_DOWNLOAD_CAP:
+    if bits > DOWNLOAD_CAP:
         raise ValueError(
             f"privacy test too large: its sessions would download more than "
-            f"the {DEFAULT_DOWNLOAD_CAP}-bit cap"
+            f"the {DOWNLOAD_CAP}-bit cap"
         )
     result = transcript_distribution_test(
         args.k,

@@ -58,10 +58,6 @@ class FileStore:
         if self.bits.dtype != np.uint8 or (self.bits > 1).any():
             raise ValueError("file bits must be uint8 values in {0, 1}")
 
-    @property
-    def total_bits(self) -> int:
-        return self.num_files * self.file_len
-
 
 def build_file_store(num_files: int, file_len: int, seed: int) -> FileStore:
     """Generate a pseudo-random corpus, identical for identical arguments."""

@@ -1,17 +1,17 @@
 """Statistical indistinguishability testing of retrieval transcripts.
 
 Structural invariance (one query histogram, shared by every store, that is
-the same for every desired file) is exact and checked on ``plan.segment(0)``,
-each desired file's first session; the histogram is the block template's,
-cached per shape and scaled by the block count.  The distributional check
-runs many independent sessions per desired file, bins each store's
-transcript by a canonical key, and applies a two-sample chi-square test per
-(store, file pair); the scheme passes when no comparison is significant.
-The key sorts the queries, so it compares the store-visible query set
-rather than the construction order.  Each comparison is a row of two count
-matrices, and one statistics pass, with one p-value call, takes a batch of
-``K * n`` rows, so a batch is no larger than the count matrix; up to three
-files that is every comparison.
+the same for every desired file) is exact and checked on each desired file's
+first plan; those plans hold equally many sessions of equal length, and the
+histogram is the block template's, cached per shape and scaled by the block
+count.  The distributional check runs many independent sessions per desired
+file, bins each store's transcript by a canonical key, and applies a
+two-sample chi-square test per (store, file pair); the scheme passes when no
+comparison is significant.  The key sorts the queries, so it compares the
+store-visible query set rather than the construction order.  Each
+comparison is a row of two count matrices, and one statistics pass, with one
+p-value call, takes a batch of ``K * n`` rows, so a batch is no larger than
+the count matrix; up to three files that is every comparison.
 
 Session ``s`` for desired file ``d`` has seed ``derive_seed(seed, d, s)``.
 The sessions of one desired file run as the equal segments of one plan, as
@@ -108,7 +108,7 @@ def _session_keys(plan: QueryPlan, sessions: int) -> np.ndarray:
     t, lam = plan._template, plan.num_symbols // sessions
     # Block b reads counters b * block onwards, all of them in the segment
     # that starts at symbol b * block // lam * lam.
-    starts = np.arange(0, plan.num_symbols, len(t.sources))[:, None]
+    starts = np.arange(0, plan.num_symbols, plan.block)[:, None]
     terms = (t.files * plan.num_symbols + t.counters)[:, None, :] + starts
     digits = np.take(plan.permutations, terms) - (starts // lam * lam - 1)
     codes = query_codes(t.files, t.orders, digits, lam + 1, plan.num_files)
@@ -225,7 +225,7 @@ def transcript_distribution_test(
                 permute=permute,
             )
             if first == 0:
-                hist = structural_privacy_histogram(plan.segment(0))
+                hist = structural_privacy_histogram(plan)
                 if reference is None:
                     reference = hist
                 elif hist != reference:

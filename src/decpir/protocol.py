@@ -27,17 +27,16 @@ query's template terms for all blocks and all stores at once, giving the
 ``(n, queries)`` answer matrix, block-major; decoding reads each desired
 counter's answer and side answer the same way and scatters them through
 the desired file's permutation.  Sessions of one shape can share a plan as
-segments, each permuted from its own seed and offset by its start, so
-:meth:`QueryPlan.segment` cuts a session back out.  The per-term record
-(files, term counts, each store's symbol indices, the decode table) is
-derived only when read, for transcripts and tests.
+segments, each permuted from its own seed and offset by its start.  The
+only view derived from the template and the permutations is the text of
+each store's queries, :func:`plan_transcripts`.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
@@ -54,11 +53,7 @@ class QueryPlan:
     ``permutations[j, c]`` is where counter ``c`` of file ``j`` sits in the
     symbol array; block ``b`` repeats the block template over counters
     ``b * n**K`` onwards, and segment ``i`` holds symbols
-    ``segment_starts[i]`` to ``segment_starts[i + 1]``.  Derived when read:
-    query ``q`` covers the next ``orders[q]`` terms at every store, term
-    files ``files`` (ascending within a query) and store ``d``'s symbol
-    indices ``indices[d]``; ``sources[c]`` is the ``(db, query, side db,
-    side query)`` row decoding desired counter ``c`` (-1, -1: no side sum).
+    ``segment_starts[i]`` to ``segment_starts[i + 1]``.
     """
 
     num_replicas: int
@@ -73,8 +68,12 @@ class QueryPlan:
         return _block_template(self.num_replicas, self.num_files, self.desired)
 
     @property
+    def block(self) -> int:
+        return self.num_replicas**self.num_files
+
+    @property
     def blocks(self) -> int:
-        return self.num_symbols // len(self._template.sources)
+        return self.num_symbols // self.block
 
     @property
     def total_queries(self) -> int:
@@ -82,54 +81,25 @@ class QueryPlan:
 
     def query_starts(self) -> np.ndarray:
         """Each segment's first query number at every store, then the total."""
-        t = self._template
-        return np.array(self.segment_starts) // len(t.sources) * len(t.orders)
-
-    def segment(self, i: int) -> QueryPlan:
-        """Segment ``i`` as the plan of its own session, as generated alone."""
-        a, b = self.segment_starts[i : i + 2]
-        shape = (self.num_replicas, self.num_files, self.desired)
-        return QueryPlan(*shape, b - a, self.permutations[:, a:b] - a, (0, b - a))
-
-    @cached_property
-    def files(self) -> np.ndarray:
-        return np.tile(self._template.files, self.blocks)
-
-    @cached_property
-    def orders(self) -> np.ndarray:
-        return np.tile(self._template.orders, self.blocks)
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        t, blocks = self._template, np.arange(self.blocks)[:, None]
-        counters = t.counters[:, None, :] + blocks * len(t.sources)
-        return self.permutations[t.files, counters].reshape(self.num_replicas, -1)
-
-    @cached_property
-    def sources(self) -> np.ndarray:
-        # Each block adds its first query number to the query columns in use.
-        t, blocks = self._template, np.arange(self.blocks)[:, None, None]
-        steps = (t.sources >= 0) * np.array((0, 1, 0, 1)) * len(t.orders)
-        return (t.sources + blocks * steps).reshape(-1, 4)
+        return np.array(self.segment_starts) // self.block * len(self._template.orders)
 
 
 class _BlockTemplate(NamedTuple):
     """The plan for one block of counters, ``n**K`` per file.
 
     Every store gets the same query shapes, so ``files`` and ``orders`` are
-    shared; ``counters[d]`` holds store ``d``'s term counters and
-    ``sources`` the block's decode table.  Laid out to answer and decode all
-    blocks at once: ``terms[w, d, q]`` is the ``file * n**K + counter`` row
-    of term ``w`` of store ``d``'s query ``q``, or past the query's last term
-    the zero row ``K * n**K``; desired counter ``c`` is decoded from answer
-    rows ``direct[c]`` and ``side[c]``, each ``db * queries + query``, the
-    side the zero row ``n * queries`` for singletons.
+    shared; ``counters[d]`` holds store ``d``'s term counters.  Laid out to
+    answer and decode all blocks at once: ``terms[w, d, q]`` is the
+    ``file * n**K + counter`` row of term ``w`` of store ``d``'s query ``q``,
+    or past the query's last term the zero row ``K * n**K``; desired counter
+    ``c`` is decoded from answer rows ``direct[c]`` and ``side[c]``, each
+    ``db * queries + query``, the side the zero row ``n * queries`` for
+    singletons.
     """
 
     files: np.ndarray
     counters: np.ndarray
     orders: np.ndarray
-    sources: np.ndarray
     terms: np.ndarray
     direct: np.ndarray
     side: np.ndarray
@@ -214,7 +184,7 @@ def _block_template(n: int, k: int, desired: int) -> _BlockTemplate:
     direct = sources[:, 0] * queries + sources[:, 1]
     side = sources[:, 2] * queries + sources[:, 3]
     side[sources[:, 2] < 0] = n * queries
-    arrays = (files, counters_of, orders, sources, terms, direct, side)
+    arrays = (files, counters_of, orders, terms, direct, side)
     return _BlockTemplate(*(_read_only(np.asarray(a, dtype=np.int64)) for a in arrays))
 
 
@@ -308,7 +278,7 @@ def answer_queries(plan: QueryPlan, symbols: np.ndarray) -> np.ndarray:
             f"expected a {k} x {lam} symbol matrix, got shape {symbols.shape}"
         )
     t, perms = plan._template, plan.permutations
-    block, blocks = len(t.sources), plan.blocks
+    block, blocks = plan.block, plan.blocks
     if perms.shape != (k, blocks * block) or perms.size and (
         perms.min() < 0 or perms.max() >= lam
     ):
@@ -352,7 +322,7 @@ def decode_desired(plan: QueryPlan, answers: np.ndarray) -> np.ndarray:
         n, blocks, queries
     ).transpose(0, 2, 1)
     out = np.empty(plan.num_symbols, dtype=np.uint8)
-    where = plan.permutations[plan.desired].reshape(blocks, len(t.sources)).T
+    where = plan.permutations[plan.desired].reshape(blocks, plan.block).T
     out[where] = by_query[t.direct] ^ by_query[t.side]
     return out
 
@@ -363,13 +333,14 @@ def query_codes(files, orders, digits, base: int, num_files: int) -> np.ndarray:
     Term ``t`` puts ``digits[..., t]`` (1 to ``base - 1``) at its file's
     place, absent files 0; a word holds as many places as stay below
     ``2**63``, so no code wraps.  Shape: ``digits.shape[:-1] + (queries, words)``.
+    Each word sums its weighted digits over each query's own terms.
     """
     per_word = min(63 // (base - 1).bit_length(), num_files)
-    words = -(-num_files // per_word)
-    rows = np.zeros(np.shape(digits)[:-1] + (len(orders), words * per_word), np.int64)
-    rows[..., np.repeat(np.arange(len(orders)), orders), files] = digits
-    places = base ** np.arange(per_word, dtype=np.int64)
-    return (rows.reshape(-1, per_word) @ places).reshape(rows.shape[:-1] + (words,))
+    word, place = np.divmod(np.asarray(files), per_word)
+    weighted = np.multiply(digits, np.int64(base) ** place)
+    starts, words = np.cumsum(orders) - orders, range(-(-num_files // per_word))
+    codes = [np.add.reduceat(weighted * (word == w), starts, axis=-1) for w in words]
+    return np.stack(codes, axis=-1)
 
 
 def unique_rows(rows: np.ndarray, **kwargs):
@@ -406,22 +377,22 @@ def _block_histogram(n: int, k: int, desired: int) -> tuple[tuple[frozenset, int
     )
 
 
-def serialize_transcript(plan: QueryPlan, store: int, sort: bool = False) -> str:
-    """Canonical text form of store ``store``'s queries, one query per line.
-
-    Terms are ``file:index`` separated by spaces.  Queries appear in
-    generation order (the wire/golden-file format); with ``sort=True`` the
-    lines are sorted, which drops the ordering and is the store-visible view
-    used for distribution testing.
-    """
-    files, indices = plan.files.tolist(), plan.indices[store].tolist()
-    terms = [f"{f}:{i}" for f, i in zip(files, indices)]
-    bounds = list(accumulate(plan.orders.tolist(), initial=0))
-    lines = [" ".join(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return "\n".join(sorted(lines) if sort else lines)
-
-
 def plan_transcripts(plan: QueryPlan, sort: bool = False) -> tuple[str, ...]:
-    return tuple(
-        serialize_transcript(plan, d, sort=sort) for d in range(plan.num_replicas)
-    )
+    """Canonical text form of every store's queries, one query per line.
+
+    Entry ``d`` is store ``d``'s; terms are ``file:index`` separated by
+    spaces.  Queries appear in generation order (the wire/golden-file
+    format); with ``sort=True`` the lines are sorted, which drops the
+    ordering and is the store-visible view used for distribution testing.
+    """
+    t, blocks = plan._template, plan.blocks
+    files = np.tile(t.files, blocks)
+    counters = t.counters[:, None, :] + np.arange(blocks)[:, None] * plan.block
+    indices = plan.permutations[files, counters.reshape(plan.num_replicas, -1)]
+    bounds = list(accumulate(np.tile(t.orders, blocks).tolist(), initial=0))
+    files, out = files.tolist(), []
+    for row in indices.tolist():
+        terms = [f"{f}:{i}" for f, i in zip(files, row)]
+        lines = [" ".join(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
+        out.append("\n".join(sorted(lines) if sort else lines))
+    return tuple(out)

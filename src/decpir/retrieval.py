@@ -52,7 +52,7 @@ from .rng import derive_seed, derive_seeds
 
 # Refuse sessions that would download more than this many bits; the padded
 # block size (|S| ** K) makes large K with large sets explode at desk scale.
-DEFAULT_DOWNLOAD_CAP = 50_000_000
+DOWNLOAD_CAP = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,10 @@ class CostReport:
     """Downloaded-bit accounting for one retrieval.
 
     ``total`` charges every answer bit including padding overhead; ``ideal``
-    removes the padding-induced overage (what the same partition would cost
-    at exactly its raw subfile lengths) for comparison with the asymptotic
+    leaves the padding out, but above the realization bound it still holds
+    the imbalance ``sum_S c(|S|) * (max_j l_{S,j} - mean_j l_{S,j})`` over
+    sets of two or more nodes, ``c = capacity_classical(K, .)``: that term
+    falls like ``1/sqrt(L)`` per bit and is most of the finite-L gap to the
     formula.  ``per_node[d]`` counts the bits downloaded from node ``d``
     (0 is the data center, ``d >= 1`` database ``d``); ``per_partition``
     counts them per storage set, keyed by the set's sorted node tuple.
@@ -86,8 +88,8 @@ class RetrievalResult:
     report: CostReport
 
 
-def _size_groups(partition: StorageSetPartition, download_cap: int) -> list:
-    """Runs of equal-size storage sets, refusing downloads above the cap.
+def _size_groups(partition: StorageSetPartition) -> list:
+    """Runs of equal-size storage sets, with each set's padded length.
 
     Returns ``(size, first, end, blocks)`` per run of sets ``first .. end - 1``
     in canonical order, where ``blocks[i]`` is set ``first + i``'s padded
@@ -100,24 +102,15 @@ def _size_groups(partition: StorageSetPartition, download_cap: int) -> list:
     sizes = partition.sizes
     max_lens = partition.lengths().max(axis=1)
     bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
-    groups, estimate = [], 0
+    groups = []
     for first, end in zip(bounds[:-1], bounds[1:]):
         size = int(sizes[first])
         if size == 1:
             groups.append((size, first, end, None))
-            estimate += int(partition.starts[k])
             continue
-        # max_len <= L, so a block longer than a file holds any set in one;
-        # the estimate stays a Python int however large the block.
-        block = size**k
-        blocks = -(-max_lens[first:end] // min(block, length))
-        estimate += k * block * int(blocks.sum())
+        # max_len <= L, so a block longer than a file holds any set in one.
+        blocks = -(-max_lens[first:end] // min(size**k, length))
         groups.append((size, first, end, blocks))
-    if estimate > download_cap:
-        raise ValueError(
-            "estimated download exceeds the cap; padded block sizes grow as "
-            "|S|**K, so shrink K, N, or the storage ratio"
-        )
     return groups
 
 
@@ -127,14 +120,14 @@ def retrieve_file(
     desired: int,
     seed: int,
     partition: Optional[StorageSetPartition] = None,
-    download_cap: int = DEFAULT_DOWNLOAD_CAP,
 ) -> RetrievalResult:
     """Privately retrieve file ``desired`` and account every downloaded bit.
 
     Raises ``ValueError`` if the store, realization and ``partition`` do not
-    share one shape (K, L and, for the partition, N), and
-    :class:`ReliabilityError` if the reassembled file differs from the
-    source (never expected for a valid realization).
+    share one shape (K, L and, for the partition, N) or the download would
+    exceed :data:`DOWNLOAD_CAP` bits, and :class:`ReliabilityError` if the
+    reassembled file differs from the source (never expected for a valid
+    realization).
     """
     k, length = store.num_files, store.file_len
     if (realization.num_files, realization.file_len) != (k, length):
@@ -146,7 +139,17 @@ def retrieve_file(
     shape = (realization.num_files, realization.file_len, realization.num_dbs)
     if (partition.num_files, partition.file_len, partition.num_dbs) != shape:
         raise ValueError("partition and realization disagree on K, L or N")
-    groups = _size_groups(partition, download_cap)
+    groups = _size_groups(partition)
+    # The estimate stays a Python int however large the block.
+    estimate = sum(
+        int(partition.starts[k]) if blocks is None else k * size**k * int(blocks.sum())
+        for size, _, _, blocks in groups
+    )
+    if estimate > DOWNLOAD_CAP:
+        raise ValueError(
+            "estimated download exceeds the cap; padded block sizes grow as "
+            "|S|**K, so shrink K, N, or the storage ratio"
+        )
 
     recovered = np.zeros(length, dtype=np.uint8)
     # charged[i]: the bits downloaded from each node of storage set i.
@@ -280,7 +283,6 @@ def simulate_trials(
     policy: PlacementPolicy,
     trials: int,
     seed: int,
-    download_cap: int = DEFAULT_DOWNLOAD_CAP,
 ) -> SimulationResult:
     """Independent (placement, retrieval) trials with the desired file cycled.
 
@@ -307,7 +309,6 @@ def simulate_trials(
                 desired,
                 derive_seed(trial_seed, 2),
                 partition=partition,
-                download_cap=download_cap,
             ).report
         except ReliabilityError as exc:
             raise ReliabilityError(f"trial {t}: {exc}") from exc

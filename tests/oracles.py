@@ -4,9 +4,12 @@
 import this one as ``oracles`` under either import mode.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+
+from decpir.protocol import _block_template
 
 
 def converse_bound_k3n2(partition) -> Fraction:
@@ -41,13 +44,51 @@ def converse_bound_k3n2(partition) -> Fraction:
     )
 
 
+def segment(plan, i):
+    """Segment ``i`` of ``plan`` as the plan of its own session, as generated alone."""
+    a, b = plan.segment_starts[i : i + 2]
+    perms, lam = plan.permutations[:, a:b] - a, b - a
+    return replace(plan, num_symbols=lam, permutations=perms, segment_starts=(0, lam))
+
+
+def tiled_record(plan):
+    """``files``, ``indices``, ``orders`` and ``sources`` by tiling the template.
+
+    The block template is repeated over every block: counters offset by the
+    block start and mapped through the permutations, so ``indices[d]`` holds
+    store ``d``'s symbol indices.  ``sources[c]`` is the ``(db, query, side
+    db, side query)`` row decoding desired counter ``c`` (-1, -1: no side
+    sum), read back from the answer rows ``direct``/``side`` that
+    :func:`decpir.protocol.decode_desired` reads, query numbers offset by
+    the queries of the blocks before.
+    """
+    n = plan.num_replicas
+    t = _block_template(n, plan.num_files, plan.desired)
+    queries, blocks = len(t.orders), plan.blocks
+    b = np.arange(blocks)[:, None]
+    files = np.tile(t.files, blocks)
+    counters = (t.counters[:, None, :] + b * plan.block).reshape(n, -1)
+    db, q = np.divmod(t.direct, queries)
+    side_db, side_q = np.divmod(t.side, queries)
+    linked = side_db < n  # the zero row ``n * queries`` marks a singleton
+    columns = (
+        db,
+        q + b * queries,
+        np.where(linked, side_db, -1),
+        np.where(linked, side_q + b * queries, -1),
+    )
+    sources = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, 4)
+    return files, plan.permutations[files, counters], np.tile(t.orders, blocks), sources
+
+
 def store_view(plan, d):
     """Store ``d``'s queries as ``(files, indices, orders)`` flat term arrays.
 
     Query ``q`` covers the next ``orders[q]`` terms; the files and counts are
     the same at every store, the indices are store ``d``'s own.
     """
-    return plan.files, plan.indices[d], plan.orders
+    files, indices, orders, _ = tiled_record(plan)
+    return files, indices[d], orders
 
 
 def xor_answers(plan, symbols):

@@ -27,7 +27,7 @@ from decpir.protocol import generate_query_plan, structural_privacy_histogram
 from decpir.retrieval import retrieve_file, simulate_trials
 from decpir.rng import derive_seed
 
-from oracles import converse_bound_k3n2, store_view
+from oracles import converse_bound_k3n2, store_view, tiled_record
 
 
 @contextmanager
@@ -94,7 +94,8 @@ def test_criterion_2_protocol_count_identities():
                 assert plan.total_queries == block * sum(
                     Fraction(1, n**m) for m in range(k)
                 )
-                assert len(plan.sources) == block == n * n ** (k - 1)
+                assert len(tiled_record(plan)[3]) == plan.block == block
+                assert block == n * n ** (k - 1)
 
 
 def test_criterion_3_reliability_1000_trials():

@@ -44,6 +44,23 @@ def ref_capacity_decentralized(k, n_dbs, mu):
     return total
 
 
+def ref_hull(points):
+    """Lower convex hull of points sorted by x: Andrew's monotone chain.
+
+    A point stays only where the path turns strictly counterclockwise, so
+    collinear points drop out.
+    """
+    hull = []
+    for x, y in points:
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (y - y0) - (x - x0) * (y1 - y0) > 0:
+                break
+            hull.pop()
+        hull.append((x, y))
+    return tuple(hull)
+
+
 def ref_envelope_evaluate(hull, mu):
     for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
         if x0 <= mu <= x1:
@@ -96,12 +113,24 @@ def test_capacity_matches_reference_on_figure_grid():
                 assert_same(capacity_decentralized(k, n, mu), ref_capacity_decentralized(k, n, mu))
 
 
+def test_envelope_corners_are_their_lower_hull():
+    # capacity_classical(K, n) is strictly convex in n for K >= 2, so no
+    # corner lies on or above the chord of its neighbours.
+    for k in range(2, 13):
+        for n in range(1, 31):
+            corners = centralized_envelope(k, n).corners
+            assert ref_hull(corners) == corners
+
+
 def test_envelope_matches_reference_on_figure_grid():
-    for k in (1, 2, 5, 10):
+    # Through the hull of the corners, K = 1 included: there every corner
+    # costs 1 and the hull keeps only the two ends.
+    for k in range(1, 13):
         for n in range(1, 31):
             env = centralized_envelope(k, n)
+            hull = ref_hull(env.corners)
             for mu in GRID_MU + [0.0, 0.35, 1.0]:
-                assert_same(env.evaluate(mu), ref_envelope_evaluate(env.hull, mu))
+                assert_same(env.evaluate(mu), ref_envelope_evaluate(hull, mu))
 
 
 def test_expected_bound_matches_reference_on_figure_grid():

@@ -1,6 +1,5 @@
 """Data model tests: corpus generation, cache realizations, partitions."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +31,6 @@ def test_file_store_is_deterministic():
 def test_file_store_size_contract():
     store = build_file_store(3, 8, seed=1)
     assert store.bits.shape == (3, 8)
-    assert store.total_bits == 24
     assert set(np.unique(store.bits)) <= {0, 1}
 
 
@@ -90,7 +88,7 @@ def test_partition_full_replication():
     part = partition_by_storage_set(real)
     assert set(part.entries) == {frozenset({0, 1, 2, 3})}
     assert part.lengths().tolist() == [[6, 6]]
-    [(size, _, _, blocks)] = _size_groups(part, math.inf)
+    [(size, _, _, blocks)] = _size_groups(part)
     assert size == 4 and (blocks[0] * size**2) % 4**2 == 0
 
 
@@ -99,7 +97,7 @@ def test_partition_empty_caches():
     part = partition_by_storage_set(real)
     assert set(part.entries) == {frozenset({0})}
     assert part.lengths().tolist() == [[6, 6]]
-    [(size, _, _, blocks)] = _size_groups(part, math.inf)
+    [(size, _, _, blocks)] = _size_groups(part)
     assert size == 1 and blocks is None
 
 
@@ -168,7 +166,7 @@ def test_partition_padding_invariant(k, length, n, mu_num, seed):
     real = _uniform_realization(k, length, n, Fraction(mu_num, 4), seed)
     part = partition_by_storage_set(real)
     max_lens = part.lengths().max(axis=1).tolist()
-    for size, first, end, blocks in _size_groups(part, math.inf):
+    for size, first, end, blocks in _size_groups(part):
         if size == 1:
             assert blocks is None
             continue

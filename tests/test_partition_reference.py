@@ -8,7 +8,6 @@ the same positions, and the padded lengths retrieval's one padding rule
 (:func:`decpir.retrieval._size_groups`) gives must equal the reference's.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +48,7 @@ def assert_matches_reference(realization):
     assert list(part.entries) == [s for s, _ in ref]
     assert len(part.entries) == len(part.sizes)
     padded_lens = []
-    for size, first, end, blocks in _size_groups(part, math.inf):
+    for size, first, end, blocks in _size_groups(part):
         assert part.sizes[first:end].tolist() == [size] * (end - first)
         if blocks is None:
             padded_lens += [None] * (end - first)

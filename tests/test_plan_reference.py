@@ -6,14 +6,15 @@ permutations :func:`generate_query_plan` draws.  The array plan must give the
 same transcripts (in generation order and sorted), the same decode sources
 and the same answer strings.
 
-``tiled_record`` builds a plan's per-term record the direct way, by tiling
-the block template over every block, offsetting counters by the block start
-and mapping every term through the permutations; the plan derives its
-record, and answers and decodes block by block, without those tiles.
+``oracles.tiled_record`` builds a plan's per-term record the direct way, by
+tiling the block template over every block, offsetting counters by the block
+start and mapping every term through the permutations, with the decode
+sources read back from the table the decoder uses; the plan answers and
+decodes block by block, and renders its transcripts, without those tiles.
 
-``coded_histogram`` counts the file sets of a plan's derived ``files`` and
-``orders`` query by query; the structural histogram scales the block
-template's own count instead.
+``coded_histogram`` counts the file sets of the tiled record query by
+query; the structural histogram scales the block template's own count
+instead.
 """
 
 from collections import Counter
@@ -23,10 +24,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import store_view, xor_answers
+from oracles import segment, store_view, tiled_record, xor_answers
 
 from decpir.protocol import (
-    _block_template,
     answer_queries,
     decode_desired,
     generate_query_plan,
@@ -34,28 +34,6 @@ from decpir.protocol import (
     structural_privacy_histogram,
 )
 from decpir.rng import generator
-
-RECORD = ("files", "indices", "orders", "sources")
-
-
-def tiled_record(plan):
-    """``files``, ``indices``, ``orders`` and ``sources`` by tiling the template."""
-    n = plan.num_replicas
-    t = _block_template(n, plan.num_files, plan.desired)
-    block = len(t.sources)
-    blocks = plan.num_symbols // block
-    b = np.arange(blocks)[:, None, None]
-    files = np.tile(t.files, blocks)
-    counters = (t.counters[:, None, :] + b[:, 0] * block).reshape(n, -1)
-    steps = np.zeros_like(t.sources)
-    steps[:, 1] = len(t.orders)
-    steps[:, 3] = np.where(t.sources[:, 2] >= 0, len(t.orders), 0)
-    return (
-        files,
-        plan.permutations[files, counters],
-        np.tile(t.orders, blocks),
-        (t.sources + b * steps).reshape(-1, 4),
-    )
 
 
 def reference_plan(n, k, desired, num_symbols, seed):
@@ -119,6 +97,17 @@ def reference_transcript(queries, sort):
     return "\n".join(sorted(lines) if sort else lines)
 
 
+def record_transcripts(plan, sort=False):
+    """Every store's transcript, rendered from the tiled record."""
+    files, indices, orders, _ = tiled_record(plan)
+    terms = [list(zip(files.tolist(), row)) for row in indices.tolist()]
+    bounds = np.cumsum(orders).tolist()
+    return tuple(
+        reference_transcript([row[e - o : e] for e, o in zip(bounds, orders)], sort)
+        for row in terms
+    )
+
+
 def reference_answers(queries, symbols):
     out = []
     for q in queries:
@@ -143,7 +132,7 @@ def test_array_plan_matches_reference(n, k):
                 assert plan_transcripts(plan, sort=sort) == tuple(
                     reference_transcript(qs, sort) for qs in per_db
                 )
-            assert plan.sources.tolist() == [list(s) for s in sources]
+            assert tiled_record(plan)[3].tolist() == [list(s) for s in sources]
             answers = answer_queries(plan, symbols)
             for got, qs in zip(answers, per_db, strict=True):
                 assert got.tolist() == reference_answers(qs, symbols)
@@ -185,19 +174,19 @@ def test_segmented_plan_joins_single_plans(n, k):
         q_starts = np.cumsum([0] + [len(store_view(p, 0)[2]) for p in singles])
         shifted = []
         for p, q0 in zip(singles, q_starts):
-            src = p.sources.copy()
+            src = tiled_record(p)[3].copy()
             src[:, 1] += q0
             src[src[:, 2] >= 0, 3] += q0
             shifted.append(src)
-        assert np.array_equal(joined.sources, np.vstack(shifted))
+        assert np.array_equal(tiled_record(joined)[3], np.vstack(shifted))
         answers = answer_queries(joined, symbols)
         assert np.array_equal(decode_desired(joined, answers), symbols[desired])
         # Each segment cut back out is its single plan.
         for i, single in enumerate(singles):
-            part = joined.segment(i)
+            part = segment(joined, i)
             assert part.num_symbols == single.num_symbols
-            for name in ("permutations", "sources"):
-                assert np.array_equal(getattr(part, name), getattr(single, name))
+            assert np.array_equal(part.permutations, single.permutations)
+            assert np.array_equal(tiled_record(part)[3], tiled_record(single)[3])
             assert part.num_replicas == single.num_replicas
             for d in range(n):
                 for got, want in zip(store_view(part, d), store_view(single, d)):
@@ -220,9 +209,9 @@ def test_segment_lengths_must_fill_blocks():
 @settings(max_examples=60, deadline=None)
 def test_block_wise_plan_matches_tiled_record(n, k, blocks, seed):
     # Every desired file of a 1-3 segment plan: answers equal the per-query
-    # XOR over the derived record, decoding returns the desired file, the
-    # derived record equals the tiled one, and each segment cut out derives
-    # the record of the plan generated alone.
+    # XOR over the tiled record, decoding returns the desired file, the
+    # transcripts are the tiled record's text, and each segment cut out has
+    # the permutations, record and transcripts of the plan generated alone.
     block = n**k
     lams = [b * block for b in blocks]
     seeds = [seed + i for i in range(len(lams))]
@@ -232,33 +221,35 @@ def test_block_wise_plan_matches_tiled_record(n, k, blocks, seed):
         answers = answer_queries(joined, symbols)
         assert answers.tolist() == xor_answers(joined, symbols)
         assert np.array_equal(decode_desired(joined, answers), symbols[desired])
-        for name, want in zip(RECORD, tiled_record(joined), strict=True):
-            assert np.array_equal(getattr(joined, name), want), name
+        for sort in (False, True):
+            assert plan_transcripts(joined, sort) == record_transcripts(joined, sort)
         for i, (lam, s) in enumerate(zip(lams, seeds)):
-            part, alone = joined.segment(i), generate_query_plan(n, k, desired, lam, s)
+            part, alone = segment(joined, i), generate_query_plan(n, k, desired, lam, s)
             assert part.num_symbols == alone.num_symbols
-            for name in ("permutations",) + RECORD:
-                assert np.array_equal(getattr(part, name), getattr(alone, name)), name
+            assert np.array_equal(part.permutations, alone.permutations)
+            for got, want in zip(tiled_record(part), tiled_record(alone), strict=True):
+                assert np.array_equal(got, want)
+            assert plan_transcripts(part) == plan_transcripts(alone)
 
 
 def coded_histogram(plan):
-    """Each query's file set, counted over the plan's derived record."""
-    ends, files = np.cumsum(plan.orders).tolist(), plan.files.tolist()
-    return dict(
-        Counter(frozenset(files[e - o : e]) for e, o in zip(ends, plan.orders.tolist()))
-    )
+    """Each query's file set, counted over the plan's tiled record."""
+    files, _, orders, _ = tiled_record(plan)
+    ends, files = np.cumsum(orders).tolist(), files.tolist()
+    sets = (frozenset(files[e - o : e]) for e, o in zip(ends, orders.tolist()))
+    return dict(Counter(sets))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_template_histogram_matches_the_coded_record(n, k):
     # Every desired file, segments of 1-3 blocks: each segment's histogram,
-    # and the whole plan's, is the count over its derived record.
+    # and the whole plan's, is the count over its tiled record.
     block = n**k
     lams = [b * block for b in (1, 2, 3)]
     for desired in range(k):
         plan = generate_query_plan(n, k, desired, lams, [7, 8, 9])
-        for part in [plan] + [plan.segment(i) for i in range(len(lams))]:
+        for part in [plan] + [segment(plan, i) for i in range(len(lams))]:
             assert structural_privacy_histogram(part) == coded_histogram(part)
 
 

@@ -3,7 +3,8 @@
 Count expectations are recomputed here from their combinatorial definitions
 (math.comb), and answers are cross-checked against a plain nested-loop XOR
 evaluator, independent of the vectorized implementation.  Per-store checks
-read each store's queries through ``oracles.store_view``.
+read each store's queries through ``oracles.store_view`` and the decode
+table through ``oracles.tiled_record``.
 """
 
 from collections import Counter
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import store_view, xor_answers
+from oracles import segment, store_view, tiled_record, xor_answers
 
 from decpir.errors import ProtocolError
 from decpir.protocol import (
@@ -24,7 +25,6 @@ from decpir.protocol import (
     generate_query_plan,
     plan_transcripts,
     query_codes,
-    serialize_transcript,
     structural_privacy_histogram,
     unique_rows,
 )
@@ -48,7 +48,7 @@ def side_links(plan):
     """Map (db, query index) of each desired sum to its reused sum."""
     return {
         (db, q): (sdb, sq)
-        for db, q, sdb, sq in plan.sources.tolist()
+        for db, q, sdb, sq in tiled_record(plan)[3].tolist()
         if sdb >= 0
     }
 
@@ -66,14 +66,14 @@ def test_count_identities_per_block(n, k):
         Fraction(1, n**m) for m in range(k)
     )
     assert desired_per_db(n, k) == n ** (k - 1)
-    assert len(plan.sources) == block
+    assert plan.block == len(tiled_record(plan)[3]) == block
 
 
 def test_example_n2_k3():
     plan = generate_query_plan(2, 3, 0, 8, seed=0)
     assert [len(store_view(plan, d)[2]) for d in range(2)] == [7, 7]
     assert plan.total_queries == 14
-    assert len(plan.sources) == 8
+    assert plan.block == len(tiled_record(plan)[3]) == 8
     assert Fraction(plan.total_queries, 8) == 1 + Fraction(1, 2) + Fraction(1, 4)
     # 3 singletons, 3 two-sums, 1 three-sum at each store
     for d in range(2):
@@ -82,7 +82,7 @@ def test_example_n2_k3():
 
 def test_example_n1_downloads_everything():
     plan = generate_query_plan(1, 3, 1, 11, seed=0)
-    assert plan.num_replicas == len(plan.indices) == 1
+    assert plan.num_replicas == len(tiled_record(plan)[1]) == 1
     assert plan.total_queries == 3 * 11
     assert (store_view(plan, 0)[2] == 1).all()
 
@@ -119,16 +119,18 @@ def test_answer_gf2_basics():
 
 
 def test_plan_stores_only_its_permutations():
-    # A retrieval-sized plan holds no per-term or per-query array until one
-    # of the derived record's arrays is read.
+    # A retrieval-sized plan holds no per-term or per-query array, before or
+    # after answering, decoding and rendering its transcripts.
     plan = generate_query_plan(3, 3, 1, 40 * 27, seed=4)
     stored = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in stored) == plan.permutations.nbytes
-    plan.segment(0)
-    answer_queries(plan, np.zeros((3, plan.num_symbols), dtype=np.uint8))
-    stored = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
-    assert sum(a.nbytes for a in stored) == plan.permutations.nbytes
-    assert plan.indices.shape == (3, len(plan.files))  # derived when read
+    answers = answer_queries(plan, np.zeros((3, plan.num_symbols), dtype=np.uint8))
+    decode_desired(plan, answers)
+    plan_transcripts(plan)
+    assert list(vars(plan)) == [
+        "num_replicas", "num_files", "desired", "num_symbols", "permutations",
+        "segment_starts",
+    ]
 
 
 def test_answer_matches_brute_force_on_fixed_store():
@@ -149,10 +151,10 @@ def test_answer_rows_match_per_query_xor_on_segments(n, k):
     rng = np.random.Generator(np.random.PCG64(n * 10 + k))
     symbols = rng.integers(0, 2, (k, plan.num_symbols), dtype=np.uint8)
     answers = answer_queries(plan, symbols)
-    assert answers.shape == (n, len(plan.orders))
+    assert answers.shape == (n, plan.total_queries // n)
     assert answers.tolist() == xor_answers(plan, symbols)
     for i, (a, b) in enumerate(zip(plan.segment_starts, plan.segment_starts[1:])):
-        part = plan.segment(i)
+        part = segment(plan, i)
         assert answer_queries(part, symbols[:, a:b]).tolist() == xor_answers(
             part, symbols[:, a:b]
         )
@@ -367,14 +369,14 @@ def test_transcript_serialization_format():
             assert 0 <= int(f) < 2
             assert 0 <= int(i) < 4
     # sorted view is the same multiset of lines
-    assert sorted(lines) == serialize_transcript(plan, 0, sort=True).split("\n")
+    assert sorted(lines) == plan_transcripts(plan, sort=True)[0].split("\n")
 
 
 def test_plans_are_deterministic_under_seed():
     a = generate_query_plan(3, 3, 1, 27, seed=123)
     b = generate_query_plan(3, 3, 1, 27, seed=123)
     assert plan_transcripts(a) == plan_transcripts(b)
-    assert np.array_equal(a.sources, b.sources)
+    assert np.array_equal(a.permutations, b.permutations)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ read what retrieval ran, not a rebuilt copy.
 """
 
 import json
-import math
 import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -18,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import store_view
+from oracles import segment, store_view
 
 import decpir.retrieval as retrieval
 from decpir.analysis import capacity_classical
@@ -36,7 +35,6 @@ from decpir.protocol import (
     decode_desired,
     generate_query_plan,
     plan_transcripts,
-    serialize_transcript,
 )
 from decpir.retrieval import _size_groups, retrieve_file, simulate_trials
 from decpir.rng import derive_seed
@@ -109,10 +107,11 @@ def retrieve_with_sessions(store, realization, desired, seed, partition=None):
     For the length of the call, ``decpir.retrieval.generate_query_plan`` and
     ``answer_queries`` are wrapped to record every plan and answer matrix
     retrieval builds.  Segment ``i`` of the plan for sets of ``s`` nodes is
-    the ``i``-th set of that size: its plan is ``plan.segment(i)`` and its
-    answers each store's row of the matrix cut at ``plan.query_starts()``.  The
-    data-center-only set runs no plan; its one answer string is the store's
-    bits at its addresses, and its length must be the set's charge.
+    the ``i``-th set of that size: its plan is ``oracles.segment(plan, i)``
+    and its answers each store's row of the matrix cut at
+    ``plan.query_starts()``.  The data-center-only set runs no plan; its one
+    answer string is the store's bits at its addresses, and its length must
+    be the set's charge.
     """
     if partition is None:
         partition = partition_by_storage_set(realization)
@@ -148,7 +147,7 @@ def retrieve_with_sessions(store, realization, desired, seed, partition=None):
         q = plan.query_starts().tolist()
         for i, (qa, qb) in enumerate(zip(q, q[1:])):
             cut = tuple(answers[:, qa:qb])
-            sessions.append(Session(nodes[first + i], plan.segment(i), cut))
+            sessions.append(Session(nodes[first + i], segment(plan, i), cut))
     return result, sessions
 
 
@@ -238,7 +237,7 @@ def check_queries_stay_local(k, n, mu, length):
     assert len(sessions) == len(part.entries)
     lengths = part.lengths().tolist()
     padded_lens = {}
-    for size, first, end, blocks in _size_groups(part, math.inf):
+    for size, first, end, blocks in _size_groups(part):
         if blocks is not None:
             padded_lens.update(zip(range(first, end), (blocks * size**k).tolist()))
     starts = part.starts.tolist()
@@ -273,6 +272,23 @@ def test_queries_stay_local_when_sets_share_a_plan():
 def test_queries_stay_local_with_only_the_data_center():
     # N=0: the data-center-only set is the whole partition.
     check_queries_stay_local(3, 0, Fraction(1, 3), 30)
+
+
+def test_download_cap_refuses_before_any_plan(monkeypatch):
+    # The estimate counts every padded symbol of every file, so it is at
+    # least the real download: a cap one bit below that is refused before
+    # any session runs.
+    store = build_file_store(3, 40, seed=35)
+    real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 3, 40, 3, seed=36)
+    total = retrieve_file(store, real, 0, seed=37).report.total
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plan was built past the cap")
+
+    monkeypatch.setattr(retrieval, "DOWNLOAD_CAP", total - 1)
+    monkeypatch.setattr(retrieval, "generate_query_plan", refuse)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        retrieve_file(store, real, 0, seed=37)
 
 
 def test_per_partition_serializes_to_json():
@@ -318,9 +334,7 @@ def test_batched_retrieval_matches_per_set_sessions(
         assert got.nodes == nodes
         assert [a.tolist() for a in got.answers] == [a.tolist() for a in answers]
         if plan is not None:
-            assert tuple(
-                serialize_transcript(got.plan, d) for d in range(len(nodes))
-            ) == plan_transcripts(plan)
+            assert plan_transcripts(got.plan) == plan_transcripts(plan)
 
 
 @given(
@@ -428,7 +442,7 @@ def test_nonzero_padding_is_caught(monkeypatch):
     part = partition_by_storage_set(real)
     [(first, end, blocks)] = [
         (first, end, blocks)
-        for size, first, end, blocks in _size_groups(part, math.inf)
+        for size, first, end, blocks in _size_groups(part)
         if size == 2
     ]
     last = end - 1

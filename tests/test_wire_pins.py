@@ -7,7 +7,7 @@ come from the per-query XOR oracle, so only decoding is the code under test.
 
 import numpy as np
 import pytest
-from oracles import xor_answers
+from oracles import segment, xor_answers
 
 from decpir.protocol import decode_desired, generate_query_plan, plan_transcripts
 from decpir.rng import generator
@@ -18,7 +18,7 @@ def single_plan():
 
 
 def middle_segment():
-    return generate_query_plan(3, 2, 0, [9, 18, 9], [5, 6, 7]).segment(1)
+    return segment(generate_query_plan(3, 2, 0, [9, 18, 9], [5, 6, 7]), 1)
 
 
 PINS = [
