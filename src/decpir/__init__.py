@@ -12,7 +12,6 @@ marginals.
 from .analysis import (
     BoundMinimization,
     CentralizedEnvelope,
-    ConverseTerms,
     MarginalProfile,
     capacity_classical,
     capacity_decentralized,

@@ -9,7 +9,6 @@ inputs are rational; floating point is confined to the optimizer.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -126,37 +125,17 @@ def centralized_envelope(num_files: int, num_dbs: int) -> CentralizedEnvelope:
     return CentralizedEnvelope(num_files, num_dbs, corners)
 
 
-@dataclass(frozen=True)
-class ConverseTerms:
-    """The evaluated lower bound for one caching realization.
-
-    ``avg_stored_bits[l-1]`` is the bit mass of storage sets of size ``l``
-    averaged over the ``K * C(N+1, l)`` (file, set) slots; the bound is
-    ``L + sum_l C(N+1, l) * harmonic_weight(l) * avg_stored_bits[l-1]``.
-    """
-
-    avg_stored_bits: tuple[Fraction, ...]
-    harmonic_weights: tuple[Fraction, ...]
-    bound: Fraction
-
-
-def converse_bound_realization(partition: StorageSetPartition) -> ConverseTerms:
+def converse_bound_realization(partition: StorageSetPartition) -> Fraction:
     """Download-cost lower bound implied by one realized placement.
 
-    Any retrieval scheme that is reliable and hides the desired file must
-    download at least this many bits from this placement, so simulated
-    totals dominate it with zero tolerance.
+    ``sum_S c(|S|) * mean_j l_{S,j}`` over storage sets ``S``, where
+    ``l_{S,j}`` is set ``S``'s bits of file ``j`` and
+    ``c = capacity_classical(K, .)``.  Any retrieval scheme that is reliable
+    and hides the desired file must download at least this many bits from
+    this placement, so simulated totals dominate it with zero tolerance.
     """
-    k, length, n = partition.num_files, partition.file_len, partition.num_dbs
-    by_size = partition.bits_by_size()
-    avg = tuple(
-        Fraction(by_size.get(l, 0), k * comb(n + 1, l)) for l in range(1, n + 2)
-    )
-    weights = tuple(harmonic_weight(l, k) for l in range(1, n + 2))
-    bound = length + sum(
-        comb(n + 1, l) * w * x for l, (w, x) in enumerate(zip(weights, avg), start=1)
-    )
-    return ConverseTerms(avg, weights, bound)
+    k, by_size = partition.num_files, partition.bits_by_size()
+    return sum(capacity_classical(k, l) * b for l, b in by_size.items()) / k
 
 
 @dataclass(frozen=True)
@@ -179,14 +158,12 @@ class MarginalProfile:
             raise ValueError(f"need at least one file, got {self.num_files}")
         if self.probs.size and not any(self.probs.strides):
             levels = {self.probs.flat[0]: self.probs.size}
-        elif self.probs.dtype == object:
-            levels = Counter(self.probs.reshape(-1).tolist())
         else:
             values, counts = np.unique(self.probs, return_counts=True)
             levels = dict(zip(values.tolist(), counts.tolist()))
         if any(not 0 <= p <= 1 for p in levels):
             raise ValueError("marginals must lie in [0, 1]")
-        object.__setattr__(self, "levels", dict(levels))
+        object.__setattr__(self, "levels", levels)
 
     @property
     def num_files(self) -> int:

@@ -228,7 +228,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     mu = parse_mu(args.mu) if args.mu is not None else None
-    rows = []
+    # One (param, N, mu) triple per row.
     if args.vary == "n":
         if args.k is None or mu is None:
             raise ValueError("sweeping N requires --k and --mu")
@@ -237,7 +237,7 @@ def cmd_sweep(args) -> int:
                 f"sweeping N needs --to >= --start, got --start {args.start} "
                 f"--to {args.to}"
             )
-        points = list(range(args.start, args.to + 1))
+        grid = [(n, n, mu) for n in range(args.start, args.to + 1)]
         env = None
     else:
         if args.k is None or args.n is None:
@@ -246,27 +246,22 @@ def cmd_sweep(args) -> int:
             raise ValueError(
                 f"sweeping mu needs --points >= 2 to span [0, 1], got {args.points}"
             )
-        points = [Fraction(i, args.points - 1) for i in range(args.points)]
+        ratios = (Fraction(i, args.points - 1) for i in range(args.points))
+        grid = [(ratio, args.n, ratio) for ratio in ratios]
         env = centralized_envelope(args.k, args.n) if args.envelope else None
 
-    for index, point in enumerate(points):
-        if args.vary == "n":
-            formula = capacity_decentralized(args.k, point, mu)
-            envelope_cost = ""
-            sim_args = (args.k, point, mu)
-        else:
-            formula = capacity_decentralized(args.k, args.n, point)
-            envelope_cost = env.evaluate(point) if env else ""
-            sim_args = (args.k, args.n, point)
+    rows = []
+    for index, (point, n, ratio) in enumerate(grid):
+        formula = capacity_decentralized(args.k, n, ratio)
+        envelope_cost = env.evaluate(ratio) if env else ""
         sim_mean = sim_std = ""
         if args.trials:
-            k, n, ratio = sim_args
             result = simulate_trials(
-                k,
+                args.k,
                 args.file_bits,
                 n,
                 ratio,
-                UniformRandomPlacement(Fraction(ratio)),
+                UniformRandomPlacement(ratio),
                 args.trials,
                 derive_seed(args.seed, index),
             )
@@ -301,9 +296,7 @@ def cmd_converse(args) -> int:
                 derive_seed(args.seed, t),
             )
             values.append(
-                float(converse_bound_realization(
-                    partition_by_storage_set(realization)
-                ).bound)
+                float(converse_bound_realization(partition_by_storage_set(realization)))
             )
         mean = sum(values) / len(values)
         print(

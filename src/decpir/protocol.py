@@ -35,6 +35,7 @@ each store's queries, :func:`plan_transcripts`.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -146,7 +147,9 @@ def _block_template(n: int, k: int, desired: int) -> _BlockTemplate:
             else:
                 pool[d].append((idx, (t,)))
 
-    # Rounds 2..K, none at n = 1: (n-1)**(order-1) = 0 sums per subset.
+    # Rounds 2..K, skipped at n = 1.  They would add no query there (no other
+    # store to mix with, (n-1)**(order-1) = 0 sums per subset), but walking
+    # them still visits all 2**(K-1) undesired subsets, and K reaches 1000.
     for order in range(2, k + 1 if n > 1 else 2):
         new_pool: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
         for d in range(n):
@@ -368,13 +371,9 @@ def structural_privacy_histogram(plan: QueryPlan) -> dict[frozenset, int]:
 def _block_histogram(n: int, k: int, desired: int) -> tuple[tuple[frozenset, int], ...]:
     """The histogram of one block's queries, as (file set, count) pairs."""
     t = _block_template(n, k, desired)
-    codes = query_codes(t.files, t.orders, 1, 2, k)
-    _, first, counts = unique_rows(codes, return_index=True, return_counts=True)
-    ends, sizes = np.cumsum(t.orders)[first].tolist(), t.orders[first].tolist()
-    files, counts = t.files.tolist(), counts.tolist()
-    return tuple(
-        (frozenset(files[e - o : e]), c) for e, o, c in zip(ends, sizes, counts)
-    )
+    files, bounds = t.files.tolist(), list(accumulate(t.orders.tolist(), initial=0))
+    counts = Counter(frozenset(files[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return tuple(counts.items())
 
 
 def plan_transcripts(plan: QueryPlan, sort: bool = False) -> tuple[str, ...]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .analysis import (
 )
 from .errors import InvariantViolation, ReliabilityError
 from .model import (
-    CacheRealization,
     FileStore,
     StorageSetPartition,
     build_file_store,
@@ -73,11 +71,6 @@ class CostReport:
     per_partition: dict[tuple[int, ...], int]
     total: int
     ideal: Fraction
-    file_len: int
-
-    @property
-    def normalized(self) -> Fraction:
-        return Fraction(self.total, self.file_len)
 
 
 @dataclass(frozen=True)
@@ -116,29 +109,22 @@ def _size_groups(partition: StorageSetPartition) -> list:
 
 def retrieve_file(
     store: FileStore,
-    realization: CacheRealization,
+    partition: StorageSetPartition,
     desired: int,
     seed: int,
-    partition: Optional[StorageSetPartition] = None,
 ) -> RetrievalResult:
     """Privately retrieve file ``desired`` and account every downloaded bit.
 
-    Raises ``ValueError`` if the store, realization and ``partition`` do not
-    share one shape (K, L and, for the partition, N) or the download would
-    exceed :data:`DOWNLOAD_CAP` bits, and :class:`ReliabilityError` if the
-    reassembled file differs from the source (never expected for a valid
-    realization).
+    Raises ``ValueError`` if the store and ``partition`` disagree on K or L
+    or the download would exceed :data:`DOWNLOAD_CAP` bits, and
+    :class:`ReliabilityError` if the reassembled file differs from the
+    source (never expected for a valid partition).
     """
     k, length = store.num_files, store.file_len
-    if (realization.num_files, realization.file_len) != (k, length):
-        raise ValueError("realization and store disagree on corpus shape")
+    if (partition.num_files, partition.file_len) != (k, length):
+        raise ValueError("partition and store disagree on corpus shape")
     if not 0 <= desired < k:
         raise ValueError(f"desired file {desired} out of range for K={k}")
-    if partition is None:
-        partition = partition_by_storage_set(realization)
-    shape = (realization.num_files, realization.file_len, realization.num_dbs)
-    if (partition.num_files, partition.file_len, partition.num_dbs) != shape:
-        raise ValueError("partition and realization disagree on K, L or N")
     groups = _size_groups(partition)
     # The estimate stays a Python int however large the block.
     estimate = sum(
@@ -176,7 +162,7 @@ def retrieve_file(
         raise ReliabilityError(f"recovered file {desired} differs from the source")
 
     sizes = partition.sizes
-    per_node = np.zeros(realization.num_dbs + 1, dtype=np.int64)
+    per_node = np.zeros(partition.num_dbs + 1, dtype=np.int64)
     np.add.at(per_node, partition.members, np.repeat(charged, sizes))
     per_node_counts = tuple(per_node.tolist())
     report = CostReport(
@@ -184,7 +170,6 @@ def retrieve_file(
         per_partition=dict(zip(partition.node_tuples(), (charged * sizes).tolist())),
         total=sum(per_node_counts),
         ideal=ideal,
-        file_len=length,
     )
     return RetrievalResult(recovered, report)
 
@@ -304,15 +289,11 @@ def simulate_trials(
         desired = t % num_files
         try:
             report = retrieve_file(
-                store,
-                realization,
-                desired,
-                derive_seed(trial_seed, 2),
-                partition=partition,
+                store, partition, desired, derive_seed(trial_seed, 2)
             ).report
         except ReliabilityError as exc:
             raise ReliabilityError(f"trial {t}: {exc}") from exc
-        bound = converse_bound_realization(partition).bound
+        bound = converse_bound_realization(partition)
         if report.total < bound:
             raise InvariantViolation(
                 f"trial {t}: downloaded {report.total} bits, lower bound is {bound}"
@@ -323,7 +304,7 @@ def simulate_trials(
                 desired=desired,
                 total=report.total,
                 ideal=report.ideal,
-                normalized=report.normalized,
+                normalized=Fraction(report.total, file_len),
                 converse_bound=bound,
                 seed=trial_seed,
             )

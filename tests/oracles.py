@@ -6,10 +6,31 @@ import this one as ``oracles`` under either import mode.
 
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
+from decpir.analysis import harmonic_weight
 from decpir.protocol import _block_template
+
+
+def converse_bound_per_slot(partition):
+    """The realization bound through per-slot averages: ``(avg, weights, bound)``.
+
+    ``avg[l-1]`` is the bit mass of storage sets of size ``l`` averaged over
+    the ``K * C(N+1, l)`` (file, set) slots, ``weights[l-1]`` is
+    ``harmonic_weight(l, K) = c(l) - 1`` and the bound is
+    ``L + sum_l C(N+1, l) * weights[l-1] * avg[l-1]``, the form the
+    expected bound takes.  Reference for
+    :func:`decpir.analysis.converse_bound_realization`.
+    """
+    k, length, n = partition.num_files, partition.file_len, partition.num_dbs
+    by_size = partition.bits_by_size()
+    sizes = range(1, n + 2)
+    avg = tuple(Fraction(by_size.get(l, 0), k * comb(n + 1, l)) for l in sizes)
+    weights = tuple(harmonic_weight(l, k) for l in sizes)
+    bound = length + sum(comb(n + 1, l) * w * x for l, w, x in zip(sizes, weights, avg))
+    return avg, weights, bound
 
 
 def converse_bound_k3n2(partition) -> Fraction:

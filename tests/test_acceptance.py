@@ -122,11 +122,9 @@ def test_criterion_3_reliability_1000_trials():
                 UniformRandomPlacement(mu), k, length, n, derive_seed(seed, 1)
             )
             part = partition_by_storage_set(real)
-            result = retrieve_file(
-                store, real, desired, derive_seed(seed, 2), partition=part
-            )
+            result = retrieve_file(store, part, desired, derive_seed(seed, 2))
             assert np.array_equal(result.bits, store.bits[desired])
-            assert result.report.total >= converse_bound_realization(part).bound
+            assert result.report.total >= converse_bound_realization(part)
 
 
 def test_criterion_4_simulation_matches_capacity(k3n2_simulation):
@@ -156,7 +154,7 @@ def test_criterion_5_converse_dominance(k3n2_simulation):
                 UniformRandomPlacement(mu), 3, 18, 2, derive_seed(515, t)
             )
             part = partition_by_storage_set(real)
-            assert converse_bound_k3n2(part) == converse_bound_realization(part).bound
+            assert converse_bound_k3n2(part) == converse_bound_realization(part)
 
 
 def test_criterion_6_expectation_matches_formula():

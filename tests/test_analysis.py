@@ -33,7 +33,7 @@ from decpir.placement import (
 )
 from decpir.rng import derive_seed
 
-from oracles import converse_bound_k3n2
+from oracles import converse_bound_k3n2, converse_bound_per_slot
 
 
 def test_capacity_classical_goldens():
@@ -130,9 +130,10 @@ def test_envelope_interpolates_between_corners():
 def test_converse_bound_full_replication():
     real = sample_placement(UniformRandomPlacement(Fraction(1)), 3, 8, 2, seed=0)
     # all 24 bits sit in the one size-3 set: mass 24 / (K * C(3,3)) == L
-    terms = converse_bound_realization(partition_by_storage_set(real))
-    assert terms.avg_stored_bits == (0, 0, 8)
-    assert terms.bound == 8 * capacity_classical(3, 3)
+    partition = partition_by_storage_set(real)
+    avg, _, bound = converse_bound_per_slot(partition)
+    assert avg == (0, 0, 8)
+    assert bound == converse_bound_realization(partition) == 8 * capacity_classical(3, 3)
 
 
 def test_converse_bound_whole_file_realization():
@@ -142,14 +143,11 @@ def test_converse_bound_whole_file_realization():
     real = sample_placement(
         WholeFilePrefixPlacement((0,)), 3, length, 2, seed=0, mu=Fraction(1, 3)
     )
-    terms = converse_bound_realization(partition_by_storage_set(real))
-    assert terms.avg_stored_bits == (
-        Fraction(2 * length, 9),
-        0,
-        Fraction(length, 3),
-    )
-    assert terms.harmonic_weights == (2, Fraction(3, 4), Fraction(4, 9))
-    assert terms.bound == Fraction(67 * length, 27)
+    partition = partition_by_storage_set(real)
+    avg, weights, bound = converse_bound_per_slot(partition)
+    assert avg == (Fraction(2 * length, 9), 0, Fraction(length, 3))
+    assert weights == (2, Fraction(3, 4), Fraction(4, 9))
+    assert bound == converse_bound_realization(partition) == Fraction(67 * length, 27)
 
 
 def test_negative_counts_are_refused():
@@ -223,7 +221,7 @@ def test_converse_bound_k3n2_form_agrees():
             UniformRandomPlacement(mu), 3, 12, 2, derive_seed(31, t)
         )
         part = partition_by_storage_set(real)
-        assert converse_bound_k3n2(part) == converse_bound_realization(part).bound
+        assert converse_bound_k3n2(part) == converse_bound_realization(part)
 
 
 def test_converse_bound_k3n2_requires_shape():
@@ -305,9 +303,7 @@ def test_realization_bounds_concentrate_on_expectation():
         real = sample_placement(
             UniformRandomPlacement(mu), k, length, n, derive_seed(5150, t)
         )
-        values[t] = float(
-            converse_bound_realization(partition_by_storage_set(real)).bound
-        )
+        values[t] = float(converse_bound_realization(partition_by_storage_set(real)))
     expected = float(expected_converse_bound(uniform_profile(k, length, mu), n))
     stderr = values.std(ddof=1) / math.sqrt(trials)
     assert abs(values.mean() - expected) < 3 * stderr

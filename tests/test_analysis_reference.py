@@ -21,11 +21,20 @@ from decpir.analysis import (
     MarginalProfile,
     capacity_decentralized,
     centralized_envelope,
+    converse_bound_realization,
     expected_converse_bound,
     expected_size_mass,
     expected_size_masses,
     uniform_profile,
 )
+from decpir.model import partition_by_storage_set
+from decpir.placement import (
+    UniformRandomPlacement,
+    WholeFilePrefixPlacement,
+    sample_placement,
+)
+
+from oracles import converse_bound_per_slot
 
 GRID_MU = [Fraction(i, 20) for i in range(21)] + [0, 1]
 REL_TOL = 1e-12
@@ -210,3 +219,25 @@ def test_size_mass_rejects_sizes_outside_one_to_n_plus_one():
     for size in (0, 4):
         with pytest.raises(ValueError):
             expected_size_mass(profile, size, 2)
+
+
+@given(
+    k=st.integers(1, 5),
+    length=st.integers(1, 40),
+    n=st.integers(0, 12),
+    eighths=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_realization_bound_matches_per_slot_reference(k, length, n, eighths, seed, data):
+    # Uniform placements with mu in eighths, or whole-file prefixes.
+    policy, mu = UniformRandomPlacement(Fraction(eighths, 8)), None
+    if data.draw(st.booleans(), label="whole-file prefix"):
+        files = tuple(sorted(data.draw(st.sets(st.integers(0, k - 1)), label="files")))
+        policy, mu = WholeFilePrefixPlacement(files), Fraction(len(files), k)
+    real = sample_placement(policy, k, length, n, seed, mu=mu)
+    partition = partition_by_storage_set(real)
+    bound = converse_bound_realization(partition)
+    reference = converse_bound_per_slot(partition)[2]
+    assert_same(bound, reference)
+    assert str(bound) == str(reference)

@@ -431,10 +431,9 @@ def test_forced_bound_violation_exits_2(monkeypatch, capsys):
     # Force an impossible lower bound so the dominance check trips: the CLI
     # must exit 2 and name the offending trial.
     import decpir.retrieval as retrieval
-    from decpir.analysis import ConverseTerms
 
     def absurd_bound(partition):
-        return ConverseTerms((), (), Fraction(10**9))
+        return Fraction(10**9)
 
     monkeypatch.setattr(retrieval, "converse_bound_realization", absurd_bound)
     code = main(

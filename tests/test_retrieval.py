@@ -101,7 +101,7 @@ class Session(NamedTuple):
     answers: tuple[np.ndarray, ...]
 
 
-def retrieve_with_sessions(store, realization, desired, seed, partition=None):
+def retrieve_with_sessions(store, partition, desired, seed):
     """:func:`retrieve_file` and one :class:`Session` per storage set.
 
     For the length of the call, ``decpir.retrieval.generate_query_plan`` and
@@ -113,8 +113,6 @@ def retrieve_with_sessions(store, realization, desired, seed, partition=None):
     answer string is the store's bits at its addresses, and its length must
     be the set's charge.
     """
-    if partition is None:
-        partition = partition_by_storage_set(realization)
     plans, matrices = [], []
     generate, answer = retrieval.generate_query_plan, retrieval.answer_queries
 
@@ -129,7 +127,7 @@ def retrieve_with_sessions(store, realization, desired, seed, partition=None):
     retrieval.generate_query_plan = record_plan
     retrieval.answer_queries = record_answer
     try:
-        result = retrieve_file(store, realization, desired, seed, partition=partition)
+        result = retrieve_file(store, partition, desired, seed)
     finally:
         retrieval.generate_query_plan = generate
         retrieval.answer_queries = answer
@@ -155,8 +153,9 @@ def test_data_center_only_costs_everything():
     # N=0: downloading privately means downloading all K files.
     store = build_file_store(3, 10, seed=1)
     real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 3, 10, 0, seed=2)
+    part = partition_by_storage_set(real)
     for desired in range(3):
-        result = retrieve_file(store, real, desired, seed=3)
+        result = retrieve_file(store, part, desired, seed=3)
         assert result.report.total == 30
         assert result.report.ideal == 30
         assert np.array_equal(result.bits, store.bits[desired])
@@ -167,7 +166,7 @@ def test_full_replication_exact_cost():
     k, n, length = 2, 1, 8  # block size 4 divides 8
     store = build_file_store(k, length, seed=4)
     real = sample_placement(UniformRandomPlacement(Fraction(1)), k, length, n, seed=5)
-    result = retrieve_file(store, real, 0, seed=6)
+    result = retrieve_file(store, partition_by_storage_set(real), 0, seed=6)
     expected = length * capacity_classical(k, n + 1)
     assert result.report.total == expected
     assert result.report.ideal == expected  # no padding overage
@@ -182,10 +181,10 @@ def test_whole_file_prefix_exact_cost():
     real = sample_placement(
         WholeFilePrefixPlacement((0,)), 3, length, 2, seed=8, mu=Fraction(1, 3)
     )
+    part = partition_by_storage_set(real)
     for desired in range(3):
-        result = retrieve_file(store, real, desired, seed=9)
-        assert result.report.normalized == Fraction(31, 9)
-        assert result.report.ideal == Fraction(31, 9) * length
+        result = retrieve_file(store, part, desired, seed=9)
+        assert result.report.total == result.report.ideal == Fraction(31, 9) * length
 
 
 def test_empty_desired_subfile_is_handled():
@@ -195,7 +194,7 @@ def test_empty_desired_subfile_is_handled():
         ExplicitSetsPlacement((((1, 0), (1, 1)),)), 2, 2, 1, seed=0, mu=Fraction(1, 2)
     )
     store = build_file_store(2, 2, seed=11)
-    result = retrieve_file(store, real, 0, seed=12)
+    result = retrieve_file(store, partition_by_storage_set(real), 0, seed=12)
     assert np.array_equal(result.bits, store.bits[0])
     # {0}: 2 bits; {0,1}: padded to 4 symbols at cost 4 * (1 + 1/2) = 6
     assert result.report.total == 8
@@ -206,24 +205,22 @@ def test_cost_is_theta_invariant():
     real = sample_placement(
         UniformRandomPlacement(Fraction(1, 3)), 3, 54, 2, seed=14
     )
-    totals = {
-        retrieve_file(store, real, desired, seed=15).report.total
-        for desired in range(3)
-    }
+    part = partition_by_storage_set(real)
+    totals = {retrieve_file(store, part, d, seed=15).report.total for d in range(3)}
     assert len(totals) == 1
 
 
 def test_cost_report_consistency():
     store = build_file_store(3, 40, seed=16)
     real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 3, 40, 3, seed=17)
-    result, sessions = retrieve_with_sessions(store, real, 1, seed=18)
+    part = partition_by_storage_set(real)
+    result, sessions = retrieve_with_sessions(store, part, 1, seed=18)
     report = result.report
     assert report.total == sum(report.per_node)
     assert report.total == sum(report.per_partition.values())
     transcript_bits = sum(len(a) for s in sessions for a in s.answers)
     assert report.total == transcript_bits
     assert report.ideal <= report.total
-    assert report.normalized == Fraction(report.total, 40)
 
 
 def check_queries_stay_local(k, n, mu, length):
@@ -233,7 +230,7 @@ def check_queries_stay_local(k, n, mu, length):
     real = sample_placement(UniformRandomPlacement(mu), k, length, n, seed=20)
     part = partition_by_storage_set(real)
     cached = [set(s.tolist()) for s in real.sets]
-    _, sessions = retrieve_with_sessions(store, real, k - 1, seed=21, partition=part)
+    _, sessions = retrieve_with_sessions(store, part, k - 1, seed=21)
     assert len(sessions) == len(part.entries)
     lengths = part.lengths().tolist()
     padded_lens = {}
@@ -280,7 +277,8 @@ def test_download_cap_refuses_before_any_plan(monkeypatch):
     # any session runs.
     store = build_file_store(3, 40, seed=35)
     real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 3, 40, 3, seed=36)
-    total = retrieve_file(store, real, 0, seed=37).report.total
+    part = partition_by_storage_set(real)
+    total = retrieve_file(store, part, 0, seed=37).report.total
 
     def refuse(*args, **kwargs):
         raise AssertionError("a plan was built past the cap")
@@ -288,13 +286,13 @@ def test_download_cap_refuses_before_any_plan(monkeypatch):
     monkeypatch.setattr(retrieval, "DOWNLOAD_CAP", total - 1)
     monkeypatch.setattr(retrieval, "generate_query_plan", refuse)
     with pytest.raises(ValueError, match="exceeds the cap"):
-        retrieve_file(store, real, 0, seed=37)
+        retrieve_file(store, part, 0, seed=37)
 
 
 def test_per_partition_serializes_to_json():
     store = build_file_store(3, 40, seed=35)
     real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 3, 40, 3, seed=36)
-    report = retrieve_file(store, real, 0, seed=37).report
+    report = retrieve_file(store, partition_by_storage_set(real), 0, seed=37).report
     assert json.loads(json.dumps(list(report.per_partition.items())))
 
 
@@ -318,7 +316,7 @@ def test_batched_retrieval_matches_per_set_sessions(
     )
     desired = desired_pick % k
     result, got_sessions = retrieve_with_sessions(
-        store, real, desired, derive_seed(seed, 2)
+        store, partition_by_storage_set(real), desired, derive_seed(seed, 2)
     )
     bits, per_node, per_partition, total, ideal, sessions = reference_retrieve(
         store, real, desired, derive_seed(seed, 2)
@@ -351,7 +349,8 @@ def test_retrieval_is_reliable(k, length, n, mu_num, desired_pick, seed):
     real = sample_placement(
         UniformRandomPlacement(Fraction(mu_num, 4)), k, length, n, derive_seed(seed, 1)
     )
-    result = retrieve_file(store, real, desired_pick % k, derive_seed(seed, 2))
+    part = partition_by_storage_set(real)
+    result = retrieve_file(store, part, desired_pick % k, derive_seed(seed, 2))
     assert np.array_equal(result.bits, store.bits[desired_pick % k])
 
 
@@ -408,30 +407,35 @@ def test_oversized_instance_is_refused():
     store = build_file_store(10, 2, seed=27)
     real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 10, 2, 8, seed=28)
     with pytest.raises(ValueError, match="cap"):
-        retrieve_file(store, real, 0, seed=29)
+        retrieve_file(store, partition_by_storage_set(real), 0, seed=29)
 
 
 def test_store_and_realization_must_agree():
+    # The partition of a realization of another K is refused, and so is a
+    # desired file past the store's K.
     store = build_file_store(2, 4, seed=30)
     real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 3, 4, 1, seed=31)
-    with pytest.raises(ValueError):
-        retrieve_file(store, real, 0, seed=32)
-    with pytest.raises(ValueError):
-        retrieve_file(store, sample_placement(
-            UniformRandomPlacement(Fraction(1, 2)), 2, 4, 1, seed=33
-        ), 5, seed=34)
+    with pytest.raises(ValueError, match="partition and store"):
+        retrieve_file(store, partition_by_storage_set(real), 0, seed=32)
+    real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 2, 4, 1, seed=33)
+    with pytest.raises(ValueError, match="out of range"):
+        retrieve_file(store, partition_by_storage_set(real), 5, seed=34)
 
 
 def test_partition_must_match_realization():
-    # A partition of another K, L or N would skip files or index past the
-    # node counts; it is refused before any session runs.
+    # A partition of another K or L would skip files or index past them; it
+    # is refused before any session runs.  N is the partition's own, so a
+    # partition of another N is served and its file recovered.
     store = build_file_store(3, 12, seed=41)
     policy = UniformRandomPlacement(Fraction(1, 2))
-    real = sample_placement(policy, 3, 12, 2, seed=42)
-    for k, length, n in ((2, 12, 2), (3, 10, 2), (3, 12, 4)):
-        other = partition_by_storage_set(sample_placement(policy, k, length, n, 43))
-        with pytest.raises(ValueError, match="partition and realization"):
-            retrieve_file(store, real, 2, seed=44, partition=other)
+    for k, length in ((2, 12), (4, 12), (3, 10)):
+        other = partition_by_storage_set(sample_placement(policy, k, length, 2, 43))
+        with pytest.raises(ValueError, match="partition and store"):
+            retrieve_file(store, other, 0, seed=44)
+    part = partition_by_storage_set(sample_placement(policy, 3, 12, 4, 43))
+    assert np.array_equal(retrieve_file(store, part, 2, seed=44).bits, store.bits[2])
+    with pytest.raises(ValueError, match="out of range"):
+        retrieve_file(store, part, 3, seed=44)
 
 
 def test_nonzero_padding_is_caught(monkeypatch):
@@ -458,4 +462,4 @@ def test_nonzero_padding_is_caught(monkeypatch):
 
     monkeypatch.setattr(retrieval, "decode_desired", corrupt)
     with pytest.raises(ReliabilityError, match=re.escape(str(sorted(part.entries[last])))):
-        retrieve_file(store, real, 0, seed=40, partition=part)
+        retrieve_file(store, part, 0, seed=40)
