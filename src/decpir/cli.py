@@ -38,6 +38,9 @@ INVARIANT_EXIT = 2
 # Exact costs are fractions over powers such as n**K, of K * log10(n) digits:
 # past this many files they grow too long to evaluate and print quickly.
 MAX_FILES = 1000
+# Terms of the block templates one privacy test builds, one per desired file
+# of K * n**K terms each: up to K = 13 at n = 2, about two seconds of builds.
+MAX_TEMPLATE_TERMS = 1 << 21
 
 
 class _Parser(argparse.ArgumentParser):
@@ -331,6 +334,12 @@ def cmd_privacy_test(args) -> int:
         raise ValueError(
             f"privacy test too large: its sessions would download more than "
             f"the {DOWNLOAD_CAP}-bit cap"
+        )
+    if args.k**2 * args.n**args.k > MAX_TEMPLATE_TERMS:
+        raise ValueError(
+            f"privacy test too large: its block templates, K * n**K terms for "
+            f"each of the K desired files, would hold more than "
+            f"{MAX_TEMPLATE_TERMS} terms"
         )
     result = transcript_distribution_test(
         args.k,

@@ -107,6 +107,20 @@ class CacheRealization:
                 f"expected {self.num_dbs} cache sets, got {len(self.sets)}"
             )
         total = self.num_files * self.file_len
+        # One pass over all sets screens for a fault; only a faulty
+        # realization walks the sets, to name the first faulty database.
+        lengths = [len(addrs) for addrs in self.sets]
+        flat = np.concatenate([np.zeros(0, np.int64), *self.sets])
+        steps = np.diff(flat)
+        starts = np.cumsum(lengths, dtype=np.int64)[:-1]
+        # A set's first address is not compared with the previous set's last.
+        steps[starts[(starts > 0) & (starts < len(flat))] - 1] = 1
+        if not (
+            (steps <= 0).any()
+            or (len(flat) and (flat.min() < 0 or flat.max() >= total))
+            or max(lengths, default=0) > self.budget
+        ):
+            return
         for d, addrs in enumerate(self.sets):
             if (np.diff(addrs) <= 0).any():
                 raise ValueError(

@@ -9,9 +9,11 @@ file, bins each store's transcript by a canonical key, and applies a
 two-sample chi-square test per (store, file pair); the scheme passes when no
 comparison is significant.  The key sorts the queries, so it compares the
 store-visible query set rather than the construction order.  Each
-comparison is a row of two count matrices, and one statistics pass, with one
-p-value call, takes a batch of ``K * n`` rows, so a batch is no larger than
-the count matrix; up to three files that is every comparison.
+comparison is a row of two count matrices, and one statistics pass takes a
+batch of ``K * n`` rows, so a batch is no larger than the count matrix; up
+to three files that is every comparison.  The p-values are chi-square upper
+tails at integer degrees of freedom, which have a closed form
+(:func:`_chisquare_tail`), so the test needs numpy and nothing more.
 
 Session ``s`` for desired file ``d`` has seed ``derive_seed(seed, d, s)``.
 The sessions of one desired file run as the equal segments of one plan, as
@@ -42,6 +44,11 @@ from .rng import derive_seeds
 # with its symbols, so this bounds memory for any session count and length.
 _CHUNK_SYMBOLS = 1 << 16
 
+# Below this y, e**-y is a normal double and e**y no overflow, so the tail's
+# sum runs directly; at or above it, in units of its largest term.
+_EXP_FLOOR = 700.0
+_GAMMA_3_2 = math.gamma(1.5)
+
 
 def two_sample_chisquare(counts_a, counts_b):
     """Pearson chi-square for whether two observed samples share one law.
@@ -66,11 +73,9 @@ def _chisquare_rows(counts_a, counts_b) -> list[tuple[float, int, float]]:
     per bin.  Python's float power squares each distinct difference, as
     numpy's square can differ from it in the last bit; the quotients are
     IEEE divisions either way, and the counts are exact while their
-    products stay below 2**53.  Each row is summed exactly rounded, and every
-    p-value comes from one ``chdtrc`` call.
+    products stay below 2**53.  Each row is summed exactly rounded, and its
+    p-value is :func:`_chisquare_tail` of its statistic.
     """
-    from scipy.special import chdtrc  # here, or it dominates `import decpir`
-
     observed = np.stack([counts_a, counts_b])
     if observed.min(initial=0) < 0:
         raise ValueError("counts must be non-negative")
@@ -90,11 +95,66 @@ def _chisquare_rows(counts_a, counts_b) -> list[tuple[float, int, float]]:
         math.fsum(terms[0][start:end] + terms[1][start:end])
         for start, end in zip([0, *ends], ends)
     ]
-    dof = kept - 1
-    p_values = np.ones(len(stats))
-    tested = dof > 0
-    p_values[tested] = chdtrc(dof[tested], np.array(stats)[tested])
-    return list(zip(stats, dof.tolist(), p_values.tolist()))
+    dof = (kept - 1).tolist()
+    p_values = [_chisquare_tail(d, x) if d else 1.0 for d, x in zip(dof, stats)]
+    return list(zip(stats, dof, p_values))
+
+
+def _chisquare_tail(dof: int, x: float) -> float:
+    """The chi-square upper tail ``P(X >= x)`` at ``dof >= 1`` degrees of freedom.
+
+    With ``y = x / 2``, ``m = dof // 2`` and ``a = dof % 2 / 2``, it is
+    ``erfc(sqrt(y))`` (odd ``dof`` only) plus the ``m`` terms
+    ``t_k = e**-y * y**(k + a) / Gamma(k + a + 1)``, ``k < m``: at ``dof = 2``
+    exactly ``exp(-y)``, at ``dof = 1`` exactly ``erfc(sqrt(y))``.  The sum
+    runs by Horner from its innermost term, and every term is positive, so
+    nothing cancels.  Where ``e**-y`` underflows, the terms are taken in
+    units of the largest, whose log avoids the cancelling ``-y``,
+    ``s * log(y)`` and ``lgamma`` terms (:func:`_log_term`); if the terms
+    peak inside the sum, the tail is one minus the terms from ``m`` on.
+    """
+    y, m, a = x / 2, dof // 2, dof % 2 / 2
+    head = math.erfc(math.sqrt(y)) if a else 0.0
+    if not m:
+        return head
+    if y < _EXP_FLOOR:
+        s, d = 1.0, m - 1 + a  # d runs over k + a, k = m - 1 .. 1, exactly
+        for _ in range(m - 1):
+            s = 1.0 + s * y / d
+            d -= 1.0
+        return head + math.exp(-y) * (math.sqrt(y) / _GAMMA_3_2 if a else 1.0) * s
+    last = m - 1 + a
+    if last <= y:  # the terms grow up to the last: t_k / t_last = prod (i + a) / y
+        s = 1.0
+        for i in range(1, m):
+            s = 1.0 + s * (i + a) / y
+        return head + math.exp(_log_term(last, y) + math.log(s))
+    # The terms peak inside the sum, so take one minus the terms from m on:
+    # they fall from the first, t_(m+j) / t_(m+j-1) = y / (m + a + j) < 1.
+    first = m + a
+    s = term = 1.0
+    j = 1
+    while term > 2**-60 * s:
+        term *= y / (first + j)
+        s += term
+        j += 1
+    return 1.0 - math.exp(_log_term(first, y) + math.log(s))
+
+
+def _log_term(s: float, y: float) -> float:
+    """``log(e**-y * y**s / Gamma(s + 1))`` for ``s >= 0`` and ``y >= 700``.
+
+    From ``s = 16`` on, Stirling's series for ``lgamma(s + 1)`` cancels the
+    large terms analytically, leaving ``s * log1p((y - s) / s) - (y - s)``:
+    its rounding error is about ``|s * log(y / s)|`` ulps of 1 rather than
+    ``y`` ulps, and the series terms past ``s**-9`` are below ``2**-52``.
+    """
+    if s < 16:
+        return -y + s * math.log(y) - math.lgamma(s + 1)
+    q = 1 / (s * s)
+    stirling = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - q / 1188) * q) * q) * q) / s
+    gap = y - s
+    return s * math.log1p(gap / s) - gap - 0.5 * math.log(2 * math.pi * s) - stirling
 
 
 def _session_keys(plan: QueryPlan, sessions: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
+import pytest
 
 from decpir.analysis import harmonic_weight
 from decpir.protocol import _block_template
@@ -126,3 +127,15 @@ def xor_answers(plan, symbols):
             end += order
         out.append(bits)
     return out
+
+
+def assert_p_value_close(got: float, expected: float, rel: float) -> None:
+    """Assert that a p-value is within ``rel`` of a reference value.
+
+    Below 1e-290 a double nears the subnormal range, where it keeps few
+    digits and ``chdtrc`` returns 0 for some tails, so there both must be.
+    """
+    if expected < 1e-290:
+        assert got < 1e-290, (got, expected)
+    else:
+        assert got == pytest.approx(expected, rel=rel, abs=0)

@@ -4,11 +4,14 @@ import csv
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from decpir import cli
 from decpir.cli import main, parse_mu
+from decpir.privacy import PrivacyTestResult
 
 
 def read_csv(path):
@@ -348,6 +351,42 @@ def test_privacy_test_refuses_large_instances(capsys):
     err = capsys.readouterr().err
     assert "too large" in err and "more than the 50000000-bit cap" in err
     assert err.count("\n") == 1
+
+
+def test_privacy_test_refuses_templates_past_the_term_cap(capsys):
+    # 14 files at n = 2 download under 2% of the cap, but their 14 templates
+    # of 14 * 2**14 terms, 3.2M in all, would take seconds and ~300 MB.
+    start = time.perf_counter()
+    code = main(
+        [
+            "privacy-test", "--k", "14", "--n", "2", "--file-bits", "16384",
+            "--sessions", "2",
+        ]
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: privacy test too large") and "2097152 terms" in err
+
+
+def test_privacy_test_admits_templates_up_to_the_term_cap(monkeypatch, capsys):
+    # 13 files at n = 2: 13 templates of 13 * 2**13 terms, 1.4M in all.
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return PrivacyTestResult(True, (), 0.01)
+
+    monkeypatch.setattr(cli, "transcript_distribution_test", record)
+    code = main(
+        [
+            "privacy-test", "--k", "13", "--n", "2", "--file-bits", "8192",
+            "--sessions", "2",
+        ]
+    )
+    assert code == 0 and [args[:2] for args in calls] == [(13, 2)]
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_privacy_test_refusal_prints_no_bit_count(capsys):

@@ -77,6 +77,33 @@ def test_realization_rejects_unsorted_sets():
         CacheRealization(2, 3, 1, 4, (np.array([0, 4, 2], dtype=np.int64),))
 
 
+@pytest.mark.parametrize(
+    "middle, error, message",
+    [
+        ([4, 2], ValueError, "database 2 caches addresses that are not strictly"),
+        ([3, 3], ValueError, "database 2 caches addresses that are not strictly"),
+        ([-1, 2], ValueError, "database 2 caches an out-of-range address"),
+        ([2, 6], ValueError, "database 2 caches an out-of-range address"),
+        ([0, 1, 2], BudgetViolation, "database 2 stores 3 bits, budget is 2"),
+        # The first failing database is named, with its first failing check.
+        ([5, 1, 9], ValueError, "database 2 caches addresses that are not strictly"),
+    ],
+)
+def test_realization_names_a_faulty_middle_database(middle, error, message):
+    # Each set starts at or below the previous one's end, which is no fault;
+    # the last database's set is faulty too, but the middle one is named.
+    sets = ([4, 5], middle, [5, 4, 4])
+    with pytest.raises(error, match=message):
+        CacheRealization(2, 3, 3, 2, tuple(np.array(a, dtype=np.int64) for a in sets))
+
+
+def test_realization_accepts_empty_and_overlapping_sets():
+    sets = ([4, 5], [], [0, 1], [5], [])
+    real = CacheRealization(2, 3, 5, 2, tuple(np.array(a, dtype=np.int64) for a in sets))
+    assert [len(a) for a in real.sets] == [2, 0, 2, 1, 0]
+    assert CacheRealization(2, 3, 0, 2, ()).sets == ()
+
+
 def _uniform_realization(k, length, n, mu, seed):
     return sample_placement(
         UniformRandomPlacement(Fraction(mu)), k, length, n, seed

@@ -1,18 +1,33 @@
 """Transcript indistinguishability tests.
 
 The chi-square statistic is cross-checked against scipy's contingency-table
-implementation, which is an independent route to the same number.
+implementation, which is an independent route to the same number; its
+closed-form p-value against ``scipy.special.chdtrc`` and, where mpmath is
+installed, against mpmath's regularized upper incomplete gamma.
 """
 
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from oracles import assert_p_value_close
 from scipy.special import chdtrc
-from scipy.stats import chi2, chi2_contingency
+from scipy.stats import chi2_contingency
 
-from decpir.privacy import transcript_distribution_test, two_sample_chisquare
+from decpir.privacy import (
+    _chisquare_tail,
+    transcript_distribution_test,
+    two_sample_chisquare,
+)
+
+try:
+    import mpmath
+except ImportError:  # an optional oracle: only its test is skipped
+    mpmath = None
 
 
 def test_chisquare_matches_scipy_contingency():
@@ -26,37 +41,63 @@ def test_chisquare_matches_scipy_contingency():
     assert p == pytest.approx(ref.pvalue)
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats dominates import time; only the chi-square test loads it.
-    code = "import sys, decpir; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import decpir",
+        "from decpir.privacy import transcript_distribution_test as t; "
+        "assert t(3, 3, 54, 50, 0).ok",
+        "import decpir.cli; assert decpir.cli.main(['privacy-test', '--k', '3', "
+        "'--n', '3', '--file-bits', '54', '--sessions', '50']) == 0",
+    ],
+    ids=["import", "distribution-test", "cli"],
+)
+def test_privacy_path_loads_no_scipy(code):
+    # The p-values are closed forms over math: nothing in decpir needs scipy,
+    # whose import once took half of a privacy run's start-up time.
+    check = f"import sys; {code}; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
-def test_chisquare_leaves_scipy_stats_unloaded():
-    # The p-value comes from scipy.special, which loads much less.
-    code = (
-        "import sys; "
-        "from decpir.privacy import two_sample_chisquare; "
-        "print(two_sample_chisquare([2, 1], [1, 2])[2] < 1, "
-        "'scipy.stats' in sys.modules)"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "True False"
+@given(st.floats(0, 5000))
+def test_chisquare_tail_closed_forms_are_bit_exact(x):
+    # At one and two degrees of freedom the tail is one library call; the
+    # log-space branch (x >= 1400) must give the same bits.
+    assert _chisquare_tail(2, x) == math.exp(-x / 2)
+    assert _chisquare_tail(1, x) == math.erfc(math.sqrt(x / 2))
 
 
-def test_chisquare_p_value_equals_chi2_sf():
-    # chdtrc is the kernel chi2.sf calls, so they agree bit for bit.
-    df = np.array([1, 2, 3, 5, 17, 100, 1023, 50_000])[:, None]
-    x = np.array([0.0, 1e-300, 1e-6, 0.3, 1.0, 2.5, 7.0, 30.0, 99.9, 500.0, 4000.0])
-    x = np.concatenate([np.tile(x, (len(df), 1)), df * [0.9, 1.0, 1.1]], axis=1)
-    assert np.array_equal(chdtrc(df, x), chi2.sf(x, df))
-    a = [40, 60, 10]
-    b = [35, 70, 5]
-    stat, dof, p = two_sample_chisquare(a, b)
-    assert p == float(chi2.sf(stat, dof))
+@given(st.integers(1, 1000), st.floats(0, 1))
+def test_chisquare_tail_matches_chdtrc(dof, share):
+    # x spans the tail out to ~12 standard deviations.  chdtrc's own error
+    # grows as p falls: against mpmath it is 5.1e-13 at dof=490, p=1.2e-9,
+    # and 8.9e-13 at dof=867, p=1e-169, where this tail's is 1e-15 and 8e-14.
+    # So chdtrc is the oracle down to p = 1e-6, far below any significance
+    # level, and mpmath below that.
+    x = share * (dof + 12 * math.sqrt(2 * dof) + 60)
+    expected = float(chdtrc(dof, x))
+    assume(expected >= 1e-6)
+    assert _chisquare_tail(dof, x) == pytest.approx(expected, rel=5e-13, abs=0)
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath is not installed")
+@given(st.integers(1, 1000), st.floats(0, 4000))
+def test_chisquare_tail_matches_mpmath(dof, x):
+    with mpmath.workdps(40):
+        half_dof, y = mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2
+        exact = float(mpmath.gammainc(half_dof, y, regularized=True))
+    assert_p_value_close(_chisquare_tail(dof, x), exact, rel=5e-13)
+
+
+def test_chisquare_tail_on_the_extreme_grid():
+    # Degrees of freedom up to 50,000 and x from 0 and 1e-300 to 4000 and
+    # 1.1 * dof: every branch, including both log-space ones.
+    for dof in [1, 2, 3, 5, 17, 100, 1023, 50_000]:
+        grid = [0.0, 1e-300, 1e-6, 0.3, 1.0, 2.5, 7.0, 30.0, 99.9, 500.0, 4000.0]
+        for x in grid + [dof * 0.9, dof * 1.0, dof * 1.1]:
+            assert_p_value_close(_chisquare_tail(dof, x), float(chdtrc(dof, x)), 1e-10)
 
 
 def test_chisquare_identical_deterministic_samples():

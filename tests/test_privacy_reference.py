@@ -5,7 +5,9 @@ oracle: one plan per session, each store's transcript binned by its sorted
 text serialization, the chi-square summed in sorted bin order and its
 p-value from ``scipy.stats.chi2``.  The array keys bin sessions differently
 but must group them identically, so every count, and with it every
-statistic, degree of freedom and p-value, must agree.
+statistic, degree of freedom and p-value, must agree.  The dict-loop oracle
+takes its p-value from the program's closed-form tail, so that its results
+match to the last bit, and checks that p-value against ``chdtrc``.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import segment, tiled_record
+from oracles import assert_p_value_close, segment, tiled_record
 from scipy.special import chdtrc
 from scipy.stats import chi2
 
@@ -60,7 +62,11 @@ def dict_loop_chisquare(counts_a, counts_b):
             terms.append((counts.get(b, 0) - expected) ** 2 / expected)
     stat = math.fsum(terms)
     df = len(bins) - 1
-    return stat, df, float(chdtrc(df, stat)) if df > 0 else 1.0
+    if df == 0:
+        return stat, df, 1.0
+    p_value = privacy._chisquare_tail(df, stat)
+    assert_p_value_close(p_value, float(chdtrc(df, stat)), rel=1e-12)
+    return stat, df, p_value
 
 
 def reference_distribution_test(k, n, lam, sessions, seed, permute):
