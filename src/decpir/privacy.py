@@ -7,13 +7,14 @@ histogram is the block template's, cached per shape and scaled by the block
 count.  The distributional check runs many independent sessions per desired
 file, bins each store's transcript by a canonical key, and applies a
 two-sample chi-square test per (store, file pair); the scheme passes when no
-comparison is significant.  The key sorts the queries, so it compares the
-store-visible query set rather than the construction order.  Each
-comparison is a row of two count matrices, and one statistics pass takes a
-batch of ``K * n`` rows, so a batch is no larger than the count matrix; up
-to three files that is every comparison.  The p-values are chi-square upper
-tails at integer degrees of freedom, which have a closed form
-(:func:`_chisquare_tail`), so the test needs numpy and nothing more.
+comparison is significant.  The key sorts the queries' codes, gathered
+through the block template like answers, so it compares the store-visible
+query set rather than the construction order.  Each comparison is a row of
+two count matrices, and one statistics pass takes a batch of ``K * n``
+rows, so a batch is no larger than the count matrix; up to three files that
+is every comparison.  The p-values are chi-square upper tails at integer
+degrees of freedom, which have a closed form (:func:`_chisquare_tail`), so
+the test needs numpy and nothing more.
 
 Session ``s`` for desired file ``d`` has seed ``derive_seed(seed, d, s)``.
 The sessions of one desired file run as the equal segments of one plan, as
@@ -34,9 +35,7 @@ from .protocol import (
     QueryPlan,
     generate_query_plan,
     plan_transcripts,  # unused here; the benchmark's tracer looks it up in this module
-    query_codes,
     structural_privacy_histogram,
-    unique_rows,
 )
 from .rng import derive_seeds
 
@@ -160,23 +159,47 @@ def _log_term(s: float, y: float) -> float:
 def _session_keys(plan: QueryPlan, sessions: int) -> np.ndarray:
     """The canonical keys of ``plan``'s segments, one row per store and session.
 
-    ``plan`` holds ``sessions`` segments of equal length.  A query is its
-    :func:`query_codes` row of segment-local indices plus one, and a session's
-    key its rows sorted, so two sessions get one key exactly when the store
-    sees the same set of queries in both.
+    ``plan`` holds ``sessions`` segments of ``lam`` symbols.  A query is a
+    row of exact ``int64`` words: each term puts its segment-local index plus
+    one at its file's place in base ``lam + 1``, as many places a word as stay
+    below ``2**63``.  A session's key is its rows sorted, so two sessions get
+    one key exactly when the store sees the same set of queries in both.
     """
-    t, lam = plan._template, plan.num_symbols // sessions
-    # Block b reads counters b * block onwards, all of them in the segment
-    # that starts at symbol b * block // lam * lam.
-    starts = np.arange(0, plan.num_symbols, plan.block)[:, None]
-    terms = (t.files * plan.num_symbols + t.counters)[:, None, :] + starts
-    digits = np.take(plan.permutations, terms) - (starts // lam * lam - 1)
-    codes = query_codes(t.files, t.orders, digits, lam + 1, plan.num_files)
-    codes = codes.reshape(plan.num_replicas * sessions, -1, codes.shape[-1])
-    if codes.shape[-1] == 1:  # one word a row: far cheaper than a lexsort
+    n, k, block, blocks = plan.num_replicas, plan.num_files, plan.block, plan.blocks
+    lam = plan.num_symbols // sessions
+    word, place = np.divmod(np.arange(k), min(63 // lam.bit_length(), k))
+    # weight[w, j]: file j's place value in word w, zero in the other words.
+    weight = np.where(word == np.arange(word[-1] + 1)[:, None], (lam + 1) ** place, 0)
+    words = len(weight)
+    # table[w, j * block + c, b]: word w of counter c of file j in block b,
+    # its segment-local index plus one at j's place; the last row stays zero
+    # for the terms past a query's end.  Block b lies in the segment that
+    # starts at symbol b // (blocks // sessions) * lam.
+    table = np.zeros((words, k * block + 1, blocks), dtype=np.int64)
+    cells = table[:, :-1].reshape(words, k, block, blocks)
+    local = plan.permutations.reshape(k, blocks, block).transpose(0, 2, 1).copy()
+    local -= np.arange(blocks) // (blocks // sessions) * lam - 1
+    np.multiply(local, weight[..., None, None], out=cells)
+    del local
+    # Each query's code sums its terms' table rows one term slot at a time,
+    # so no array holds every slot: codes[w, d, q, b].
+    terms = plan._template.terms
+    codes = np.take(table, terms[0], axis=1)
+    for slot in terms[1:]:
+        codes += np.take(table, slot, axis=1)
+    # One row per store and session, its blocks' queries in any order.
+    codes = codes.reshape(words, n, plan.block_queries, sessions, -1)
+    codes = codes.transpose(1, 3, 2, 4, 0).reshape(n * sessions, -1, words)
+    if words == 1:  # one word a row: far cheaper than a lexsort
         return np.sort(codes, axis=1).reshape(len(codes), -1)
     order = np.lexsort(np.moveaxis(codes, -1, 0), axis=-1)
     return np.take_along_axis(codes, order[..., None], axis=1).reshape(len(codes), -1)
+
+
+def unique_rows(rows: np.ndarray, **kwargs):
+    """``np.unique`` over a 2-D array's rows as raw bytes: like ``axis=0``, cheaper."""
+    rows = np.ascontiguousarray(rows)
+    return np.unique(rows.view(f"V{rows.shape[1] * rows.itemsize}")[:, 0], **kwargs)
 
 
 def _bin_keys(bins, pending, owners: int):

@@ -19,11 +19,12 @@ symbol and its plan downloads every symbol of every file.
 
 The block structure depends on ``(n, K, desired)`` alone, so the rounds
 above run once per shape over one block of counters and are cached as a
-read-only template of (file, counter) terms that every block repeats over
-its own counters: a plan is its shape and its ``(K, lam)`` permutations.
+read-only template: each store's queries once, as (file, counter) rows
+padded to the longest query, that every block repeats over its own
+counters, so a plan is its shape and its ``(K, lam)`` permutations.
 Answering gathers the symbols through the permutations into one row per
 (file, counter) of a block and one column per block, then XORs each
-query's template terms for all blocks and all stores at once, giving the
+query's padded terms for all blocks and all stores at once, giving the
 ``(n, queries)`` answer matrix, block-major; decoding reads each desired
 counter's answer and side answer the same way and scatters them through
 the desired file's permutation.  Sessions of one shape can share a plan as
@@ -77,48 +78,40 @@ class QueryPlan:
         return self.num_symbols // self.block
 
     @property
+    def block_queries(self) -> int:  # each store's, per block
+        return self._template.terms.shape[2]
+
+    @property
     def total_queries(self) -> int:
-        return self.num_replicas * self.blocks * len(self._template.orders)
+        return self.num_replicas * self.blocks * self.block_queries
 
     def query_starts(self) -> np.ndarray:
         """Each segment's first query number at every store, then the total."""
-        return np.array(self.segment_starts) // self.block * len(self._template.orders)
+        return np.array(self.segment_starts) // self.block * self.block_queries
 
 
 class _BlockTemplate(NamedTuple):
     """The plan for one block of counters, ``n**K`` per file.
 
-    Every store gets the same query shapes, so ``files`` and ``orders`` are
-    shared; ``counters[d]`` holds store ``d``'s term counters.  Laid out to
-    answer and decode all blocks at once: ``terms[w, d, q]`` is the
-    ``file * n**K + counter`` row of term ``w`` of store ``d``'s query ``q``,
-    or past the query's last term the zero row ``K * n**K``; desired counter
-    ``c`` is decoded from answer rows ``direct[c]`` and ``side[c]``, each
-    ``db * queries + query``, the side the zero row ``n * queries`` for
-    singletons.
+    ``terms[w, d, q]`` is the ``file * n**K + counter`` row of term ``w`` of
+    store ``d``'s query ``q``, or past the query's last term (the same slots
+    at every store) the row ``K * n**K``, which every per-block table keeps
+    empty.  Desired counter ``c`` is decoded from answer rows ``direct[c]``
+    and ``side[c]``, each ``db * queries + query``, the side the zero row
+    ``n * queries`` for singletons.
     """
 
-    files: np.ndarray
-    counters: np.ndarray
-    orders: np.ndarray
     terms: np.ndarray
     direct: np.ndarray
     side: np.ndarray
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @lru_cache(maxsize=256)
 def _block_template(n: int, k: int, desired: int) -> _BlockTemplate:
     block = n**k
-    # Every store gets the same query shapes: store 0 records them.
-    files: list[int] = []
-    orders: list[int] = []
-    counters_of: list[list[int]] = [[] for _ in range(n)]
-    queries = [0] * n
+    # Each store's term rows, file * block + counter, and query orders.
+    rows: list[list[int]] = [[] for _ in range(n)]
+    orders: list[list[int]] = [[] for _ in range(n)]
     sources = np.full((block, 4), -1, dtype=np.int64)
     counters = [0] * k
     undesired_files = [j for j in range(k) if j != desired]
@@ -129,12 +122,9 @@ def _block_template(n: int, k: int, desired: int) -> _BlockTemplate:
         return (j, c)
 
     def add(d: int, terms) -> int:
-        if d == 0:
-            files.extend(f for f, _ in terms)
-            orders.append(len(terms))
-        counters_of[d].extend(c for _, c in terms)
-        queries[d] += 1
-        return queries[d] - 1
+        rows[d].extend(j * block + c for j, c in terms)
+        orders[d].append(len(terms))
+        return len(orders[d]) - 1
 
     # Round 1: one fresh singleton per file at every store.
     pool: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
@@ -177,18 +167,18 @@ def _block_template(n: int, k: int, desired: int) -> _BlockTemplate:
     if any(counters[j] > block for j in undesired_files):
         raise ProtocolError("an undesired counter overran its block")
 
-    files, counters_of, orders = (np.asarray(a) for a in (files, counters_of, orders))
-    queries = len(orders)
-    first = np.repeat(np.cumsum(orders) - orders, orders)
-    terms = np.full((orders.max(), n, queries), k * block)
-    terms[np.arange(len(files)) - first, :, np.repeat(np.arange(queries), orders)] = (
-        files * block + counters_of
-    ).T
+    # Every store gets the same query shapes, so store 0's orders are all.
+    rows, orders = np.array(rows), np.array(orders[0])
+    queries, width = len(orders), orders.max()
+    terms = np.full((width, n, queries), k * block, dtype=np.int64)
+    terms.transpose(1, 2, 0)[:, np.arange(width) < orders[:, None]] = rows
     direct = sources[:, 0] * queries + sources[:, 1]
     side = sources[:, 2] * queries + sources[:, 3]
     side[sources[:, 2] < 0] = n * queries
-    arrays = (files, counters_of, orders, terms, direct, side)
-    return _BlockTemplate(*(_read_only(np.asarray(a, dtype=np.int64)) for a in arrays))
+    template = _BlockTemplate(terms, direct, side)
+    for a in template:
+        a.flags.writeable = False
+    return template
 
 
 def generate_query_plan(
@@ -312,7 +302,7 @@ def decode_desired(plan: QueryPlan, answers: np.ndarray) -> np.ndarray:
     """
     answers = np.asarray(answers, dtype=np.uint8)
     t = plan._template
-    n, queries, blocks = plan.num_replicas, len(t.orders), plan.blocks
+    n, queries, blocks = plan.num_replicas, plan.block_queries, plan.blocks
     if answers.shape != (n, blocks * queries):
         raise ProtocolError(
             f"expected a {n} x {blocks * queries} answer matrix, "
@@ -328,28 +318,6 @@ def decode_desired(plan: QueryPlan, answers: np.ndarray) -> np.ndarray:
     where = plan.permutations[plan.desired].reshape(blocks, plan.block).T
     out[where] = by_query[t.direct] ^ by_query[t.side]
     return out
-
-
-def query_codes(files, orders, digits, base: int, num_files: int) -> np.ndarray:
-    """Each query of a flat term record as one row of exact ``int64`` words.
-
-    Term ``t`` puts ``digits[..., t]`` (1 to ``base - 1``) at its file's
-    place, absent files 0; a word holds as many places as stay below
-    ``2**63``, so no code wraps.  Shape: ``digits.shape[:-1] + (queries, words)``.
-    Each word sums its weighted digits over each query's own terms.
-    """
-    per_word = min(63 // (base - 1).bit_length(), num_files)
-    word, place = np.divmod(np.asarray(files), per_word)
-    weighted = np.multiply(digits, np.int64(base) ** place)
-    starts, words = np.cumsum(orders) - orders, range(-(-num_files // per_word))
-    codes = [np.add.reduceat(weighted * (word == w), starts, axis=-1) for w in words]
-    return np.stack(codes, axis=-1)
-
-
-def unique_rows(rows: np.ndarray, **kwargs):
-    """``np.unique`` over a 2-D array's rows as raw bytes: like ``axis=0``, cheaper."""
-    rows = np.ascontiguousarray(rows)
-    return np.unique(rows.view(f"V{rows.shape[1] * rows.itemsize}")[:, 0], **kwargs)
 
 
 def structural_privacy_histogram(plan: QueryPlan) -> dict[frozenset, int]:
@@ -370,10 +338,11 @@ def structural_privacy_histogram(plan: QueryPlan) -> dict[frozenset, int]:
 @lru_cache(maxsize=256)
 def _block_histogram(n: int, k: int, desired: int) -> tuple[tuple[frozenset, int], ...]:
     """The histogram of one block's queries, as (file set, count) pairs."""
-    t = _block_template(n, k, desired)
-    files, bounds = t.files.tolist(), list(accumulate(t.orders.tolist(), initial=0))
-    counts = Counter(frozenset(files[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return tuple(counts.items())
+    # Store 0's query files, one row per query, file K past a query's end:
+    # one file set has one order, so dropping K merges no two sets.
+    rows = _block_template(n, k, desired).terms[:, 0, :].T // n**k
+    counts = Counter(map(frozenset, rows.tolist()))
+    return tuple((files - {k}, count) for files, count in counts.items())
 
 
 def plan_transcripts(plan: QueryPlan, sort: bool = False) -> tuple[str, ...]:
@@ -384,11 +353,14 @@ def plan_transcripts(plan: QueryPlan, sort: bool = False) -> tuple[str, ...]:
     format); with ``sort=True`` the lines are sorted, which drops the
     ordering and is the store-visible view used for distribution testing.
     """
-    t, blocks = plan._template, plan.blocks
-    files = np.tile(t.files, blocks)
-    counters = t.counters[:, None, :] + np.arange(blocks)[:, None] * plan.block
+    block, blocks = plan.block, plan.blocks
+    terms = plan._template.terms.transpose(1, 2, 0)  # [store, query, term]
+    real = terms[0] < plan.num_files * block  # the slots before each query's end
+    files, counters = np.divmod(terms[:, real], block)
+    counters = counters[:, None, :] + np.arange(blocks)[:, None] * block
+    files = np.tile(files[0], blocks)
     indices = plan.permutations[files, counters.reshape(plan.num_replicas, -1)]
-    bounds = list(accumulate(np.tile(t.orders, blocks).tolist(), initial=0))
+    bounds = list(accumulate(np.tile(real.sum(axis=1), blocks).tolist(), initial=0))
     files, out = files.tolist(), []
     for row in indices.tolist():
         terms = [f"{f}:{i}" for f, i in zip(files, row)]

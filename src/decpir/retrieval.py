@@ -48,8 +48,10 @@ from .placement import PlacementPolicy, sample_placement
 from .protocol import answer_queries, decode_desired, generate_query_plan
 from .rng import derive_seed, derive_seeds
 
-# Refuse sessions that would download more than this many bits; the padded
-# block size (|S| ** K) makes large K with large sets explode at desk scale.
+# Refuse retrievals of more padded symbols, K * |S|**K per block of a set of
+# |S| nodes plus each data-center-only bit: they bound the block templates
+# and answer arrays, and pass the download, |S| * (|S|**K - 1) / (|S| - 1)
+# bits a block.  The privacy test caps its download at the same number.
 DOWNLOAD_CAP = 50_000_000
 
 
@@ -116,7 +118,7 @@ def retrieve_file(
     """Privately retrieve file ``desired`` and account every downloaded bit.
 
     Raises ``ValueError`` if the store and ``partition`` disagree on K or L
-    or the download would exceed :data:`DOWNLOAD_CAP` bits, and
+    or the padded symbols would exceed :data:`DOWNLOAD_CAP`, and
     :class:`ReliabilityError` if the reassembled file differs from the
     source (never expected for a valid partition).
     """
@@ -126,15 +128,15 @@ def retrieve_file(
     if not 0 <= desired < k:
         raise ValueError(f"desired file {desired} out of range for K={k}")
     groups = _size_groups(partition)
-    # The estimate stays a Python int however large the block.
-    estimate = sum(
+    # Padded symbols, a Python int however large the block.
+    padded = sum(
         int(partition.starts[k]) if blocks is None else k * size**k * int(blocks.sum())
         for size, _, _, blocks in groups
     )
-    if estimate > DOWNLOAD_CAP:
+    if padded > DOWNLOAD_CAP:
         raise ValueError(
-            "estimated download exceeds the cap; padded block sizes grow as "
-            "|S|**K, so shrink K, N, or the storage ratio"
+            f"the count of padded symbols exceeds the cap of {DOWNLOAD_CAP}; "
+            "padded block sizes grow as |S|**K, so shrink K, N, or the storage ratio"
         )
 
     recovered = np.zeros(length, dtype=np.uint8)

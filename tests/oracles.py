@@ -76,20 +76,25 @@ def segment(plan, i):
 def tiled_record(plan):
     """``files``, ``indices``, ``orders`` and ``sources`` by tiling the template.
 
-    The block template is repeated over every block: counters offset by the
-    block start and mapped through the permutations, so ``indices[d]`` holds
-    store ``d``'s symbol indices.  ``sources[c]`` is the ``(db, query, side
-    db, side query)`` row decoding desired counter ``c`` (-1, -1: no side
-    sum), read back from the answer rows ``direct``/``side`` that
-    :func:`decpir.protocol.decode_desired` reads, query numbers offset by
-    the queries of the blocks before.
+    Each store's terms are read from the padded ``terms`` array in query
+    order, the past-the-end row ``K * n**K`` masked out, and repeated over
+    every block: counters offset by the block start and mapped through the
+    permutations, so ``indices[d]`` holds store ``d``'s symbol indices.
+    ``sources[c]`` is the ``(db, query, side db, side query)`` row decoding
+    desired counter ``c`` (-1, -1: no side sum), read back from the answer
+    rows ``direct``/``side`` that :func:`decpir.protocol.decode_desired`
+    reads, query numbers offset by the queries of the blocks before.
     """
-    n = plan.num_replicas
+    n, block = plan.num_replicas, plan.block
     t = _block_template(n, plan.num_files, plan.desired)
-    queries, blocks = len(t.orders), plan.blocks
+    queries, blocks = t.terms.shape[2], plan.blocks
+    terms = t.terms.transpose(1, 2, 0)  # [d, q, w]
+    real = terms[0] != plan.num_files * block
+    files, counters = np.divmod(terms[:, real], block)
     b = np.arange(blocks)[:, None]
-    files = np.tile(t.files, blocks)
-    counters = (t.counters[:, None, :] + b * plan.block).reshape(n, -1)
+    files = np.tile(files[0], blocks)
+    counters = (counters[:, None, :] + b * block).reshape(n, -1)
+    orders = np.tile(real.sum(axis=1), blocks)
     db, q = np.divmod(t.direct, queries)
     side_db, side_q = np.divmod(t.side, queries)
     linked = side_db < n  # the zero row ``n * queries`` marks a singleton
@@ -100,7 +105,7 @@ def tiled_record(plan):
         np.where(linked, side_q + b * queries, -1),
     )
     sources = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, 4)
-    return files, plan.permutations[files, counters], np.tile(t.orders, blocks), sources
+    return files, plan.permutations[files, counters], orders, sources
 
 
 def store_view(plan, d):

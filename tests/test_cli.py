@@ -353,6 +353,21 @@ def test_privacy_test_refuses_large_instances(capsys):
     assert err.count("\n") == 1
 
 
+def test_simulate_cap_names_padded_symbols(capsys):
+    # 204M padded symbols but a 28.1M-bit download: the cap bounds the
+    # padded symbols, and the one-line refusal says so.
+    code = main(
+        [
+            "simulate", "--k", "9", "--n", "5", "--mu", "1/2", "--file-bits", "64",
+            "--trials", "1", "--seed", "1",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "padded symbols exceeds the cap of 50000000" in err
+    assert err.count("\n") == 1
+
+
 def test_privacy_test_refuses_templates_past_the_term_cap(capsys):
     # 14 files at n = 2 download under 2% of the cap, but their 14 templates
     # of 14 * 2**14 terms, 3.2M in all, would take seconds and ~300 MB.

@@ -9,20 +9,23 @@ installed, against mpmath's regularized upper incomplete gamma.
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import assert_p_value_close
+from oracles import assert_p_value_close, segment, store_view
 from scipy.special import chdtrc
 from scipy.stats import chi2_contingency
 
 from decpir.privacy import (
     _chisquare_tail,
+    _session_keys,
     transcript_distribution_test,
     two_sample_chisquare,
 )
+from decpir.protocol import generate_query_plan
 
 try:
     import mpmath
@@ -173,3 +176,48 @@ def test_vacuous_instances_are_refused(k, n, lam, permute):
 def test_significance_must_lie_in_the_open_unit_interval(significance):
     with pytest.raises(ValueError, match="significance"):
         transcript_distribution_test(2, 2, 4, 50, 0, significance=significance)
+
+
+@pytest.mark.parametrize(
+    "n, k, lam", [(3, 3, 54), (2, 8, 256), (1, 64, 2), (1, 63, 1), (1, 40, 3)]
+)
+def test_session_keys_stay_exact(n, k, lam):
+    # Each key must be its session's per-query codes, sorted, as Python ints
+    # compute them, with no word past 2**63 - 1, also where (lam + 1)**K
+    # needs several words; at lam = 3 a word of 32 base-4 places would
+    # reach 2**64.
+    sessions = 3
+    plan = generate_query_plan(n, k, 0, [lam] * sessions, [3, 4, 5])
+    keys = _session_keys(plan, sessions).reshape(n, sessions, -1).tolist()
+    per_word = min(63 // lam.bit_length(), k)
+    words = -(-k // per_word)
+    for s in range(sessions):
+        for d in range(n):
+            view = store_view(segment(plan, s), d)
+            files, indices, orders = (a.tolist() for a in view)
+            rows, end = [], 0
+            for order in orders:
+                row = [0] * words
+                for f, i in zip(files[end : end + order], indices[end : end + order]):
+                    row[f // per_word] += (i + 1) * (lam + 1) ** (f % per_word)
+                rows.append(row)
+                end += order
+            assert max(map(max, rows)) < 2**63
+            rows.sort(key=lambda row: row[::-1])
+            assert keys[d][s] == [code for row in rows for code in row]
+
+
+@pytest.mark.parametrize(
+    "n, k, lam, sessions", [(1, 20, 4, 10000), (2, 10, 1024, 64), (3, 3, 54, 1213)]
+)
+def test_session_keys_memory_follows_the_permutations(n, k, lam, sessions):
+    # The codes are summed one term slot at a time through a per-block
+    # table, never scattered into a dense array per (file, symbol).
+    plan = generate_query_plan(n, k, 0, [lam] * sessions, range(sessions))
+    tracemalloc.start()
+    try:
+        _session_keys(plan, sessions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * plan.permutations.nbytes

@@ -295,6 +295,7 @@ def test_single_store_instances_walk_no_subsets(monkeypatch):
 
     protocol._block_template.cache_clear()
     monkeypatch.setattr(protocol, "combinations", refuse)
-    assert all(len(protocol._block_template(1, 64, d).orders) == 64 for d in range(64))
+    templates = [protocol._block_template(1, 64, d) for d in range(64)]
+    assert all(t.terms.shape[2] == 64 for t in templates)
     result = transcript_distribution_test(64, 1, 1, 2, 0)
     assert result.ok and len(result.comparisons) == 64 * 63 // 2

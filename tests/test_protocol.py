@@ -20,13 +20,12 @@ from oracles import segment, store_view, tiled_record, xor_answers
 
 from decpir.errors import ProtocolError
 from decpir.protocol import (
+    _block_template,
     answer_queries,
     decode_desired,
     generate_query_plan,
     plan_transcripts,
-    query_codes,
     structural_privacy_histogram,
-    unique_rows,
 )
 
 
@@ -320,24 +319,15 @@ def test_structural_histogram_counts_file_sets(n, k, lam):
         assert hist == dict(want)
 
 
-@pytest.mark.parametrize(
-    "n, k, lam", [(3, 3, 54), (2, 8, 256), (1, 64, 2), (1, 63, 1), (1, 40, 3)]
-)
-def test_query_codes_stay_exact(n, k, lam):
-    # Rows must group queries exactly as their per-file digits do, with no
-    # word past 2**63 - 1, also where (lam + 1)**K needs several words; at
-    # lam = 3 a word of 32 base-4 places would reach 2**64.
-    plan = generate_query_plan(n, k, 0, lam, seed=3)
-    files, indices, orders = store_view(plan, n - 1)
-    codes = query_codes(files, orders, indices + 1, lam + 1, k)
-    assert codes.shape[0] == len(orders) and (codes >= 0).all()
-    ends = np.cumsum(orders).tolist()
-    terms = list(zip(files.tolist(), (indices + 1).tolist()))
-    digits = [tuple(terms[e - o : e]) for e, o in zip(ends, orders.tolist())]
-    _, inverse = unique_rows(codes.reshape(len(orders), -1), return_inverse=True)
-    labels = inverse.tolist()
-    pairs = set(zip(labels, digits))
-    assert len(pairs) == len(set(labels)) == len(set(digits))
+@pytest.mark.parametrize("n, k, desired", [(1, 1, 0), (2, 3, 1), (3, 3, 2), (1, 64, 5)])
+def test_block_template_is_three_read_only_arrays(n, k, desired):
+    # The padded terms are the template's only record of its queries.
+    t = _block_template(n, k, desired)
+    assert t._fields == ("terms", "direct", "side")
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in t)
+    # Padded to the widest query: the K-sums, or singletons alone at n = 1.
+    assert t.terms.shape == (1 if n == 1 else k, n, per_db_count(n, k))
+    assert t.direct.shape == t.side.shape == (n**k,)
 
 
 def test_side_information_accounting():

@@ -201,13 +201,18 @@ def test_empty_desired_subfile_is_handled():
 
 
 def test_cost_is_theta_invariant():
-    store = build_file_store(3, 54, seed=13)
-    real = sample_placement(
-        UniformRandomPlacement(Fraction(1, 3)), 3, 54, 2, seed=14
-    )
-    part = partition_by_storage_set(real)
-    totals = {retrieve_file(store, part, d, seed=15).report.total for d in range(3)}
-    assert len(totals) == 1
+    # Every charge, down to each node and each storage set, is the same
+    # whichever file is desired: the headline shape, many small sets, K=4.
+    shapes = [(3, 2, Fraction(1, 3), 9000), (3, 20, Fraction(1, 20), 600)]
+    for k, n, mu, length in shapes + [(4, 3, Fraction(1, 2), 100)]:
+        store = build_file_store(k, length, seed=13)
+        for placement_seed in (14, 15, 16):
+            policy = UniformRandomPlacement(mu)
+            real = sample_placement(policy, k, length, n, placement_seed)
+            part = partition_by_storage_set(real)
+            reports = [retrieve_file(store, part, d, seed=15).report for d in range(k)]
+            # Equal reports: equal per_node, per_partition, total and ideal.
+            assert all(report == reports[0] for report in reports[1:])
 
 
 def test_cost_report_consistency():
