@@ -29,7 +29,7 @@ from .errors import BudgetViolation, InvariantViolation, ProtocolError, Reliabil
 from .model import partition_by_storage_set
 from .placement import PlacementPolicy, UniformRandomPlacement, policy_from_dict
 from .privacy import check_instance, transcript_distribution_test
-from .retrieval import DOWNLOAD_CAP, simulate_trials
+from .retrieval import simulate_trials
 from .rng import derive_seed
 from .placement import sample_placement
 
@@ -38,6 +38,8 @@ INVARIANT_EXIT = 2
 # Exact costs are fractions over powers such as n**K, of K * log10(n) digits:
 # past this many files they grow too long to evaluate and print quickly.
 MAX_FILES = 1000
+# Bits one privacy test's sessions may download, one per sum query.
+MAX_PRIVACY_DOWNLOAD_BITS = 50_000_000
 # Terms of the block templates one privacy test builds, one per desired file
 # of K * n**K terms each: up to K = 13 at n = 2, about two seconds of builds.
 MAX_TEMPLATE_TERMS = 1 << 21
@@ -330,10 +332,10 @@ def cmd_privacy_test(args) -> int:
     check_instance(args.k, args.n, args.file_bits)
     # One bit per query: what the sessions of all K desired files download.
     bits = args.k * args.sessions * args.file_bits * capacity_classical(args.k, args.n)
-    if bits > DOWNLOAD_CAP:
+    if bits > MAX_PRIVACY_DOWNLOAD_BITS:
         raise ValueError(
             f"privacy test too large: its sessions would download more than "
-            f"the {DOWNLOAD_CAP}-bit cap"
+            f"the {MAX_PRIVACY_DOWNLOAD_BITS}-bit cap"
         )
     if args.k**2 * args.n**args.k > MAX_TEMPLATE_TERMS:
         raise ValueError(

@@ -12,11 +12,13 @@ Conventions used throughout the package:
 The partition by storage set is arrays in canonical order: sets by size,
 then by sorted member list, and within a set file by file with positions
 ascending.  :func:`partition_by_storage_set` builds it with one stable sort
-of all addresses on a per-address key (the number of caching databases,
-then one byte per eight databases with a database's bit cleared where it
-caches the address), so any number of databases works; see
-:class:`StorageSetPartition` for the layout.  The partition is these arrays
-only: padding each set for its protocol session is retrieval's business.
+of all addresses.  Up to eight databases, an address's storage set fits in
+one code byte and the sort key is that byte's canonical rank; beyond that
+the key is the number of caching databases, then one byte per eight
+databases with a database's bit cleared where it caches the address, so
+any number of databases works.  See :class:`StorageSetPartition` for the
+layout.  The partition is these arrays only: padding each set for its
+protocol session is retrieval's business.
 """
 
 from __future__ import annotations
@@ -109,16 +111,21 @@ class CacheRealization:
         total = self.num_files * self.file_len
         # One pass over all sets screens for a fault; only a faulty
         # realization walks the sets, to name the first faulty database.
-        lengths = [len(addrs) for addrs in self.sets]
+        lengths = np.array([len(addrs) for addrs in self.sets], dtype=np.int64)
         flat = np.concatenate([np.zeros(0, np.int64), *self.sets])
         steps = np.diff(flat)
-        starts = np.cumsum(lengths, dtype=np.int64)[:-1]
+        ends = np.cumsum(lengths)
+        starts = ends[:-1]
         # A set's first address is not compared with the previous set's last.
         steps[starts[(starts > 0) & (starts < len(flat))] - 1] = 1
+        # Once every set is strictly increasing, its first and last entries
+        # are its least and greatest addresses.
+        held = lengths > 0
         if not (
             (steps <= 0).any()
-            or (len(flat) and (flat.min() < 0 or flat.max() >= total))
-            or max(lengths, default=0) > self.budget
+            or (flat[(ends - lengths)[held]] < 0).any()
+            or (flat[ends[held] - 1] >= total).any()
+            or lengths.max(initial=0) > self.budget
         ):
             return
         for d, addrs in enumerate(self.sets):
@@ -234,16 +241,73 @@ class StorageSetPartition:
         }
 
 
+# Up to eight databases, database d sets bit 0x80 >> (d - 1) of an address's
+# code byte where it caches the address.  _RANK[code] is the code's place in
+# canonical order: by size (the set bits), then by sorted member list, which
+# for one size is the complemented byte ascending.  _CODE_BY_RANK inverts it.
+_CODES = np.arange(256, dtype=np.uint8)
+_CODE_BY_RANK = _CODES[
+    np.lexsort((~_CODES, np.unpackbits(_CODES[:, None], axis=1).sum(axis=1)))
+]
+_RANK = np.empty(256, dtype=np.uint8)
+_RANK[_CODE_BY_RANK] = _CODES
+
+
 def partition_by_storage_set(realization: CacheRealization) -> StorageSetPartition:
     """Assign each address to the exact set of nodes that store it.
 
     Address ``(j, i)`` lands in ``S = {0} | {d : (j, i) cached by DB_d}``.
+    One stable sort of all addresses by a key that orders storage sets
+    canonically puts them in canonical order, ascending within each set:
+    the rank of the address's code byte up to eight databases, and beyond
+    that its size and key bytes (see :func:`_sort_by_key_bytes`).
+    """
+    k, n = realization.num_files, realization.num_dbs
+    if n <= 8:
+        addresses, runs, in_set = _sort_by_code_byte(realization)
+    else:
+        addresses, runs, in_set = _sort_by_key_bytes(realization)
+    starts = np.zeros(len(runs) + 1, dtype=np.int64)
+    np.cumsum(runs, out=starts[1:])
+    held = np.hstack((np.ones((len(in_set), 1), dtype=np.uint8), in_set))
+    members = np.nonzero(held)[1]
+    sizes = held.sum(axis=1, dtype=np.int64)
+    return StorageSetPartition(
+        k, realization.file_len, n, addresses, starts, sizes, members
+    )
+
+
+def _sort_by_code_byte(realization: CacheRealization):
+    """Canonical order from one code byte per address, for at most 8 databases.
+
+    Returns the sorted ``addresses``, the ``S * K`` per-file run lengths of
+    the ``S`` occupied sets, and their ``(S, N)`` membership bits.
+    """
+    k, length, n = realization.num_files, realization.file_len, realization.num_dbs
+    code = np.zeros(k * length, dtype=np.uint8)
+    for d, addrs in enumerate(realization.sets):
+        code[addrs] |= 0x80 >> d
+    rank = _RANK.take(code)  # about twice as fast as _RANK[code] on bytes
+    # numpy's stable sort of 8-bit integers is one radix pass.
+    addresses = np.argsort(rank, kind="stable")
+    # counts[r, j]: the bits of file j in the set of rank r.
+    counts = np.stack(
+        [np.bincount(row, minlength=256) for row in rank.reshape(k, length)], axis=1
+    )
+    occupied = np.flatnonzero(counts.any(axis=1))
+    in_set = np.unpackbits(_CODE_BY_RANK[occupied, None], axis=1, count=n)
+    return addresses, counts[occupied].reshape(-1), in_set
+
+
+def _sort_by_key_bytes(realization: CacheRealization):
+    """Canonical order from key bytes, for any number of databases.
+
     Each address gets one key byte per eight databases, starting at ``0xFF``
     with database ``d``'s bit (``0x80 >> ((d - 1) % 8)`` of byte
     ``(d - 1) // 8``) cleared where it caches the address.  For sets of one
     size, comparing these complemented bytes in order is comparing sorted
-    member lists, so one stable sort by (size, key bytes) puts the addresses
-    in canonical order, ascending within each set.
+    member lists, so one stable sort by (size, key bytes) gives canonical
+    order.  Returns what :func:`_sort_by_code_byte` returns.
     """
     k, length, n = realization.num_files, realization.file_len, realization.num_dbs
     total = k * length
@@ -269,18 +333,10 @@ def partition_by_storage_set(realization: CacheRealization) -> StorageSetPartiti
     new_run = new_set.copy()
     new_run[1:] |= files[1:] != files[:-1]
     firsts = np.flatnonzero(new_set)
-    num_sets = len(firsts)
     run_firsts = np.flatnonzero(new_run)
-    runs = np.zeros(num_sets * k, dtype=np.int64)
+    runs = np.zeros(len(firsts) * k, dtype=np.int64)
     runs[(np.cumsum(new_set[run_firsts]) - 1) * k + files[run_firsts]] = np.diff(
         run_firsts, append=total
     )
-    starts = np.zeros(num_sets * k + 1, dtype=np.int64)
-    np.cumsum(runs, out=starts[1:])
-
     in_set = np.unpackbits(~keys[:, addresses[firsts]].T, axis=1, count=n)
-    held = np.hstack((np.ones((num_sets, 1), dtype=np.uint8), in_set))
-    members = np.nonzero(held)[1]
-    sizes = held.sum(axis=1, dtype=np.int64)
-
-    return StorageSetPartition(k, length, n, addresses, starts, sizes, members)
+    return addresses, runs, in_set

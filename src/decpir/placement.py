@@ -116,7 +116,10 @@ def sample_placement(
     Uniform placement samples database ``d`` from what
     ``generator(derive_seed(seed, d))`` draws, all databases seeded in one
     pass by :func:`decpir.rng.generators`; deterministic policies ignore the
-    randomness but still validate the budget.
+    randomness but still validate the budget.  The draw passes
+    ``shuffle=False``, which selects the same subset: by default numpy
+    shuffles a subset drawn by Floyd's algorithm (at most 10,000 addresses,
+    or a budget of at most 1/50 of them), an order that sorting throws away.
     """
     if num_dbs < 0:
         raise ValueError(f"database count must be non-negative, got {num_dbs}")
@@ -126,9 +129,11 @@ def sample_placement(
 
     if isinstance(policy, UniformRandomPlacement):
         sets = tuple(
-            np.sort(rng.choice(total, size=budget, replace=False)).astype(np.int64)
+            rng.choice(total, size=budget, replace=False, shuffle=False)
             for rng in generators(derive_seeds(seed, indices=range(num_dbs)))
         )
+        for drawn in sets:
+            drawn.sort()
         return CacheRealization(num_files, file_len, num_dbs, budget, sets)
 
     if isinstance(policy, WholeFilePrefixPlacement):

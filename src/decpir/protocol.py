@@ -85,10 +85,6 @@ class QueryPlan:
     def total_queries(self) -> int:
         return self.num_replicas * self.blocks * self.block_queries
 
-    def query_starts(self) -> np.ndarray:
-        """Each segment's first query number at every store, then the total."""
-        return np.array(self.segment_starts) // self.block * self.block_queries
-
 
 class _BlockTemplate(NamedTuple):
     """The plan for one block of counters, ``n**K`` per file.

@@ -51,8 +51,8 @@ from .rng import derive_seed, derive_seeds
 # Refuse retrievals of more padded symbols, K * |S|**K per block of a set of
 # |S| nodes plus each data-center-only bit: they bound the block templates
 # and answer arrays, and pass the download, |S| * (|S|**K - 1) / (|S| - 1)
-# bits a block.  The privacy test caps its download at the same number.
-DOWNLOAD_CAP = 50_000_000
+# bits a block.
+MAX_PADDED_SYMBOLS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def retrieve_file(
     """Privately retrieve file ``desired`` and account every downloaded bit.
 
     Raises ``ValueError`` if the store and ``partition`` disagree on K or L
-    or the padded symbols would exceed :data:`DOWNLOAD_CAP`, and
+    or the padded symbols would exceed :data:`MAX_PADDED_SYMBOLS`, and
     :class:`ReliabilityError` if the reassembled file differs from the
     source (never expected for a valid partition).
     """
@@ -133,9 +133,9 @@ def retrieve_file(
         int(partition.starts[k]) if blocks is None else k * size**k * int(blocks.sum())
         for size, _, _, blocks in groups
     )
-    if padded > DOWNLOAD_CAP:
+    if padded > MAX_PADDED_SYMBOLS:
         raise ValueError(
-            f"the count of padded symbols exceeds the cap of {DOWNLOAD_CAP}; "
+            f"the count of padded symbols exceeds the cap of {MAX_PADDED_SYMBOLS}; "
             "padded block sizes grow as |S|**K, so shrink K, N, or the storage ratio"
         )
 
@@ -237,7 +237,7 @@ def _retrieve_group(
     where = np.arange(len(cols)) + np.repeat(starts[desired:-1:k] - before, lens)
     recovered[partition.addresses[where] - desired * length] = got
 
-    charged[first:end] = np.diff(plan.query_starts())
+    charged[first:end] = blocks * plan.block_queries
     max_lens = run_lens.reshape(-1, k).max(axis=1)
     return capacity_classical(k, size) * int(max_lens.sum())
 

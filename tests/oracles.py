@@ -73,6 +73,11 @@ def segment(plan, i):
     return replace(plan, num_symbols=lam, permutations=perms, segment_starts=(0, lam))
 
 
+def query_starts(plan):
+    """Each segment's first query number at every store, then the total."""
+    return np.array(plan.segment_starts) // plan.block * plan.block_queries
+
+
 def tiled_record(plan):
     """``files``, ``indices``, ``orders`` and ``sources`` by tiling the template.
 

@@ -97,6 +97,15 @@ def test_realization_names_a_faulty_middle_database(middle, error, message):
         CacheRealization(2, 3, 3, 2, tuple(np.array(a, dtype=np.int64) for a in sets))
 
 
+@pytest.mark.parametrize("middle", [[-1, 2], [2, 6]])
+def test_realization_screens_every_sets_first_and_last_address(middle):
+    # Every set is strictly increasing, so only the range screen sees the
+    # fault: its first or last address, neither at an end of all the sets.
+    sets = ([0, 5], [], middle, [1, 3])
+    with pytest.raises(ValueError, match="database 3 caches an out-of-range address"):
+        CacheRealization(2, 3, 4, 2, tuple(np.array(a, dtype=np.int64) for a in sets))
+
+
 def test_realization_accepts_empty_and_overlapping_sets():
     sets = ([4, 5], [], [0, 1], [5], [])
     real = CacheRealization(2, 3, 5, 2, tuple(np.array(a, dtype=np.int64) for a in sets))

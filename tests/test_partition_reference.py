@@ -11,10 +11,15 @@ the same positions, and the padded lengths retrieval's one padding rule
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decpir.model import partition_by_storage_set
+from decpir.model import (
+    _sort_by_code_byte,
+    _sort_by_key_bytes,
+    partition_by_storage_set,
+)
 from decpir.placement import UniformRandomPlacement, sample_placement
 from decpir.retrieval import _size_groups
 
@@ -94,3 +99,30 @@ def test_partition_beyond_63_databases():
         real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 3, 8, n, n)
         assert_matches_reference(real)
         assert max(len(s) for s in partition_by_storage_set(real).entries) > 33
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_partition_either_side_of_one_code_byte(n):
+    # Up to eight databases the sort key is one code byte's rank, beyond
+    # that the key bytes.  At mu = 1/2 nearly all 2**n sets hold bits.
+    real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 2, 1500, n, n)
+    assert_matches_reference(real)
+    assert len(partition_by_storage_set(real).sizes) > 2**n * 0.9
+    if n <= 8:
+        # Both builders are exact here, so they agree array for array.
+        for got, want in zip(_sort_by_code_byte(real), _sort_by_key_bytes(real)):
+            assert np.array_equal(got, want)
+
+
+def test_partition_at_the_headline_size():
+    real = sample_placement(UniformRandomPlacement(Fraction(1, 3)), 3, 9000, 2, 7)
+    assert_matches_reference(real)
+
+
+@pytest.mark.parametrize("mu, size", [(Fraction(0), 1), (Fraction(1), 6)])
+def test_partition_with_nothing_or_everything_cached(mu, size):
+    # Every bit lands in one set: the data center alone, or every node.
+    real = sample_placement(UniformRandomPlacement(mu), 3, 20, 5, 11)
+    assert_matches_reference(real)
+    part = partition_by_storage_set(real)
+    assert part.sizes.tolist() == [size] and part.lengths().tolist() == [[20] * 3]

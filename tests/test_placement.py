@@ -143,17 +143,26 @@ def test_sampling_is_deterministic(seed, n):
     assert all(np.array_equal(x, y) for x, y in zip(a.sets, b.sets))
 
 
-@pytest.mark.parametrize("num_dbs", [1, 7, 8, 20])
-def test_databases_draw_from_their_own_derived_seed(num_dbs):
+@pytest.mark.parametrize(
+    "num_dbs, length",
+    [(1, 40), (7, 40), (8, 40), (20, 40), (2, 4000)],
+    ids=["1", "7", "8", "20", "2-of-12000"],
+)
+def test_databases_draw_from_their_own_derived_seed(num_dbs, length):
     # Batch seeding starts at eight databases; either side must draw, for
-    # database d, what a generator of its own seed draws.
+    # database d, the set a generator of its own seed draws, shuffled or not.
+    # Above 10,000 addresses and a budget over 1/50 of them numpy draws by a
+    # partial shuffle of all addresses (the headline fixture's path), else by
+    # Floyd's algorithm.
     real = sample_placement(
-        UniformRandomPlacement(Fraction(1, 4)), 3, 40, num_dbs, seed=2024
+        UniformRandomPlacement(Fraction(1, 4)), 3, length, num_dbs, seed=2024
     )
+    total, budget = 3 * length, 3 * length // 4
     assert len(real.sets) == num_dbs
     for d, cached in enumerate(real.sets):
         rng = generator(derive_seed(2024, d))
-        assert np.array_equal(cached, np.sort(rng.choice(120, 30, replace=False)))
+        want = np.sort(rng.choice(total, budget, replace=False))
+        assert cached.dtype == np.int64 and np.array_equal(cached, want)
 
 
 def test_policy_from_dict_round_trip():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import segment, store_view
+from oracles import query_starts, segment, store_view
 
 import decpir.retrieval as retrieval
 from decpir.analysis import capacity_classical
@@ -109,9 +109,9 @@ def retrieve_with_sessions(store, partition, desired, seed):
     retrieval builds.  Segment ``i`` of the plan for sets of ``s`` nodes is
     the ``i``-th set of that size: its plan is ``oracles.segment(plan, i)``
     and its answers each store's row of the matrix cut at
-    ``plan.query_starts()``.  The data-center-only set runs no plan; its one
-    answer string is the store's bits at its addresses, and its length must
-    be the set's charge.
+    ``oracles.query_starts(plan)``.  The data-center-only set runs no plan;
+    its one answer string is the store's bits at its addresses, and its
+    length must be the set's charge.
     """
     plans, matrices = [], []
     generate, answer = retrieval.generate_query_plan, retrieval.answer_queries
@@ -141,8 +141,8 @@ def retrieve_with_sessions(store, partition, desired, seed):
     assert len(matrices) == len(plans)
     for plan, answers in zip(plans, matrices):
         first = int(np.searchsorted(partition.sizes, plan.num_replicas))
-        assert answers.shape == (plan.num_replicas, plan.query_starts()[-1])
-        q = plan.query_starts().tolist()
+        assert answers.shape == (plan.num_replicas, query_starts(plan)[-1])
+        q = query_starts(plan).tolist()
         for i, (qa, qb) in enumerate(zip(q, q[1:])):
             cut = tuple(answers[:, qa:qb])
             sessions.append(Session(nodes[first + i], segment(plan, i), cut))
@@ -288,7 +288,7 @@ def test_download_cap_refuses_before_any_plan(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a plan was built past the cap")
 
-    monkeypatch.setattr(retrieval, "DOWNLOAD_CAP", total - 1)
+    monkeypatch.setattr(retrieval, "MAX_PADDED_SYMBOLS", total - 1)
     monkeypatch.setattr(retrieval, "generate_query_plan", refuse)
     with pytest.raises(ValueError, match="exceeds the cap"):
         retrieve_file(store, part, 0, seed=37)
