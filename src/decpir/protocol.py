@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -45,7 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ProtocolError
-from .rng import generators
+from .rng import generators, seed_array
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,15 @@ def _block_template(n: int, k: int, desired: int) -> _BlockTemplate:
     return template
 
 
+def _first_non_integer(values: list):
+    """The first of ``values`` that ``operator.index`` refuses."""
+    for value in values:
+        try:
+            operator.index(value)
+        except TypeError:
+            return value
+
+
 def generate_query_plan(
     num_replicas: int,
     num_files: int,
@@ -197,10 +207,10 @@ def generate_query_plan(
     ``generator(seed[i])`` would for a plan of its own, offset by the
     segment's start, so the permutations are block-diagonal and its queries,
     decode sources and decoded symbols are those of the separate plan,
-    shifted.  Seeds are integers, taken modulo ``2**64``; a single
-    ``num_symbols`` takes a single seed.  Any other seed type, or a mismatch
-    between one length and a sequence of seeds or the reverse, raises
-    ``ValueError``.
+    shifted.  Lengths are integers, and seeds are integers taken modulo
+    ``2**64``; a single ``num_symbols`` takes a single seed.  Any other
+    length or seed type, or a mismatch between one length and a sequence of
+    seeds or the reverse, raises ``ValueError``.
     """
     n, k = num_replicas, num_files
     if n < 1:
@@ -209,10 +219,10 @@ def generate_query_plan(
         raise ValueError(f"need at least one file, got {k}")
     if not 0 <= desired < k:
         raise ValueError(f"desired file {desired} out of range for K={k}")
-    if isinstance(num_symbols, (int, np.integer)):
-        lams, seeds = [int(num_symbols)], [seed]
+    if isinstance(num_symbols, (str, bytes)) or not isinstance(num_symbols, Iterable):
+        lams, seeds = [num_symbols], [seed]
     else:
-        lams = [int(lam) for lam in num_symbols]
+        lams = list(num_symbols)
         try:
             seeds = list(seed)
         except TypeError:
@@ -225,10 +235,15 @@ def generate_query_plan(
                 f"{len(lams)} segment lengths but {len(seeds)} segment seeds"
             )
     try:
-        # Plain ints, so that numpy integers are masked like ints.
-        seeds = list(map(operator.index, seeds))
+        # Plain ints, so that numpy integers are checked like ints.
+        lams = list(map(operator.index, lams))
     except TypeError:
-        bad = next(s for s in seeds if not hasattr(type(s), "__index__"))
+        bad = _first_non_integer(lams)
+        raise ValueError(f"symbol counts must be integers, got {bad!r}") from None
+    try:
+        seeds = seed_array(seeds)
+    except TypeError:
+        bad = _first_non_integer(seeds)
         raise ValueError(f"seeds must be integers, got {bad!r}") from None
     block = n**k
     for lam in lams:

@@ -9,26 +9,27 @@ contexts extend the path, e.g. ``derive_seed(m, trial, session)``.
 ``generator(seed)`` is numpy's PCG64 seeded through ``SeedSequence``.  A plan
 with hundreds of segments needs one such generator per segment, and building
 each costs far more than its shuffles, almost all of it in ``SeedSequence``
-hashing.  ``generators(seeds)`` therefore runs numpy's documented seeding
-algorithms itself: the ``SeedSequence`` hash (pool of four 32-bit words) of
-all seeds at once as ``uint32`` array arithmetic, whose hash constants do not
-depend on the seeds, then PCG64's two 128-bit LCG seeding steps per seed on
-Python integers, setting one reused ``PCG64``'s state per seed.  Every
-generator it gives draws exactly what ``generator(seed)`` draws.
-``derive_seeds`` likewise derives a range of sibling seeds in one ``uint64``
-array pass.  Both keep the per-seed functions below ``_ARRAY_SEEDS`` seeds.
+hashing.  ``generators(seeds)`` therefore runs numpy's documented
+``SeedSequence`` hash (pool of four 32-bit words) of all seeds at once as
+``uint32`` array arithmetic, whose hash constants do not depend on the seeds,
+and hands each seed's four hashed ``uint64`` words to a fresh ``PCG64``
+through numpy's ``ISeedSequence`` interface, so numpy's own C seeding runs
+PCG64's two LCG steps.  Every generator it gives draws exactly what
+``generator(seed)`` draws.  ``derive_seeds`` likewise derives a range of
+sibling seeds in one ``uint64`` array pass.  Both keep the per-seed functions
+below ``_ARRAY_SEEDS`` seeds.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Below this many seeds, the fixed cost of an array pass over all of them (a
 # few to a few dozen tiny numpy calls) exceeds what it saves per seed.
@@ -53,12 +54,15 @@ def derive_seed(master: int, *path: int) -> int:
 def derive_seeds(master: int, *path: int, indices: range) -> list[int]:
     """``[derive_seed(master, *path, i) for i in indices]``, in one array pass.
 
-    The last mix runs on a ``uint64`` array, whose arithmetic wraps modulo
-    ``2**64`` just as ``_mix`` masks.
+    The last path elements and the last mix run on ``uint64`` arrays, whose
+    arithmetic wraps modulo ``2**64`` just as ``derive_seed`` and ``_mix``
+    mask, so indices past the ``int64`` range derive the same seeds.
     """
     if len(indices) < _ARRAY_SEEDS:
         return [derive_seed(master, *path, i) for i in indices]
-    last = np.arange(indices.start, indices.stop, indices.step).astype(np.uint64)
+    last = np.arange(len(indices), dtype=np.uint64)
+    last *= np.uint64(indices.step & _MASK64)
+    last += np.uint64(indices.start & _MASK64)
     return _mix(last ^ (derive_seed(master, *path) ^ _GOLDEN)).tolist()
 
 
@@ -82,7 +86,6 @@ def _hash_constants(init: int, mult: int, count: int) -> tuple[list, list]:
 
 _POOL_XORS, _POOL_MULTS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _OUT_XORS, _OUT_MULTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's LCG multiplier
 
 
 def _column(values) -> np.ndarray:
@@ -116,11 +119,11 @@ _MIX_L, _MIX_R = _column([0xCA01F9DD]), _column([0x4973F715])
 _SHIFT = _column([16])
 
 
-def _seed_states(seeds: np.ndarray) -> list:
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed.
 
-    ``seeds`` is a ``uint64`` array; the result is one list of four Python
-    ints per seed.
+    ``seeds`` is a ``uint64`` array; the result is the ``(len(seeds), 4)``
+    ``uint64`` array of their rows.
     """
     # Row r holds pool word r % 4; rows 4..7 end up holding words 0..3.
     # A 64-bit seed is the entropy words (low, high), padded with zeros to
@@ -148,30 +151,64 @@ def _seed_states(seeds: np.ndarray) -> list:
     out *= _OUT_MULT_ROWS
     out ^= out >> _SHIFT
     # numpy reads the eight words as four uint64 by a native-order view.
-    return np.ascontiguousarray(out.reshape(8, -1).T).view(np.uint64).tolist()
+    return np.ascontiguousarray(out.reshape(8, -1).T).view(np.uint64)
+
+
+@cache
+def _state_words() -> type:
+    """``_StateWords``, an ``ISeedSequence`` holding one seed's hashed words.
+
+    ``PCG64`` asks its seed sequence for ``generate_state(4, np.uint64)``
+    once, when built, and seeds itself from those words in C.  The class is
+    defined on first use, so that importing this module does not import
+    ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _StateWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 passes the ``np.uint64`` type itself; other spellings of
+            # that dtype are accepted too, only more slowly.
+            if n_words != 4 or (
+                dtype is not np.uint64 and np.dtype(dtype) != np.uint64
+            ):
+                raise ValueError(
+                    f"holds 4 uint64 state words, asked for {n_words} of {dtype!r}"
+                )
+            return self.words
+
+    return _StateWords
+
+
+def seed_array(seeds: Sequence[int]) -> np.ndarray:
+    """``seeds`` taken modulo ``2**64``, as a ``uint64`` array.
+
+    A ``uint64`` array is returned as is.  A seed that is not an integer
+    raises ``TypeError``.
+    """
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    return np.array([operator.index(s) & _MASK64 for s in seeds], dtype=np.uint64)
 
 
 def generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     """For each seed in turn, a generator that draws what ``generator(seed)`` draws.
 
-    From ``_ARRAY_SEEDS`` seeds on, one ``Generator`` is reused and reset
-    for each seed, so finish drawing from it before taking the next one.
+    From ``_ARRAY_SEEDS`` seeds on, every seed's ``SeedSequence`` words are
+    hashed in one array pass first.  The generators share no state, so any
+    number of them may be held and drawn from in any order.
     """
     if len(seeds) < _ARRAY_SEEDS:
         return map(generator, seeds)
-    return _reseeded(seeds)
+    return _reseeded(seed_array(seeds))
 
 
-def _reseeded(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
-    masked = np.array([operator.index(s) & _MASK64 for s in seeds], dtype=np.uint64)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for seed_hi, seed_lo, seq_hi, seq_lo in _seed_states(masked):
-        # pcg64_set_seed: state 0, then two LCG steps with the start state
-        # added in between.
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        start = (seed_hi << 64 | seed_lo) + inc
-        state["state"] = {"state": (start * _PCG64_MULT + inc) & _MASK128, "inc": inc}
-        bit_generator.state = state
-        yield rng
+def _reseeded(seeds: np.ndarray) -> Iterator[np.random.Generator]:
+    state_words = _state_words()
+    for words in _seed_states(seeds):
+        yield np.random.Generator(np.random.PCG64(state_words(words)))

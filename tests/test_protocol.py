@@ -7,6 +7,7 @@ read each store's queries through ``oracles.store_view`` and the decode
 table through ``oracles.tiled_record``.
 """
 
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -376,11 +377,37 @@ def test_plans_are_deterministic_under_seed():
         ([8, 8], 3),  # segment lengths, one seed
         (8, 1.5),  # a float seed
         ([8, 8], [1, 2.0]),  # a float among the segment seeds
+        (8, np.array([1])),  # an array seed (its type has __index__)
     ],
 )
 def test_seed_and_length_types_are_refused(lam, seed):
     with pytest.raises(ValueError, match="seed"):
         generate_query_plan(2, 3, 0, lam, seed)
+
+
+@pytest.mark.parametrize(
+    "lam, seed, shown",
+    [
+        ([54.7, 54.2], [1, 2], "54.7"),  # float segment lengths
+        ([27, 27.0], [1, 2], "27.0"),  # a float among the segment lengths
+        (54.0, 1, "54.0"),  # a float length
+        ("54", 1, "'54'"),  # a string length
+        ([np.array([27])], [1], "array([27])"),  # an array among the lengths
+    ],
+)
+def test_non_integer_lengths_are_refused(lam, seed, shown):
+    want = f"symbol counts must be integers, got {re.escape(shown)}$"
+    with pytest.raises(ValueError, match=want):
+        generate_query_plan(3, 3, 0, lam, seed)
+
+
+def test_numpy_integer_lengths_count_as_ints():
+    want = generate_query_plan(3, 3, 1, [27, 54], [5, 6])
+    for lam in ([np.int64(27), np.uint16(54)], np.array([27, 54])):
+        got = generate_query_plan(3, 3, 1, lam, [5, 6])
+        assert got.segment_starts == want.segment_starts == (0, 27, 81)
+        assert all(type(start) is int for start in got.segment_starts)
+        assert np.array_equal(got.permutations, want.permutations)
 
 
 @pytest.mark.parametrize(
