@@ -5,12 +5,11 @@ uniformly random bit subsets of a data center's files; a retriever then
 privately downloads one file across the data center plus N databases by
 running a replicated-store sum-query protocol per storage-set partition.
 The analysis half evaluates the closed-form expected download cost, the
-per-realization lower bound, and optimizes the bound over per-bit caching
-marginals.
+per-realization lower bound, and certifies in exact arithmetic that uniform
+per-bit caching marginals minimize the expected bound.
 """
 
 from .analysis import (
-    BoundMinimization,
     CentralizedEnvelope,
     MarginalProfile,
     capacity_classical,
@@ -19,7 +18,7 @@ from .analysis import (
     converse_bound_realization,
     expected_converse_bound,
     expected_size_mass,
-    minimize_expected_bound,
+    uniform_optimality_certificate,
     uniform_profile,
 )
 from .errors import (

@@ -1,9 +1,9 @@
 """Closed-form download-cost formulas, the per-realization lower bound,
-its expectation under arbitrary per-bit caching marginals, and a numerical
-minimizer over those marginals.
+its expectation under arbitrary per-bit caching marginals, and the exact
+certificate that the uniform marginals minimize that expectation.
 
-All closed-form evaluators run in exact rational arithmetic whenever the
-inputs are rational; floating point is confined to the optimizer.
+Every evaluator runs in exact rational arithmetic whenever its inputs are
+rational; float inputs give floats.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, lcm
 from operator import itemgetter, mul
-from typing import Callable
 
 import numpy as np
 
@@ -143,7 +142,7 @@ class MarginalProfile:
     """Per-bit caching probabilities shared by every database.
 
     ``probs`` is a (K, L) array; Fraction or int entries keep the expectation
-    evaluators exact, float entries are what the optimizer works with.
+    evaluators exact, float entries give float expectations.
     ``levels`` maps each distinct marginal to its number of entries; it is
     built once, here, so ``probs`` must not be modified afterwards.  A
     ``probs`` that broadcasts one value (all strides zero, as
@@ -187,15 +186,11 @@ class MarginalProfile:
             )
 
 
-def _check_profile_shape(num_files: int, file_len: int) -> None:
+def uniform_profile(num_files: int, file_len: int, mu) -> MarginalProfile:
     if num_files < 1:
         raise ValueError(f"need at least one file, got {num_files}")
     if file_len < 0:
         raise ValueError(f"file length must be non-negative, got {file_len}")
-
-
-def uniform_profile(num_files: int, file_len: int, mu) -> MarginalProfile:
-    _check_profile_shape(num_files, file_len)
     level = np.array(Fraction(mu), dtype=object)
     return MarginalProfile(np.broadcast_to(level, (num_files, file_len)))
 
@@ -248,174 +243,25 @@ def expected_converse_bound(
     )
 
 
-# ---------------------------------------------------------------------------
-# Minimization of the expected bound over feasible marginal profiles.
-# ---------------------------------------------------------------------------
+def uniform_optimality_certificate(num_files: int, num_dbs: int) -> tuple:
+    """Largest first and smallest second difference of ``h(l)``, ``l = 1..N+1``.
 
-# A descent stops after this many steps or at this projected-gradient norm.
-_MAX_ITER = 100_000
-_GRAD_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class BoundMinimization:
-    """Outcome of :func:`minimize_expected_bound`.
-
-    ``pg_norm_uniform`` is the projected-gradient norm at the uniform
-    profile; a value near zero means uniform is stationary.  ``per_size_*``
-    report the expected per-size masses at the best point and at uniform so
-    per-size behavior can be inspected separately from the aggregate.
+    ``h = harmonic_weight(., K)``; ``None`` stands for a difference that
+    ``N`` is too small to have (first below ``N = 1``, second below ``N = 2``).
+    The expected bound is ``L + (1/K) sum_bits B(p_b)`` with the Bernstein
+    polynomial ``B(p) = sum_j C(N, j) h(j+1) p^j (1-p)^(N-j)``: first
+    differences ``<= 0`` make ``B`` nonincreasing and second differences
+    ``>= 0`` make it convex, so by Jensen no profile with ``sum p <= mu K L``
+    beats ``p == mu``, whose bound is ``L * capacity_decentralized(K, N, mu)``.
+    ``h = c - 1`` has the differences of ``c = capacity_classical(K, .)``,
+    read from its integer numerators over one common denominator.
     """
-
-    best_probs: np.ndarray
-    best_value: float
-    uniform_value: float
-    pg_norm_uniform: float
-    pg_norm_best: float
-    converged: bool
-    iterations: int
-    restart_values: tuple[float, ...]
-    per_size_best: tuple[float, ...]
-    per_size_uniform: tuple[float, ...]
-
-
-def project_capped_simplex(p: np.ndarray, budget: float) -> np.ndarray:
-    """Euclidean projection onto ``{q in [0,1]^d : sum(q) <= budget}``.
-
-    Clips to the box; if the clipped point still overshoots the budget,
-    shifts by the scalar that lands the clipped sum on the budget face
-    (solved by bisection to 1e-14).
-    """
-    q = np.clip(p, 0.0, 1.0)
-    if q.sum() <= budget + 1e-12:
-        return q
-    lo, hi = 0.0, float(p.max())
-    for _ in range(200):
-        tau = 0.5 * (lo + hi)
-        s = np.clip(p - tau, 0.0, 1.0).sum()
-        if s > budget:
-            lo = tau
-        else:
-            hi = tau
-        if hi - lo < 1e-14:
-            break
-    return np.clip(p - hi, 0.0, 1.0)
-
-
-def _objective_factory(
-    num_files: int, num_dbs: int, file_len: int
-) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    k, n = num_files, num_dbs
-    coeffs = [
-        comb(n, l - 1) * float(harmonic_weight(l, k)) / k for l in range(1, n + 2)
-    ]
-
-    def f_grad(p: np.ndarray) -> tuple[float, np.ndarray]:
-        value = 0.0
-        grad = np.zeros_like(p)
-        one_minus = 1.0 - p
-        for l, c in enumerate(coeffs, start=1):
-            a, b = l - 1, n + 1 - l
-            pa = p**a
-            qb = one_minus**b
-            value += c * float((pa * qb).sum())
-            if a > 0:
-                grad += c * a * p ** (a - 1) * qb
-            if b > 0:
-                grad -= c * b * pa * one_minus ** (b - 1)
-        return file_len + value, grad
-
-    return f_grad
-
-
-def _pg_norm(p, grad, budget):
-    return float(np.linalg.norm(p - project_capped_simplex(p - grad, budget)))
-
-
-def minimize_expected_bound(
-    num_files: int,
-    num_dbs: int,
-    mu,
-    file_len: int,
-    restarts: int = 20,
-    seed: int = 0,
-) -> BoundMinimization:
-    """Minimize the expected bound over feasible marginal profiles.
-
-    Projected gradient descent with backtracking line search, restarted from
-    the uniform profile and ``restarts`` random feasible points; restarts
-    reduce by minimum value.  Non-convergence within the iteration cap is
-    flagged, not raised; fewer than one file, a negative file length,
-    database count or restart count raises ``ValueError``.
-    """
-    _check_profile_shape(num_files, file_len)
     if num_dbs < 0:
         raise ValueError(f"database count must be non-negative, got {num_dbs}")
-    if restarts < 0:
-        raise ValueError(f"restart count must be non-negative, got {restarts}")
-    dim = num_files * file_len
-    if dim > 10_000:
-        raise ValueError(f"{dim} variables exceeds the dense-optimization limit")
-    budget = float(mu) * dim
-    f_grad = _objective_factory(num_files, num_dbs, file_len)
-    rng = np.random.Generator(np.random.PCG64(seed))
-
-    uniform = np.full(dim, float(mu))
-    u_value, u_grad = f_grad(uniform)
-    pg_uniform = _pg_norm(uniform, u_grad, budget)
-
-    def descend(start: np.ndarray) -> tuple[np.ndarray, float, float, bool, int]:
-        p = project_capped_simplex(start, budget)
-        value, grad = f_grad(p)
-        for it in range(_MAX_ITER):
-            if _pg_norm(p, grad, budget) <= _GRAD_TOL:
-                return p, value, _pg_norm(p, grad, budget), True, it
-            step = 1.0
-            accepted = False
-            while step > 1e-18:
-                cand = project_capped_simplex(p - step * grad, budget)
-                move = cand - p
-                cand_value, cand_grad = f_grad(cand)
-                # strict decrease: once the quadratic term underflows, an
-                # unchanged value must not count as progress or the loop
-                # micro-cycles until the iteration cap
-                if cand_value < value - 1e-4 * float(np.dot(move, move)) / step:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted or float(np.abs(move).max()) <= 1e-13:
-                # numerically stationary: no measurable progress possible
-                return p, value, _pg_norm(p, grad, budget), True, it
-            p, value, grad = cand, cand_value, cand_grad
-        return p, value, _pg_norm(p, grad, budget), False, _MAX_ITER
-
-    starts = [uniform] + [rng.random(dim) for _ in range(restarts)]
-    best = None
-    restart_values = []
-    total_iters = 0
-    all_converged = True
-    for start in starts:
-        p, value, pg, converged, iters = descend(start)
-        restart_values.append(value)
-        total_iters += iters
-        all_converged = all_converged and converged
-        if best is None or value < best[1]:
-            best = (p, value, pg, converged)
-
-    best_p, best_value, pg_best, best_converged = best
-    best_profile = MarginalProfile(best_p.reshape(num_files, file_len))
-    uniform_profile_f = MarginalProfile(uniform.reshape(num_files, file_len))
-    per_size_best = tuple(map(float, expected_size_masses(best_profile, num_dbs)))
-    per_size_uniform = tuple(map(float, expected_size_masses(uniform_profile_f, num_dbs)))
-    return BoundMinimization(
-        best_probs=best_p.reshape(num_files, file_len),
-        best_value=best_value,
-        uniform_value=u_value,
-        pg_norm_uniform=pg_uniform,
-        pg_norm_best=pg_best,
-        converged=all_converged and best_converged,
-        iterations=total_iters,
-        restart_values=tuple(restart_values),
-        per_size_best=per_size_best,
-        per_size_uniform=per_size_uniform,
+    nums, den = _classical_numerators(num_files, num_dbs + 1)
+    first = [b - a for a, b in zip(nums, nums[1:])]
+    second = [b - a for a, b in zip(first, first[1:])]
+    return (
+        Fraction(max(first), den) if first else None,
+        Fraction(min(second), den) if second else None,
     )

@@ -22,7 +22,8 @@ from .analysis import (
     centralized_envelope,
     converse_bound_realization,
     expected_converse_bound,
-    minimize_expected_bound,
+    expected_size_masses,
+    uniform_optimality_certificate,
     uniform_profile,
 )
 from .errors import BudgetViolation, InvariantViolation, ProtocolError, ReliabilityError
@@ -86,8 +87,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _value_line(label: str, value: Fraction) -> str:
+    return f"{label} = {_exact(value)} ≈ {float(value):.6f}"
+
+
 def _print_value(label: str, value: Fraction) -> None:
-    print(f"{label} = {_exact(value)} ≈ {float(value):.6f}")
+    print(_value_line(label, value))
 
 
 @dataclass
@@ -312,19 +317,29 @@ def cmd_converse(args) -> int:
 
 def cmd_optimize(args) -> int:
     mu = parse_mu(args.mu)
-    result = minimize_expected_bound(
-        args.k, args.n, mu, args.file_bits, restarts=args.restarts, seed=args.seed
-    )
-    print(f"uniform value   = {result.uniform_value:.12g}")
-    print(f"best value      = {result.best_value:.12g}")
-    print(f"delta           = {result.best_value - result.uniform_value:.3e}")
-    print(f"pg norm uniform = {result.pg_norm_uniform:.3e}")
-    print(f"pg norm best    = {result.pg_norm_best:.3e}")
-    print(f"converged       = {result.converged}")
-    for l, (best, uni) in enumerate(
-        zip(result.per_size_best, result.per_size_uniform), start=1
-    ):
-        print(f"mass size {l}: best={best:.6g} uniform={uni:.6g}")
+    profile = uniform_profile(args.k, args.file_bits, mu)
+    minimum = args.file_bits * capacity_decentralized(args.k, args.n, mu)
+    first, second = uniform_optimality_certificate(args.k, args.n)
+    if (first is not None and first > 0) or (second is not None and second < 0):
+        raise InvariantViolation(
+            f"uniform caching is not certified optimal: the harmonic weights' "
+            f"largest first difference is {first}, smallest second difference "
+            f"{second}"
+        )
+    shape = f"K={args.k}, N={args.n}, mu={mu}, L={args.file_bits}"
+    rows = [
+        (f"min expected_bound({shape})", minimum),
+        ("largest first difference of h", first),
+        ("smallest second difference of h", second),
+    ]
+    masses = expected_size_masses(profile, args.n)
+    rows += [(f"uniform mass size {l}", mass) for l, mass in enumerate(masses, start=1)]
+    # Every value is formatted before any is written (see _exact).
+    lines = [
+        f"{label} = none" if value is None else _value_line(label, value)
+        for label, value in rows
+    ]
+    print("\n".join(lines))
     return 0
 
 
@@ -429,9 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=0)
     p.set_defaults(func=cmd_converse)
 
-    p = subs.add_parser("optimize", help="minimize the expected bound over marginals")
-    _add_common(p, "k", "n", "mu", "file-bits", "seed")
-    p.add_argument("--restarts", type=int, default=20)
+    p = subs.add_parser(
+        "optimize", help="exact minimum of the expected bound over marginals"
+    )
+    _add_common(p, "k", "n", "mu", "file-bits")
     p.set_defaults(func=cmd_optimize)
 
     p = subs.add_parser("privacy-test", help="transcript indistinguishability test")

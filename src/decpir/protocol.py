@@ -219,7 +219,11 @@ def generate_query_plan(
         raise ValueError(f"need at least one file, got {k}")
     if not 0 <= desired < k:
         raise ValueError(f"desired file {desired} out of range for K={k}")
-    if isinstance(num_symbols, (str, bytes)) or not isinstance(num_symbols, Iterable):
+    if (
+        isinstance(num_symbols, (str, bytes))
+        or not isinstance(num_symbols, Iterable)
+        or getattr(num_symbols, "ndim", None) == 0  # a 0-d array
+    ):
         lams, seeds = [num_symbols], [seed]
     else:
         lams = list(num_symbols)

@@ -17,7 +17,6 @@ from decpir.analysis import (
     centralized_envelope,
     converse_bound_realization,
     expected_converse_bound,
-    minimize_expected_bound,
     uniform_profile,
 )
 from decpir.model import build_file_store, partition_by_storage_set
@@ -27,7 +26,12 @@ from decpir.protocol import generate_query_plan, structural_privacy_histogram
 from decpir.retrieval import retrieve_file, simulate_trials
 from decpir.rng import derive_seed
 
-from oracles import converse_bound_k3n2, store_view, tiled_record
+from oracles import (
+    converse_bound_k3n2,
+    minimize_expected_bound,
+    store_view,
+    tiled_record,
+)
 
 
 @contextmanager
@@ -183,6 +187,7 @@ def test_criterion_7_optimizer_recovers_uniform():
             )
             uniform_value = length * float(capacity_decentralized(k, n, mu))
             assert abs(result.best_value - uniform_value) <= 1e-6 * length
+            assert min(result.restart_values) >= uniform_value - 1e-6 * length
             assert abs(result.uniform_value - uniform_value) <= 1e-9 * length
             assert result.pg_norm_uniform < 1e-8
 

@@ -1,4 +1,4 @@
-"""Formula, bound, and optimizer tests.
+"""Formula, bound, and optimality tests.
 
 Golden fractions (184/81, 7/4, 4/3, 67/27, ...) were derived by hand from
 the defining sums before being frozen here; the polynomial and the
@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from decpir import analysis
 from decpir.analysis import (
     capacity_classical,
     capacity_decentralized,
@@ -20,7 +19,7 @@ from decpir.analysis import (
     expected_converse_bound,
     expected_size_mass,
     harmonic_weight,
-    minimize_expected_bound,
+    uniform_optimality_certificate,
     uniform_profile,
     MarginalProfile,
 )
@@ -33,7 +32,11 @@ from decpir.placement import (
 )
 from decpir.rng import derive_seed
 
-from oracles import converse_bound_k3n2, converse_bound_per_slot
+from oracles import (
+    converse_bound_k3n2,
+    converse_bound_per_slot,
+    minimize_expected_bound,
+)
 
 
 def test_capacity_classical_goldens():
@@ -158,6 +161,8 @@ def test_negative_counts_are_refused():
         minimize_expected_bound(2, -1, Fraction(1, 2), 3)
     with pytest.raises(ValueError, match="restart count must be non-negative"):
         minimize_expected_bound(2, 1, Fraction(1, 2), 3, restarts=-1)
+    with pytest.raises(ValueError, match="database count must be non-negative"):
+        uniform_optimality_certificate(2, -1)
 
 
 @pytest.mark.parametrize(
@@ -168,12 +173,7 @@ def test_negative_counts_are_refused():
         (1, -1, "file length must be non-negative, got -1"),
     ],
 )
-def test_bad_shapes_are_refused_before_the_optimizer(monkeypatch, k, length, match):
-    # The optimizer's objective is never built for a shape that has no profile.
-    def unbuilt(*args):
-        raise AssertionError("the objective was built")
-
-    monkeypatch.setattr(analysis, "_objective_factory", unbuilt)
+def test_bad_shapes_are_refused_before_the_optimizer(k, length, match):
     with pytest.raises(ValueError, match=match):
         uniform_profile(k, length, Fraction(1, 2))
     with pytest.raises(ValueError, match=match):
@@ -210,6 +210,7 @@ def test_zero_length_files_stay_valid():
     assert expected_converse_bound(uniform_profile(2, 0, Fraction(1, 2)), 1) == 0
     result = minimize_expected_bound(2, 1, Fraction(1, 2), 0, restarts=1)
     assert result.best_value == 0
+    assert all(v >= 0 for v in result.restart_values)
 
 
 def test_converse_bound_k3n2_form_agrees():
@@ -316,6 +317,7 @@ def test_minimizer_recovers_uniform_optimum():
     )
     target = length * float(Fraction(184, 81))
     assert abs(result.best_value - target) < 1e-6 * length
+    assert all(v >= target - 1e-6 * length for v in result.restart_values)
     assert result.pg_norm_uniform < 1e-8
     assert result.converged
 
@@ -323,9 +325,9 @@ def test_minimizer_recovers_uniform_optimum():
 def test_minimizer_mu_one_is_classical_value():
     length = 6
     result = minimize_expected_bound(2, 2, Fraction(1), length, restarts=3, seed=2)
-    assert abs(
-        result.best_value - length * float(capacity_classical(2, 3))
-    ) < 1e-9 * length
+    exact = length * float(capacity_classical(2, 3))
+    assert abs(result.best_value - exact) < 1e-9 * length
+    assert all(v >= exact - 1e-9 * length for v in result.restart_values)
 
 
 def test_random_restarts_never_beat_uniform():
@@ -334,11 +336,30 @@ def test_random_restarts_never_beat_uniform():
         result = minimize_expected_bound(k, n, mu, length, restarts=34, seed=9)
         floor = result.uniform_value - 1e-6 * length
         assert all(v >= floor for v in result.restart_values)
+        exact = length * float(capacity_decentralized(k, n, mu))
+        assert all(v >= exact - 1e-6 * length for v in result.restart_values)
 
 
-def test_minimizer_rejects_oversized_problems():
-    with pytest.raises(ValueError):
-        minimize_expected_bound(101, 2, Fraction(1, 2), 101, restarts=1, seed=0)
+def test_uniform_optimality_certificate_holds():
+    # h strictly decreases and is strictly convex for K >= 2 and is zero at
+    # K = 1; N < 1 has no first difference and N < 2 no second.
+    for k in range(1, 13):
+        for n in range(31):
+            first, second = uniform_optimality_certificate(k, n)
+            h = [harmonic_weight(l, k) for l in range(1, n + 2)]
+            d1 = [b - a for a, b in zip(h, h[1:])]
+            d2 = [b - a for a, b in zip(d1, d1[1:])]
+            assert first == (max(d1) if d1 else None)
+            assert second == (min(d2) if d2 else None)
+            if k == 1:
+                assert set(d1 + d2) <= {0}
+            else:
+                assert all(d < 0 for d in d1) and all(d > 0 for d in d2)
+            # What `optimize` prints is the expected bound at uniform caching.
+            mu, length = Fraction(k + n, 45), 7
+            minimum = length * capacity_decentralized(k, n, mu)
+            profile = uniform_profile(k, length, mu)
+            assert expected_converse_bound(profile, n, mu=mu) == minimum
 
 
 def test_harmonic_weight_values():

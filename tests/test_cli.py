@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from decpir import cli
+from decpir import analysis, cli
+from decpir.analysis import capacity_decentralized
 from decpir.cli import main, parse_mu
 from decpir.privacy import PrivacyTestResult
 
@@ -304,15 +305,44 @@ def test_converse_refuses_negative_trials(capsys):
 
 def test_optimize_command(capsys):
     code = main(
-        [
-            "optimize", "--k", "2", "--n", "2", "--mu", "1/2",
-            "--file-bits", "4", "--restarts", "2", "--seed", "0",
-        ]
+        ["optimize", "--k", "3", "--n", "2", "--mu", "1/3", "--file-bits", "10"]
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "pg norm uniform" in out
-    assert "converged       = True" in out
+    assert "min expected_bound(K=3, N=2, mu=1/3, L=10) = 1840/81 ≈ 22.716049" in out
+    assert "largest first difference of h = -11/36" in out
+    assert "smallest second difference of h = 17/18" in out
+    assert "uniform mass size 3 = 10/9" in out
+
+
+def test_optimize_answers_the_paper_grid_at_a_million_bits(capsys):
+    start = time.perf_counter()
+    code = main(
+        ["optimize", "--k", "10", "--n", "30", "--mu", "1/2", "--file-bits", "1000000"]
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    minimum = 10**6 * capacity_decentralized(10, 30, Fraction(1, 2))
+    assert f" = {minimum} ≈ " in capsys.readouterr().out
+
+
+def test_optimize_refuses_non_convex_weights(monkeypatch, capsys):
+    # A mutant c(K, .) bumped up at n = 3 makes h concave there.
+    real = analysis._classical_numerators
+
+    def bumped(num_files, max_replicas):
+        nums, den = real(num_files, max_replicas)
+        return nums[:2] + (nums[2] + den,) + nums[3:], den
+
+    monkeypatch.setattr(analysis, "_classical_numerators", bumped)
+    code = main(
+        ["optimize", "--k", "3", "--n", "3", "--mu", "1/3", "--file-bits", "10"]
+    )
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant violation: uniform caching is not certified")
+    assert err.count("\n") == 1, err
 
 
 def test_privacy_test_command_passes(capsys):

@@ -3,7 +3,7 @@
 Every subcommand is driven with small random integers, ratios and
 significance levels, with any flag possibly left out; sizes stay tiny so
 each run takes milliseconds.  A negative count (files, databases, bits,
-trials, restarts or sessions) is a usage error wherever it is given.
+trials or sessions) is a usage error wherever it is given.
 """
 
 import contextlib
@@ -20,7 +20,7 @@ RATIO = st.one_of(
     st.sampled_from(["0.5", "1", "0", "-0.25", "2", "x", ""]),
 )
 # Counts that no command accepts below zero.
-COUNTS = {"--k", "--n", "--file-bits", "--trials", "--restarts", "--sessions"}
+COUNTS = {"--k", "--n", "--file-bits", "--trials", "--sessions"}
 SIGNIFICANCE = st.one_of(
     st.sampled_from(["0", "1", "-1", "nan", "inf", "0.05", "x"]),
     st.floats(0, 1).map(str),
@@ -87,8 +87,6 @@ COMMANDS = st.one_of(
         _flag("--n", SMALL),
         _flag("--mu", RATIO),
         _flag("--file-bits", st.integers(-1, 6)),
-        st.integers(-1, 2).map(lambda v: ["--restarts", str(v)]),
-        _flag("--seed", SMALL),
     ),
     _command(
         "privacy-test",
@@ -115,19 +113,12 @@ def run_cli(argv):
 
 @given(argv=COMMANDS)
 @settings(max_examples=80)
-# Empty profiles: no files, and no bits (per-size masses must print as floats).
+# Empty profiles: no files, and no bits (per-size masses must still print).
 @example(argv=["converse", "--k", "0", "--n", "0", "--mu", "0.5", "--file-bits", "0"])
-@example(
-    argv=["optimize", "--k", "1", "--n", "0", "--mu", "1/2", "--file-bits", "0", "--restarts", "0"]
-)
-# Negative database and restart counts, which once ran as if valid.
+@example(argv=["optimize", "--k", "1", "--n", "0", "--mu", "1/2", "--file-bits", "0"])
+# Negative database counts, which once ran as if valid.
 @example(argv=["converse", "--k", "3", "--n", "-1", "--mu", "1/2", "--file-bits", "10"])
-@example(
-    argv=["optimize", "--k", "1", "--n", "-1", "--mu", "1/2", "--file-bits", "2", "--restarts", "0"]
-)
-@example(
-    argv=["optimize", "--k", "1", "--n", "1", "--mu", "1/2", "--file-bits", "2", "--restarts", "-1"]
-)
+@example(argv=["optimize", "--k", "1", "--n", "-1", "--mu", "1/2", "--file-bits", "2"])
 # Four files: under the download cap, so the privacy test runs.
 @example(
     argv=["privacy-test", "--k", "4", "--n", "2", "--file-bits", "16", "--sessions", "200"]

@@ -408,6 +408,11 @@ def test_numpy_integer_lengths_count_as_ints():
         assert got.segment_starts == want.segment_starts == (0, 27, 81)
         assert all(type(start) is int for start in got.segment_starts)
         assert np.array_equal(got.permutations, want.permutations)
+    want = generate_query_plan(3, 3, 1, 27, 5)
+    for lam in (np.int64(27), np.array(27)):  # one length, not a list of them
+        got = generate_query_plan(3, 3, 1, lam, 5)
+        assert got.segment_starts == want.segment_starts == (0, 27)
+        assert np.array_equal(got.permutations, want.permutations)
 
 
 @pytest.mark.parametrize(
