@@ -42,7 +42,7 @@ MAX_FILES = 1000
 # Bits one privacy test's sessions may download, one per sum query.
 MAX_PRIVACY_DOWNLOAD_BITS = 50_000_000
 # Terms of the block templates one privacy test builds, one per desired file
-# of K * n**K terms each: up to K = 13 at n = 2, about two seconds of builds.
+# of K * n**K terms each: up to K = 13 at n = 2, about 0.1 s of builds.
 MAX_TEMPLATE_TERMS = 1 << 21
 
 

@@ -17,17 +17,22 @@ the same for every choice of desired file, which is what makes the request
 pattern uninformative.  ``n = 1`` needs no special case: its block is one
 symbol and its plan downloads every symbol of every file.
 
-The block structure depends on ``(n, K, desired)`` alone, so the rounds
-above run once per shape over one block of counters and are cached as a
-read-only template: each store's queries once, as (file, counter) rows
-padded to the longest query, that every block repeats over its own
-counters, so a plan is its shape and its ``(K, lam)`` permutations.
-Answering gathers the symbols through the permutations into one row per
-(file, counter) of a block and one column per block, then XORs each
-query's padded terms for all blocks and all stores at once, giving the
+The block structure depends on ``(n, K, desired)`` alone, so it is built
+once per shape over one block of counters and cached as a read-only
+template: each store's queries once, as (file, counter) rows padded to the
+longest query, that every block repeats over its own counters, so a plan is
+its shape and its ``(K, lam)`` permutations.  Every count of a round is
+closed form: each store pools ``C(K-1, k) * (n-1)**(k-1)`` undesired
+``k``-sums and asks ``(n-1)`` times the ``(k-1)``-pool in desired sums, and
+the counters run store after store, so each round is built for all stores
+at once from arrays, with no Python object per query or term.
+
+Answering gathers the symbols through the permutations, file by file, into
+one row per (file, counter) of a block and one column per block, then XORs
+each query's padded terms for all blocks and all stores at once, giving the
 ``(n, queries)`` answer matrix, block-major; decoding reads each desired
-counter's answer and side answer the same way and scatters them through
-the desired file's permutation.  Sessions of one shape can share a plan as
+counter's answer and side answer the same way and scatters them through the
+desired file's permutation.  Sessions of one shape can share a plan as
 segments, each permuted from its own seed and offset by its start.  The
 only view derived from the template and the permutations is the text of
 each store's queries, :func:`plan_transcripts`.
@@ -105,73 +110,67 @@ class _BlockTemplate(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _block_template(n: int, k: int, desired: int) -> _BlockTemplate:
-    block = n**k
-    # Each store's term rows, file * block + counter, and query orders.
-    rows: list[list[int]] = [[] for _ in range(n)]
-    orders: list[list[int]] = [[] for _ in range(n)]
-    sources = np.full((block, 4), -1, dtype=np.int64)
-    counters = [0] * k
-    undesired_files = [j for j in range(k) if j != desired]
-
-    def fresh(j: int) -> tuple[int, int]:
-        c = counters[j]
-        counters[j] += 1
-        return (j, c)
-
-    def add(d: int, terms) -> int:
-        rows[d].extend(j * block + c for j, c in terms)
-        orders[d].append(len(terms))
-        return len(orders[d]) - 1
-
-    # Round 1: one fresh singleton per file at every store.
-    pool: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
-    for d in range(n):
-        for j in range(k):
-            t = fresh(j)
-            idx = add(d, (t,))
-            if j == desired:
-                sources[t[1]] = (d, idx, -1, -1)
-            else:
-                pool[d].append((idx, (t,)))
-
+    block, stores = n**k, np.arange(n)
+    undesired = np.delete(np.arange(k), desired)
+    # Each store asks C(K, j) * (n-1)**(j-1) j-sums: (n**K - 1)/(n - 1) in all.
+    queries = (block - 1) // (n - 1) if n > 1 else k
+    terms = np.full((k if n > 1 else 1, n, queries), k * block, dtype=np.int64)
+    # Round 1: store d's singletons are counter d of every file, in file order.
+    terms[0, :, :k] = np.arange(k) * block + stores[:, None]
+    pool, pool_q = terms[0][:, undesired, None], undesired
+    # One (direct, side) table per round, its columns the round's desired
+    # counters in order; a singleton's side is the zero row n * queries.
+    links = [np.stack([stores * queries + desired, np.full(n, n * queries)])]
+    counters, q = np.full(k, n), k  # next counter per file, next query
+    # others[d]: every store but d, ascending.
+    others = np.arange(n - 1) + (np.arange(n - 1) >= stores[:, None])
     # Rounds 2..K, skipped at n = 1.  They would add no query there (no other
     # store to mix with, (n-1)**(order-1) = 0 sums per subset), but walking
     # them still visits all 2**(K-1) undesired subsets, and K reaches 1000.
     for order in range(2, k + 1 if n > 1 else 2):
-        new_pool: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
-        for d in range(n):
-            # Desired sums: one fresh desired symbol mixed with each
-            # purely-undesired (order-1)-sum from every other store, taken
-            # in ascending (store, creation order).
-            for dp in range(n):
-                if dp == d:
-                    continue
-                for src_idx, src_terms in pool[dp]:
-                    t = fresh(desired)
-                    idx = add(d, sorted(src_terms + (t,)))
-                    sources[t[1]] = (d, idx, dp, src_idx)
-            # Undesired sums: fresh counters, one per file of each subset.
-            for subset in combinations(undesired_files, order):
-                for _ in range((n - 1) ** (order - 1)):
-                    terms = tuple(fresh(j) for j in subset)
-                    new_pool[d].append((add(d, terms), terms))
-        pool = new_pool
+        # Desired sums: store d mixes desired counters counters[desired] +
+        # d*(n-1)*P onwards into the P pooled sums of every other store, the
+        # stores ascending and each pool in query order.  Sorting the rows
+        # sorts each sum's terms by file, as (file, counter) pairs would.
+        mixed = pool[others].reshape(n, -1, order - 1)
+        m = mixed.shape[1]
+        fresh = desired * block + counters[desired] + np.arange(n * m).reshape(n, m, 1)
+        sums = np.sort(np.concatenate([mixed, fresh], axis=2), axis=2)
+        terms[:order, :, q : q + m] = sums.transpose(2, 0, 1)
+        side = np.repeat(others, len(pool_q), axis=1) * queries + np.tile(pool_q, n - 1)
+        links.append(np.stack([stores[:, None] * queries + q + np.arange(m), side]))
+        counters[desired] += n * m
+        q += m
+        # Undesired sums: `copies` of each order-subset of the undesired files,
+        # in combinations order.  File j of a subset takes counter counters[j]
+        # + d*uses[j] + copies*(earlier subsets holding j) + copy at store d.
+        subsets = np.array(list(combinations(undesired.tolist(), order)), dtype=np.int64)
+        subsets = subsets.reshape(-1, order)  # (0, K) in round K
+        copies = (n - 1) ** (order - 1)
+        rows = np.arange(len(subsets))[:, None]
+        held = np.zeros((len(subsets), k), dtype=np.int64)
+        held[rows, subsets] = 1
+        earlier = (held.cumsum(axis=0) - held)[rows, subsets]
+        uses = copies * held.sum(axis=0)
+        first = counters[subsets] + copies * earlier  # copy 0's at store 0
+        fresh = (
+            first[:, None] + stores[:, None, None, None] * uses[subsets][:, None]
+            + np.arange(copies)[:, None]
+        )
+        pool = (subsets[:, None] * block + fresh).reshape(n, -1, order)
+        pool_q = q + np.arange(pool.shape[1])
+        terms[:order, :, q : q + len(pool_q)] = pool.transpose(2, 0, 1)
+        counters += n * uses
+        q += len(pool_q)
 
     if counters[desired] != block:
         raise ProtocolError(
             f"desired counter ended at {counters[desired]}, expected {block}"
         )
-    if any(counters[j] > block for j in undesired_files):
+    if (counters[undesired] > block).any():
         raise ProtocolError("an undesired counter overran its block")
 
-    # Every store gets the same query shapes, so store 0's orders are all.
-    rows, orders = np.array(rows), np.array(orders[0])
-    queries, width = len(orders), orders.max()
-    terms = np.full((width, n, queries), k * block, dtype=np.int64)
-    terms.transpose(1, 2, 0)[:, np.arange(width) < orders[:, None]] = rows
-    direct = sources[:, 0] * queries + sources[:, 1]
-    side = sources[:, 2] * queries + sources[:, 3]
-    side[sources[:, 2] < 0] = n * queries
+    direct, side = np.concatenate([a.reshape(2, -1) for a in links], axis=1)
     template = _BlockTemplate(terms, direct, side)
     for a in template:
         a.flags.writeable = False
@@ -298,11 +297,11 @@ def answer_queries(plan: QueryPlan, symbols: np.ndarray) -> np.ndarray:
     # block b; the last row stays zero for the terms past a query's end.
     by_counter = np.zeros((k * block + 1, blocks), dtype=np.uint8)
     where = perms.reshape(k, blocks, block).transpose(0, 2, 1)
-    # The permutations were checked, so clipping changes no index.
-    np.take(
-        symbols, where + (np.arange(k) * lam)[:, None, None],
-        out=by_counter[:-1].reshape(k, block, blocks), mode="clip",
-    )
+    cells = by_counter[:-1].reshape(k, block, blocks)
+    # File by file, so no index array spans every file.  The permutations
+    # were checked, so clipping changes no index.
+    for j in range(k):
+        np.take(symbols[j], where[j], out=cells[j], mode="clip")
     answers = np.bitwise_xor.reduce(by_counter[t.terms], axis=0)
     return answers.transpose(0, 2, 1).reshape(plan.num_replicas, -1)
 

@@ -6,13 +6,15 @@ import this one as ``oracles`` under either import mode.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
 from decpir.analysis import harmonic_weight, uniform_profile
-from decpir.protocol import _block_template
+from decpir.errors import ProtocolError
+from decpir.protocol import _block_template, _BlockTemplate
 
 
 def converse_bound_per_slot(partition):
@@ -137,6 +139,88 @@ def xor_answers(plan, symbols):
             end += order
         out.append(bits)
     return out
+
+
+def loop_block_template(n: int, k: int, desired: int) -> _BlockTemplate:
+    """The block template built one term at a time: the reference builder.
+
+    Simulates the scheme's rounds with per-file counters, each store's pool
+    of purely-undesired sums and a ``(block, 4)`` decode-source table, then
+    scatters the rows into the padded ``terms``.  Reference for
+    :func:`decpir.protocol._block_template`, which builds each round from
+    closed-form counts.
+    """
+    block = n**k
+    # Each store's term rows, file * block + counter, and query orders.
+    rows: list[list[int]] = [[] for _ in range(n)]
+    orders: list[list[int]] = [[] for _ in range(n)]
+    sources = np.full((block, 4), -1, dtype=np.int64)
+    counters = [0] * k
+    undesired_files = [j for j in range(k) if j != desired]
+
+    def fresh(j: int) -> tuple[int, int]:
+        c = counters[j]
+        counters[j] += 1
+        return (j, c)
+
+    def add(d: int, terms) -> int:
+        rows[d].extend(j * block + c for j, c in terms)
+        orders[d].append(len(terms))
+        return len(orders[d]) - 1
+
+    # Round 1: one fresh singleton per file at every store.
+    pool: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
+    for d in range(n):
+        for j in range(k):
+            t = fresh(j)
+            idx = add(d, (t,))
+            if j == desired:
+                sources[t[1]] = (d, idx, -1, -1)
+            else:
+                pool[d].append((idx, (t,)))
+
+    # Rounds 2..K, skipped at n = 1.  They would add no query there (no other
+    # store to mix with, (n-1)**(order-1) = 0 sums per subset), but walking
+    # them still visits all 2**(K-1) undesired subsets, and K reaches 1000.
+    for order in range(2, k + 1 if n > 1 else 2):
+        new_pool: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
+        for d in range(n):
+            # Desired sums: one fresh desired symbol mixed with each
+            # purely-undesired (order-1)-sum from every other store, taken
+            # in ascending (store, creation order).
+            for dp in range(n):
+                if dp == d:
+                    continue
+                for src_idx, src_terms in pool[dp]:
+                    t = fresh(desired)
+                    idx = add(d, sorted(src_terms + (t,)))
+                    sources[t[1]] = (d, idx, dp, src_idx)
+            # Undesired sums: fresh counters, one per file of each subset.
+            for subset in combinations(undesired_files, order):
+                for _ in range((n - 1) ** (order - 1)):
+                    terms = tuple(fresh(j) for j in subset)
+                    new_pool[d].append((add(d, terms), terms))
+        pool = new_pool
+
+    if counters[desired] != block:
+        raise ProtocolError(
+            f"desired counter ended at {counters[desired]}, expected {block}"
+        )
+    if any(counters[j] > block for j in undesired_files):
+        raise ProtocolError("an undesired counter overran its block")
+
+    # Every store gets the same query shapes, so store 0's orders are all.
+    rows, orders = np.array(rows), np.array(orders[0])
+    queries, width = len(orders), orders.max()
+    terms = np.full((width, n, queries), k * block, dtype=np.int64)
+    terms.transpose(1, 2, 0)[:, np.arange(width) < orders[:, None]] = rows
+    direct = sources[:, 0] * queries + sources[:, 1]
+    side = sources[:, 2] * queries + sources[:, 3]
+    side[sources[:, 2] < 0] = n * queries
+    template = _BlockTemplate(terms, direct, side)
+    for a in template:
+        a.flags.writeable = False
+    return template
 
 
 def assert_p_value_close(got: float, expected: float, rel: float) -> None:

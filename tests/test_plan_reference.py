@@ -12,6 +12,11 @@ start and mapping every term through the permutations, with the decode
 sources read back from the table the decoder uses; the plan answers and
 decodes block by block, and renders its transcripts, without those tiles.
 
+``oracles.loop_block_template`` builds the block template one term at a
+time, with per-file counters and per-store pools; the cached template,
+built round by round from closed-form counts, must equal it array for
+array, at every shape with ``K * n**K <= 200_000`` and ``n = 1`` included.
+
 ``coded_histogram`` counts the file sets of the tiled record query by
 query; the structural histogram scales the block template's own count
 instead.
@@ -24,9 +29,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import segment, store_view, tiled_record, xor_answers
+from oracles import loop_block_template, segment, store_view, tiled_record, xor_answers
 
 from decpir.protocol import (
+    _block_template,
     answer_queries,
     decode_desired,
     generate_query_plan,
@@ -138,6 +144,24 @@ def test_array_plan_matches_reference(n, k):
                 assert got.tolist() == reference_answers(qs, symbols)
             assert np.array_equal(decode_desired(plan, answers), symbols[desired])
 
+
+TEMPLATE_SHAPES = [
+    (n, k) for n in range(1, 6) for k in range(1, 8) if k * n**k <= 200_000
+]
+
+
+@pytest.mark.parametrize("n, k", TEMPLATE_SHAPES)
+def test_block_template_matches_the_loop_builder(n, k):
+    # The round-by-round arrays against the term-at-a-time builder, for every
+    # desired file, n = 1 included.
+    for desired in range(k):
+        got = _block_template(n, k, desired)
+        want = loop_block_template(n, k, desired)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype == np.int64
+            assert a.shape == b.shape
+            assert a.flags.c_contiguous
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n", [2, 3])

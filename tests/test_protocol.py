@@ -8,6 +8,7 @@ table through ``oracles.tiled_record``.
 """
 
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -329,6 +330,21 @@ def test_block_template_is_three_read_only_arrays(n, k, desired):
     # Padded to the widest query: the K-sums, or singletons alone at n = 1.
     assert t.terms.shape == (1 if n == 1 else k, n, per_db_count(n, k))
     assert t.direct.shape == t.side.shape == (n**k,)
+
+
+@pytest.mark.parametrize("n, k, blocks", [(4, 7, 2), (5, 7, 1), (3, 9, 3)])
+def test_answers_peak_below_half_the_permutations(n, k, blocks):
+    # The symbols are gathered file by file, so no index array spans every
+    # file's permutation.
+    plan = generate_query_plan(n, k, 1, blocks * n**k, seed=3)
+    symbols = np.random.default_rng(0).integers(0, 2, (k, plan.num_symbols), np.uint8)
+    tracemalloc.start()
+    try:
+        answer_queries(plan, symbols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= plan.permutations.nbytes // 2
 
 
 def test_side_information_accounting():

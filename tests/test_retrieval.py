@@ -368,6 +368,17 @@ def test_simulation_dominates_lower_bound():
         assert row.ideal <= row.total
 
 
+def test_large_k_trial_total_is_pinned():
+    # K = 7 at five databases: templates up to (6, 7), the builder's large-K
+    # path, end to end with its recovery and bound checks.
+    result = simulate_trials(
+        7, 64, 5, Fraction(1, 2), UniformRandomPlacement(Fraction(1, 2)), 1, seed=1
+    )
+    (row,) = result.rows
+    assert row.total == 1_076_709
+    assert row.total >= row.converse_bound
+
+
 def test_simulation_cycles_desired_file():
     result = simulate_trials(
         3, 30, 1, Fraction(1, 2), UniformRandomPlacement(Fraction(1, 2)), 6, seed=23
