@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -219,13 +220,17 @@ class StorageSetPartition:
         return tuple(map(frozenset, self.node_tuples()))
 
     def node_tuples(self) -> list[tuple[int, ...]]:
-        """The storage sets in canonical order, as sorted node-id tuples."""
-        members = self.members.tolist()
-        ends = np.cumsum(self.sizes).tolist()
-        return [
-            tuple(members[end - size : end])
-            for size, end in zip(self.sizes.tolist(), ends)
-        ]
+        """The storage sets in canonical order, as sorted node-id tuples.
+
+        Sizes ascend, so each size's sets are one block of ``members``, cut
+        into tuples of that size in one ``zip``.
+        """
+        members, out, lo = self.members.tolist(), [], 0
+        for size, run in groupby(self.sizes.tolist()):
+            hi = lo + size * len(list(run))
+            out += zip(*[iter(members[lo:hi])] * size)
+            lo = hi
+        return out
 
     def lengths(self) -> np.ndarray:
         """``(S, K)`` bit counts: row ``i`` holds set ``i``'s per-file lengths."""

@@ -17,17 +17,21 @@ degrees of freedom, which have a closed form (:func:`_chisquare_tail`), so
 the test needs numpy and nothing more.
 
 Session ``s`` for desired file ``d`` has seed ``derive_seed(seed, d, s)``.
-The sessions of one desired file run as the equal segments of one plan, as
-many at a time as fit in ``_CHUNK_SYMBOLS`` symbols, and keys are folded into
-the bins about as often, so memory stays bounded for any session count; every
-session keeps its own seed, so the result does not depend on the chunking.
+The seeds of all ``K * sessions`` sessions are derived desired file by
+desired file and hashed in one pass, and each plan takes the next run of
+their generators.  The sessions of one desired file run as the equal
+segments of one plan, as many at a time as fit in ``_CHUNK_SYMBOLS``
+symbols, and keys are folded into the bins about as often, so memory stays
+bounded for any session count but for the seeds' hashed words, 32 bytes a
+session; every session keeps its own seed, so the result does not depend on
+the chunking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from .protocol import (
     plan_transcripts,  # unused here; the benchmark's tracer looks it up in this module
     structural_privacy_histogram,
 )
-from .rng import derive_seeds
+from .rng import derive_seeds, generators
 
 # Symbols per plan (a plan takes at least one session): a plan's arrays grow
 # with its symbols, so this bounds memory for any session count and length.
@@ -294,6 +298,12 @@ def transcript_distribution_test(
     # Keys are owned by (desired file, store); ``pending`` ones not yet binned.
     bins, pending, owners = None, [], num_files * num_replicas
     chunk = max(1, _CHUNK_SYMBOLS // num_symbols)
+    # Desired-major, as the plans take them; unpermuted plans draw nothing,
+    # so they take the seeds themselves.
+    seeds = np.concatenate(
+        [derive_seeds(seed, d, indices=range(sessions)) for d in range(num_files)]
+    )
+    stream = generators(seeds) if permute else iter(seeds)
     for desired in range(num_files):
         for first in range(0, sessions, chunk):
             if sum(len(keys) for _, keys in pending) >= chunk * num_replicas:
@@ -304,7 +314,7 @@ def transcript_distribution_test(
                 num_files,
                 desired,
                 [num_symbols] * count,
-                derive_seeds(seed, desired, indices=range(first, first + count)),
+                list(islice(stream, count)),
                 permute=permute,
             )
             if first == 0:

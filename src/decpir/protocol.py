@@ -33,16 +33,17 @@ each query's padded terms for all blocks and all stores at once, giving the
 ``(n, queries)`` answer matrix, block-major; decoding reads each desired
 counter's answer and side answer the same way and scatters them through the
 desired file's permutation.  Sessions of one shape can share a plan as
-segments, each permuted from its own seed and offset by its start.  The
-only view derived from the template and the permutations is the text of
-each store's queries, :func:`plan_transcripts`.
+segments, each permuted from its own seed (or from that seed's generator,
+which a caller hashing many sessions' seeds at once hands over) and offset
+by its start.  The only view derived from the template and the
+permutations is the text of each store's queries, :func:`plan_transcripts`.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -186,6 +187,45 @@ def _first_non_integer(values: list):
             return value
 
 
+def _caller_generators(seeds: list) -> list:
+    """``seeds`` if every one is a numpy ``Generator``, else ``ValueError``.
+
+    Reached only past a seed that is not an integer, so ``np.random`` is
+    loaded here and not with this module.
+    """
+    others = [s for s in seeds if not isinstance(s, np.random.Generator)]
+    if not others:
+        return seeds
+    try:
+        list(map(operator.index, others))
+    except TypeError:
+        bad = _first_non_integer(others)
+        raise ValueError(
+            f"seeds must be integers or numpy Generators, got {bad!r}"
+        ) from None
+    raise ValueError("seeds must be all integers or all numpy Generators")
+
+
+def _streamed_generators(stream: Iterator, count: int) -> Iterator:
+    """The ``count`` numpy ``Generator`` objects of ``stream``, one at a time.
+
+    Raises ``ValueError`` on anything else, and, once ``stream`` runs out,
+    if it held fewer or more than ``count``.
+    """
+    taken = 0
+    for rng in stream:
+        if taken == count:
+            raise ValueError(f"{count} segment lengths but more segment generators")
+        if not isinstance(rng, np.random.Generator):
+            raise ValueError(
+                f"a seed iterator must yield numpy Generators, got {rng!r}"
+            )
+        taken += 1
+        yield rng
+    if taken < count:
+        raise ValueError(f"{count} segment lengths but {taken} segment generators")
+
+
 def generate_query_plan(
     num_replicas: int,
     num_files: int,
@@ -207,9 +247,19 @@ def generate_query_plan(
     segment's start, so the permutations are block-diagonal and its queries,
     decode sources and decoded symbols are those of the separate plan,
     shifted.  Lengths are integers, and seeds are integers taken modulo
-    ``2**64``; a single ``num_symbols`` takes a single seed.  Any other
-    length or seed type, or a mismatch between one length and a sequence of
-    seeds or the reverse, raises ``ValueError``.
+    ``2**64``; a single ``num_symbols`` takes a single seed.
+
+    In place of integer seeds, a caller that hashes many sessions' seeds at
+    once hands one numpy ``Generator`` per segment (one for a single
+    ``num_symbols``): segment ``i`` permutes its rows by drawing from
+    ``seed[i]`` what it would draw from ``generator`` of that generator's
+    seed.  Segment Generators may also come as an iterator, such as an
+    ``islice`` of the caller's stream, taken one per segment as it permutes,
+    so no more than one is alive at a time; it is run out after the last
+    segment to check its count.  Any other length or seed type, seeds that
+    mix integers and Generators, or a mismatch between one length and a
+    sequence of seeds or the reverse, raises ``ValueError``.
+    ``permute=False`` draws from no seed.
     """
     n, k = num_replicas, num_files
     if n < 1:
@@ -227,13 +277,13 @@ def generate_query_plan(
     else:
         lams = list(num_symbols)
         try:
-            seeds = list(seed)
+            seeds = None if isinstance(seed, Iterator) else list(seed)
         except TypeError:
             raise ValueError(
                 f"segment lengths need a sequence of seeds, one per segment, "
                 f"got {seed!r}"
             ) from None
-        if len(lams) != len(seeds):
+        if seeds is not None and len(lams) != len(seeds):
             raise ValueError(
                 f"{len(lams)} segment lengths but {len(seeds)} segment seeds"
             )
@@ -243,11 +293,13 @@ def generate_query_plan(
     except TypeError:
         bad = _first_non_integer(lams)
         raise ValueError(f"symbol counts must be integers, got {bad!r}") from None
-    try:
-        seeds = seed_array(seeds)
-    except TypeError:
-        bad = _first_non_integer(seeds)
-        raise ValueError(f"seeds must be integers, got {bad!r}") from None
+    if seeds is None:
+        rngs = _streamed_generators(seed, len(lams))
+    else:
+        try:
+            rngs = generators(seed_array(seeds))
+        except TypeError:
+            rngs = _caller_generators(seeds)
     block = n**k
     for lam in lams:
         if lam < 0:
@@ -262,9 +314,12 @@ def generate_query_plan(
     if permute:
         # Permuting a segment's rows in place draws exactly what ``k`` calls
         # of ``permutation(lam)`` would, already offset by the segment start.
-        for rng, start, end in zip(generators(seeds), starts, starts[1:]):
+        for start, end, rng in zip(starts, starts[1:], rngs):
             seg = perms[:, start:end]
             rng.permuted(seg, axis=1, out=seg)
+    if seeds is None:
+        for _ in rngs:  # run the iterator out, which checks its count
+            pass
     _block_template(n, k, desired)  # built with the plan, not on first answer
     return QueryPlan(n, k, desired, starts[-1], perms, starts)
 

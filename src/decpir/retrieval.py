@@ -21,14 +21,19 @@ the recovered file and its cost report.
 The partition lists its sets in canonical order, sizes ascending, so the
 sets of one size are one contiguous range of its arrays.  A size's padded
 matrix is filled with one scatter of that range's bits, and its costs,
-recovered bits and padding check come from the same arrays; the only work
-done per set is deriving its permutation seed.
+recovered bits and padding check come from the same arrays.  The only work
+done per set is building the generator of its permutation seed: the seeds
+of every set of two or more nodes are derived and hashed in one pass per
+retrieval, and each size's plan takes the next run of those generators,
+one at a time as it permutes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from .model import (
 )
 from .placement import PlacementPolicy, sample_placement
 from .protocol import answer_queries, decode_desired, generate_query_plan
-from .rng import derive_seed, derive_seeds
+from .rng import derive_seed, derive_seeds, generators
 
 # Refuse retrievals of more padded symbols, K * |S|**K per block of a set of
 # |S| nodes plus each data-center-only bit: they bound the block templates
@@ -140,17 +145,25 @@ def retrieve_file(
         )
 
     recovered = np.zeros(length, dtype=np.uint8)
+    sizes = partition.sizes
     # charged[i]: the bits downloaded from each node of storage set i.
-    charged = np.empty(len(partition.sizes), dtype=np.int64)
+    charged = np.empty(len(sizes), dtype=np.int64)
     ideal = Fraction(0)
     bits = store.bits.reshape(-1)
     addresses, starts = partition.addresses, partition.starts
+    # Set i's session draws from derive_seed(seed, i).  Every set but the
+    # data-center-only one, first if present, has a session, so one pass
+    # hashes all their seeds, and each size's plan takes the next end - first
+    # as it permutes: a list of them, up to ~170 sets a size at N=20, would
+    # hold ~4 tracked objects a set and run the cyclic garbage collector.
+    first_multi = int(sizes[0] == 1)
+    stream = generators(derive_seeds(seed, indices=range(first_multi, len(sizes))))
 
     for size, first, end, blocks in groups:
         if blocks is not None:
             ideal += _retrieve_group(
-                bits, partition, desired, seed, size, first, end, blocks,
-                recovered, charged,
+                bits, partition, desired, islice(stream, end - first),
+                size, first, end, blocks, recovered, charged,
             )
             continue
         # Data-center-only bits (set 0): download every stored bit of every file.
@@ -163,10 +176,14 @@ def retrieve_file(
     if not np.array_equal(recovered, store.bits[desired]):
         raise ReliabilityError(f"recovered file {desired} differs from the source")
 
-    sizes = partition.sizes
-    per_node = np.zeros(partition.num_dbs + 1, dtype=np.int64)
-    np.add.at(per_node, partition.members, np.repeat(charged, sizes))
-    per_node_counts = tuple(per_node.tolist())
+    # Float weights are exact: the download, at most the padded symbols, is
+    # below MAX_PADDED_SYMBOLS, far below 2**53.
+    per_node = np.bincount(
+        partition.members,
+        weights=np.repeat(charged, sizes),
+        minlength=partition.num_dbs + 1,
+    )
+    per_node_counts = tuple(per_node.astype(np.int64).tolist())
     report = CostReport(
         per_node=per_node_counts,
         per_partition=dict(zip(partition.node_tuples(), (charged * sizes).tolist())),
@@ -180,7 +197,7 @@ def _retrieve_group(
     bits: np.ndarray,
     partition: StorageSetPartition,
     desired: int,
-    seed: int,
+    rngs: Iterator,
     size: int,
     first: int,
     end: int,
@@ -192,15 +209,14 @@ def _retrieve_group(
 
     ``bits`` is the flat corpus.  Set ``first + i`` is segment ``i`` of the
     plan, ``blocks[i]`` blocks of ``size ** K`` symbols of every file, and
-    its permutations come from ``derive_seed(seed, first + i)``, so each
-    segment's queries, answers and decoded bits are those of the set's own
-    session.  Fills ``recovered`` and ``charged[first:end]`` and returns the
-    group's ideal cost.
+    its permutations are drawn from the ``i``-th of ``rngs``, the generator of
+    ``derive_seed(seed, first + i)``, so each segment's queries, answers and
+    decoded bits are those of the set's own session.  Fills ``recovered``
+    and ``charged[first:end]`` and returns the group's ideal cost.
     """
     k, length = partition.num_files, partition.file_len
     plan = generate_query_plan(
-        size, k, desired, (blocks * size**k).tolist(),
-        derive_seeds(seed, indices=range(first, end)),
+        size, k, desired, (blocks * size**k).tolist(), rngs
     )
     seg = np.array(plan.segment_starts)
     total = plan.num_symbols

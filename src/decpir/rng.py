@@ -16,8 +16,14 @@ and hands each seed's four hashed ``uint64`` words to a fresh ``PCG64``
 through numpy's ``ISeedSequence`` interface, so numpy's own C seeding runs
 PCG64's two LCG steps.  Every generator it gives draws exactly what
 ``generator(seed)`` draws.  ``derive_seeds`` likewise derives a range of
-sibling seeds in one ``uint64`` array pass.  Both keep the per-seed functions
-below ``_ARRAY_SEEDS`` seeds.
+sibling seeds in one ``uint64`` array pass and returns that array, which
+``seed_array`` and ``generators`` take as is.  Both keep the per-seed
+functions below ``_ARRAY_SEEDS`` seeds.
+
+The hash pass has a fixed cost of a few dozen tiny numpy calls, so a caller
+makes one pass per call over every seed it will need: a retrieval over all
+its sessions, a privacy test over all of its sessions, and hands each plan
+its slice of the generators.
 """
 
 from __future__ import annotations
@@ -51,19 +57,22 @@ def derive_seed(master: int, *path: int) -> int:
     return state
 
 
-def derive_seeds(master: int, *path: int, indices: range) -> list[int]:
-    """``[derive_seed(master, *path, i) for i in indices]``, in one array pass.
+def derive_seeds(master: int, *path: int, indices: range) -> np.ndarray:
+    """The ``uint64`` array of ``derive_seed(master, *path, i)``, ``i`` in ``indices``.
 
-    The last path elements and the last mix run on ``uint64`` arrays, whose
-    arithmetic wraps modulo ``2**64`` just as ``derive_seed`` and ``_mix``
-    mask, so indices past the ``int64`` range derive the same seeds.
+    From ``_ARRAY_SEEDS`` indices on, the last path element and the last mix
+    run on ``uint64`` arrays, whose arithmetic wraps modulo ``2**64`` just as
+    ``derive_seed`` and ``_mix`` mask, so indices past the ``int64`` range
+    derive the same seeds.
     """
     if len(indices) < _ARRAY_SEEDS:
-        return [derive_seed(master, *path, i) for i in indices]
+        return np.array(
+            [derive_seed(master, *path, i) for i in indices], dtype=np.uint64
+        )
     last = np.arange(len(indices), dtype=np.uint64)
     last *= np.uint64(indices.step & _MASK64)
     last += np.uint64(indices.start & _MASK64)
-    return _mix(last ^ (derive_seed(master, *path) ^ _GOLDEN)).tolist()
+    return _mix(last ^ (derive_seed(master, *path) ^ _GOLDEN))
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -200,8 +209,10 @@ def generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     """For each seed in turn, a generator that draws what ``generator(seed)`` draws.
 
     From ``_ARRAY_SEEDS`` seeds on, every seed's ``SeedSequence`` words are
-    hashed in one array pass first.  The generators share no state, so any
-    number of them may be held and drawn from in any order.
+    hashed in one array pass, when the first generator is taken.  The
+    generators share no state, so any number of them may be held and drawn
+    from in any order, and callers may hand out consecutive runs of one
+    call's generators to separate plans.
     """
     if len(seeds) < _ARRAY_SEEDS:
         return map(generator, seeds)

@@ -176,6 +176,18 @@ def test_one_plan_per_desired_file(monkeypatch):
     assert [args[2] for args in calls] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("per_chunk", [50, 7])
+def test_one_hash_pass_per_test(monkeypatch, hash_passes, per_chunk):
+    # Every session of every desired file is hashed in one pass, whether a
+    # desired file's sessions take one plan or several.
+    monkeypatch.setattr(privacy, "_CHUNK_SYMBOLS", 54 * per_chunk)
+    transcript_distribution_test(3, 3, 54, 50, 8)
+    assert hash_passes == [3 * 50]
+    # Unpermuted plans draw nothing, so their seeds are not hashed.
+    transcript_distribution_test(3, 3, 54, 50, 8, permute=False)
+    assert hash_passes == [3 * 50]
+
+
 @pytest.mark.parametrize(
     "k, n, blocks, desired", [(2, 2, 1, 0), (3, 2, 2, 1), (3, 3, 2, 2), (2, 1, 3, 1)]
 )

@@ -11,6 +11,7 @@ import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 from fractions import Fraction
 from math import comb
 
@@ -29,6 +30,7 @@ from decpir.protocol import (
     plan_transcripts,
     structural_privacy_histogram,
 )
+from decpir.rng import _ARRAY_SEEDS, derive_seed, derive_seeds, generator, generators
 
 
 def per_db_count(n, k):
@@ -442,3 +444,81 @@ def test_seeds_are_taken_mod_2_to_the_64(seed):
     many = generate_query_plan(3, 3, 1, [27] * 9, [seed] * 9)
     shifted = many.permutations.reshape(3, 9, 27) - 27 * np.arange(9)[:, None]
     assert (shifted == want.permutations[:, None, :]).all()
+
+
+SEGMENT_CASES = [
+    (1, 3, [1]),  # n = 1, one segment
+    (1, 2, [1, 3, 0, 2]),
+    (2, 3, [16]),  # one segment
+    (2, 3, [8, 24, 0, 16, 8]),  # unequal lengths, an empty one
+    (3, 2, ([9, 18, 27] * _ARRAY_SEEDS)[: _ARRAY_SEEDS - 1]),  # per-seed path
+    (3, 2, ([9, 18, 27] * _ARRAY_SEEDS)[:_ARRAY_SEEDS]),  # one array pass
+    (2, 2, [4, 8, 12] * 10),
+]
+
+
+@pytest.mark.parametrize("n, k, lams", SEGMENT_CASES)
+def test_caller_generators_draw_what_their_seeds_draw(n, k, lams):
+    # A plan handed the generators of its seeds is the plan of those seeds.
+    seeds = [derive_seed(41, n, k, i) for i in range(len(lams))]
+    want = generate_query_plan(n, k, k - 1, lams, seeds)
+    as_array = derive_seeds(41, n, k, indices=range(len(lams)))
+    for given in (list(generators(seeds)), generators(seeds), as_array):
+        got = generate_query_plan(n, k, k - 1, lams, given)
+        assert got.segment_starts == want.segment_starts
+        assert np.array_equal(got.permutations, want.permutations)
+    alone = generate_query_plan(n, k, k - 1, lams[0], generator(seeds[0]))
+    assert np.array_equal(alone.permutations, segment(want, 0).permutations)
+
+
+@pytest.mark.parametrize(
+    "seeds, match",
+    [
+        (lambda rngs: [5, rngs[1], 7], "all integers or all numpy Generators"),
+        (lambda rngs: [rngs[0], 6, rngs[2]], "all integers or all numpy Generators"),
+        (lambda rngs: [rngs[0], 1.5, rngs[2]], "integers or numpy Generators, got 1.5"),
+        (lambda rngs: rngs[:2], "3 segment lengths but 2 segment seeds"),
+        (lambda rngs: rngs + rngs[:1], "3 segment lengths but 4 segment seeds"),
+        (lambda rngs: rngs[0], "need a sequence of seeds"),
+    ],
+)
+def test_mixed_or_miscounted_generators_are_refused(seeds, match):
+    rngs = list(generators([1, 2, 3]))
+    with pytest.raises(ValueError, match=match):
+        generate_query_plan(2, 2, 0, [4, 8, 4], seeds(rngs))
+
+
+@pytest.mark.parametrize("permute", [True, False])
+@pytest.mark.parametrize(
+    "seeds, match",
+    [
+        (lambda rngs: [rngs[0], 6, rngs[2]], "must yield numpy Generators, got 6"),
+        (lambda rngs: rngs[:2], "3 segment lengths but 2 segment generators"),
+        (lambda rngs: rngs + rngs[:1], "3 segment lengths but more"),
+    ],
+)
+def test_mixed_or_miscounted_generator_iterators_are_refused(seeds, match, permute):
+    rngs = list(generators([1, 2, 3]))
+    with pytest.raises(ValueError, match=match):
+        generate_query_plan(2, 2, 0, [4, 8, 4], iter(seeds(rngs)), permute=permute)
+
+
+def test_plans_take_no_more_than_their_slice_of_a_stream():
+    # Each plan takes its segments' generators from one shared stream, so
+    # the next plan's first segment draws from the next seed's generator.
+    seeds = [derive_seed(43, i) for i in range(9)]
+    stream = generators(seeds)
+    got = [generate_query_plan(2, 2, 1, [4] * 3, islice(stream, 3)) for _ in range(3)]
+    for i, plan in enumerate(got):
+        want = generate_query_plan(2, 2, 1, [4] * 3, seeds[3 * i : 3 * i + 3])
+        assert np.array_equal(plan.permutations, want.permutations)
+    assert next(stream, None) is None
+
+
+def test_unpermuted_plans_draw_from_no_generator():
+    rngs = list(generators([1, 2]))
+    plan = generate_query_plan(2, 2, 0, [4, 8], rngs, permute=False)
+    assert np.array_equal(plan.permutations, np.tile(np.arange(12), (2, 1)))
+    for seed, rng in zip([1, 2], rngs):
+        want = generator(seed).integers(0, 2**62, 4).tolist()
+        assert rng.integers(0, 2**62, 4).tolist() == want

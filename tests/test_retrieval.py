@@ -10,6 +10,8 @@ read what retrieval ran, not a rebuilt copy.
 
 import json
 import re
+import weakref
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -37,7 +39,7 @@ from decpir.protocol import (
     plan_transcripts,
 )
 from decpir.retrieval import _size_groups, retrieve_file, simulate_trials
-from decpir.rng import derive_seed
+from decpir.rng import _ARRAY_SEEDS, derive_seed, generators
 
 
 def reference_retrieve(store, realization, desired, seed):
@@ -338,6 +340,50 @@ def test_batched_retrieval_matches_per_set_sessions(
         assert [a.tolist() for a in got.answers] == [a.tolist() for a in answers]
         if plan is not None:
             assert plan_transcripts(got.plan) == plan_transcripts(plan)
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_one_hash_pass_per_retrieval(trial, hash_passes):
+    # The many-sets shape: each of several sizes has enough sets for an
+    # array pass of its own, but one pass hashes every session's seed.
+    trial_seed = derive_seed(1, trial)
+    store = build_file_store(3, 600, derive_seed(trial_seed, 0))
+    policy = UniformRandomPlacement(Fraction(1, 20))
+    real = sample_placement(policy, 3, 600, 20, derive_seed(trial_seed, 1))
+    part = partition_by_storage_set(real)
+    groups = [
+        end - first
+        for _, first, end, blocks in _size_groups(part)
+        if blocks is not None
+    ]
+    assert sum(count >= _ARRAY_SEEDS for count in groups) >= 3
+    hash_passes.clear()
+    retrieve_file(store, part, trial % 3, derive_seed(trial_seed, 2))
+    assert hash_passes == [sum(groups)]
+
+
+def test_retrieval_holds_one_session_generator_at_a_time(monkeypatch):
+    # A size can hold ~170 sets at N=20: its plan takes their generators one
+    # at a time as it permutes, so they are not all alive at once.
+    live = Counter()
+
+    class Counted(np.random.Generator):
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            live["now"] += 1
+            live["peak"] = max(live["peak"], live["now"])
+            weakref.finalize(self, live.subtract, ["now"])
+
+    def counted(seeds):
+        return (Counted(rng.bit_generator) for rng in generators(seeds))
+
+    monkeypatch.setattr(retrieval, "generators", counted)
+    store = build_file_store(3, 600, seed=3)
+    real = sample_placement(UniformRandomPlacement(Fraction(1, 20)), 3, 600, 20, 4)
+    part = partition_by_storage_set(real)
+    retrieve_file(store, part, 0, seed=5)
+    assert live["now"] == 0
+    assert live["peak"] <= 2 and len(part.sizes) > 100
 
 
 @given(

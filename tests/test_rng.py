@@ -110,7 +110,9 @@ def test_derive_seeds_matches_derive_seed(master, path):
     ranges += [range(-(2**62), 2**62, 2**59), range(0, 2**70, 2**66)]  # wide steps
     for indices in ranges:
         want = [derive_seed(master, *path, i) for i in indices]
-        assert derive_seeds(master, *path, indices=indices) == want
+        got = derive_seeds(master, *path, indices=indices)
+        assert got.dtype == np.uint64  # on both sides of the array pass
+        assert got.tolist() == want
 
 
 def test_numpy_integers_count_as_the_ints_they_equal():
@@ -120,7 +122,7 @@ def test_numpy_integers_count_as_the_ints_they_equal():
     assert derive_seed(np.int64(-5), np.int64(-2)) == derive_seed(-5, -2)
     for indices in (range(3), range(12)):  # both sides of the array pass
         got = derive_seeds(np.int64(-5), np.int64(-2), indices=indices)
-        assert got == derive_seeds(-5, -2, indices=indices)
+        assert got.tolist() == derive_seeds(-5, -2, indices=indices).tolist()
     seeds = [np.int64(-1 - i) for i in range(9)]
     assert_same_draws(seeds)
 
