@@ -28,11 +28,15 @@ from .analysis import (
 )
 from .errors import BudgetViolation, InvariantViolation, ProtocolError, ReliabilityError
 from .model import partition_by_storage_set
-from .placement import PlacementPolicy, UniformRandomPlacement, policy_from_dict
+from .placement import (
+    PlacementPolicy,
+    UniformRandomPlacement,
+    policy_from_dict,
+    sample_placement,
+)
 from .privacy import check_instance, transcript_distribution_test
 from .retrieval import simulate_trials
 from .rng import derive_seed
-from .placement import sample_placement
 
 USAGE_EXIT = 1
 INVARIANT_EXIT = 2
@@ -237,6 +241,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.envelope and args.vary != "mu":
+        raise ValueError("--envelope applies only with --vary mu")
     mu = parse_mu(args.mu) if args.mu is not None else None
     # One (param, N, mu) triple per row.
     if args.vary == "n":
@@ -248,7 +254,6 @@ def cmd_sweep(args) -> int:
                 f"--to {args.to}"
             )
         grid = [(n, n, mu) for n in range(args.start, args.to + 1)]
-        env = None
     else:
         if args.k is None or args.n is None:
             raise ValueError("sweeping mu requires --k and --n")
@@ -258,7 +263,7 @@ def cmd_sweep(args) -> int:
             )
         ratios = (Fraction(i, args.points - 1) for i in range(args.points))
         grid = [(ratio, args.n, ratio) for ratio in ratios]
-        env = centralized_envelope(args.k, args.n) if args.envelope else None
+    env = centralized_envelope(args.k, args.n) if args.envelope else None
 
     rows = []
     for index, (point, n, ratio) in enumerate(grid):

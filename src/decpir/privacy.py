@@ -18,13 +18,13 @@ the test needs numpy and nothing more.
 
 Session ``s`` for desired file ``d`` has seed ``derive_seed(seed, d, s)``.
 The seeds of all ``K * sessions`` sessions are derived desired file by
-desired file and hashed in one pass, and each plan takes the next run of
-their generators.  The sessions of one desired file run as the equal
-segments of one plan, as many at a time as fit in ``_CHUNK_SYMBOLS``
-symbols, and keys are folded into the bins about as often, so memory stays
-bounded for any session count but for the seeds' hashed words, 32 bytes a
-session; every session keeps its own seed, so the result does not depend on
-the chunking.
+desired file and hashed in one pass, and each plan takes an ``islice`` of
+their generators, one per session.  The sessions of one desired file run
+as the equal segments of one plan, as many at a time as fit in
+``_CHUNK_SYMBOLS`` symbols, and keys are folded into the bins about as
+often, so memory stays bounded for any session count but for the seeds'
+hashed words, 32 bytes a session; every session keeps its own seed, so the
+result does not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -298,12 +298,10 @@ def transcript_distribution_test(
     # Keys are owned by (desired file, store); ``pending`` ones not yet binned.
     bins, pending, owners = None, [], num_files * num_replicas
     chunk = max(1, _CHUNK_SYMBOLS // num_symbols)
-    # Desired-major, as the plans take them; unpermuted plans draw nothing,
-    # so they take the seeds themselves.
-    seeds = np.concatenate(
-        [derive_seeds(seed, d, indices=range(sessions)) for d in range(num_files)]
-    )
-    stream = generators(seeds) if permute else iter(seeds)
+    # Desired-major, as the plans take them.  The hash pass runs when the
+    # first generator is taken, so unpermuted plans, which take none, run none.
+    seeds = [derive_seeds(seed, d, indices=range(sessions)) for d in range(num_files)]
+    stream = generators(np.concatenate(seeds))
     for desired in range(num_files):
         for first in range(0, sessions, chunk):
             if sum(len(keys) for _, keys in pending) >= chunk * num_replicas:
@@ -314,7 +312,7 @@ def transcript_distribution_test(
                 num_files,
                 desired,
                 [num_symbols] * count,
-                list(islice(stream, count)),
+                islice(stream, count),
                 permute=permute,
             )
             if first == 0:

@@ -33,9 +33,9 @@ each query's padded terms for all blocks and all stores at once, giving the
 ``(n, queries)`` answer matrix, block-major; decoding reads each desired
 counter's answer and side answer the same way and scatters them through the
 desired file's permutation.  Sessions of one shape can share a plan as
-segments, each permuted from its own seed (or from that seed's generator,
-which a caller hashing many sessions' seeds at once hands over) and offset
-by its start.  The only view derived from the template and the
+segments, each permuted from its own numpy ``Generator``, which the caller
+hands over, and offset by its start; a one-session plan also takes an
+integer seed.  The only view derived from the template and the
 permutations is the text of each store's queries, :func:`plan_transcripts`.
 """
 
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -52,7 +52,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ProtocolError
-from .rng import generators, seed_array
+from .rng import generators
 
 
 @dataclass(frozen=True)
@@ -187,51 +187,12 @@ def _first_non_integer(values: list):
             return value
 
 
-def _caller_generators(seeds: list) -> list:
-    """``seeds`` if every one is a numpy ``Generator``, else ``ValueError``.
-
-    Reached only past a seed that is not an integer, so ``np.random`` is
-    loaded here and not with this module.
-    """
-    others = [s for s in seeds if not isinstance(s, np.random.Generator)]
-    if not others:
-        return seeds
-    try:
-        list(map(operator.index, others))
-    except TypeError:
-        bad = _first_non_integer(others)
-        raise ValueError(
-            f"seeds must be integers or numpy Generators, got {bad!r}"
-        ) from None
-    raise ValueError("seeds must be all integers or all numpy Generators")
-
-
-def _streamed_generators(stream: Iterator, count: int) -> Iterator:
-    """The ``count`` numpy ``Generator`` objects of ``stream``, one at a time.
-
-    Raises ``ValueError`` on anything else, and, once ``stream`` runs out,
-    if it held fewer or more than ``count``.
-    """
-    taken = 0
-    for rng in stream:
-        if taken == count:
-            raise ValueError(f"{count} segment lengths but more segment generators")
-        if not isinstance(rng, np.random.Generator):
-            raise ValueError(
-                f"a seed iterator must yield numpy Generators, got {rng!r}"
-            )
-        taken += 1
-        yield rng
-    if taken < count:
-        raise ValueError(f"{count} segment lengths but {taken} segment generators")
-
-
 def generate_query_plan(
     num_replicas: int,
     num_files: int,
     desired: int,
     num_symbols: int | Sequence[int],
-    seed: int | Sequence[int],
+    seed: int | Iterable[np.random.Generator],
     permute: bool = True,
 ) -> QueryPlan:
     """Build the query plan for one retrieval session: its permutations.
@@ -240,26 +201,18 @@ def generate_query_plan(
     block size.  ``permute=False`` skips the per-file permutations and exists
     only as a negative control for privacy tests.
 
-    Several sessions of one shape run as one plan when ``num_symbols`` and
-    ``seed`` are equal-length sequences, one entry per segment.  Segment
-    ``i`` draws from ``generators(seed)``'s ``i``-th generator exactly what
-    ``generator(seed[i])`` would for a plan of its own, offset by the
-    segment's start, so the permutations are block-diagonal and its queries,
-    decode sources and decoded symbols are those of the separate plan,
-    shifted.  Lengths are integers, and seeds are integers taken modulo
-    ``2**64``; a single ``num_symbols`` takes a single seed.
-
-    In place of integer seeds, a caller that hashes many sessions' seeds at
-    once hands one numpy ``Generator`` per segment (one for a single
-    ``num_symbols``): segment ``i`` permutes its rows by drawing from
-    ``seed[i]`` what it would draw from ``generator`` of that generator's
-    seed.  Segment Generators may also come as an iterator, such as an
-    ``islice`` of the caller's stream, taken one per segment as it permutes,
-    so no more than one is alive at a time; it is run out after the last
-    segment to check its count.  Any other length or seed type, seeds that
-    mix integers and Generators, or a mismatch between one length and a
-    sequence of seeds or the reverse, raises ``ValueError``.
-    ``permute=False`` draws from no seed.
+    Several sessions of one shape run as one plan when ``num_symbols`` is a
+    sequence of integer lengths, one per segment.  An integer ``seed``,
+    taken modulo ``2**64``, seeds a plan of one segment (a single length or
+    a one-element list), which draws what ``rng.generator(seed)`` draws.
+    Any other seed must be an iterable of numpy ``Generator`` objects, such
+    as an ``islice`` of ``rng.generators``: segment ``i`` takes the next one
+    as it permutes and draws from it what a plan of its own would, offset by
+    its start, so the permutations are block-diagonal and its queries,
+    decode sources and decoded symbols are the separate plan's, shifted;
+    after the last segment the iterable must be empty.  Other seeds, items
+    that are not Generators (so integer lists) and miscounts raise
+    ``ValueError``.  ``permute=False`` takes nothing from the seed.
     """
     n, k = num_replicas, num_files
     if n < 1:
@@ -273,33 +226,14 @@ def generate_query_plan(
         or not isinstance(num_symbols, Iterable)
         or getattr(num_symbols, "ndim", None) == 0  # a 0-d array
     ):
-        lams, seeds = [num_symbols], [seed]
-    else:
-        lams = list(num_symbols)
-        try:
-            seeds = None if isinstance(seed, Iterator) else list(seed)
-        except TypeError:
-            raise ValueError(
-                f"segment lengths need a sequence of seeds, one per segment, "
-                f"got {seed!r}"
-            ) from None
-        if seeds is not None and len(lams) != len(seeds):
-            raise ValueError(
-                f"{len(lams)} segment lengths but {len(seeds)} segment seeds"
-            )
+        num_symbols = [num_symbols]
+    lams = list(num_symbols)
     try:
         # Plain ints, so that numpy integers are checked like ints.
         lams = list(map(operator.index, lams))
     except TypeError:
         bad = _first_non_integer(lams)
         raise ValueError(f"symbol counts must be integers, got {bad!r}") from None
-    if seeds is None:
-        rngs = _streamed_generators(seed, len(lams))
-    else:
-        try:
-            rngs = generators(seed_array(seeds))
-        except TypeError:
-            rngs = _caller_generators(seeds)
     block = n**k
     for lam in lams:
         if lam < 0:
@@ -309,17 +243,37 @@ def generate_query_plan(
                 f"symbol count {lam} is not a multiple of the block size "
                 f"n**K = {n}**{k}"
             )
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        try:
+            rngs = iter(seed)
+        except TypeError:
+            raise ValueError(
+                f"a seed must be an integer or an iterable of numpy Generators, "
+                f"got {seed!r}"
+            ) from None
+    else:
+        if len(lams) != 1:
+            raise ValueError(f"an integer seed seeds one segment, not {len(lams)}")
+        rngs = generators([seed])
     starts = tuple(accumulate(lams, initial=0))
     perms = np.tile(np.arange(starts[-1]), (k, 1))
     if permute:
         # Permuting a segment's rows in place draws exactly what ``k`` calls
         # of ``permutation(lam)`` would, already offset by the segment start.
-        for start, end, rng in zip(starts, starts[1:], rngs):
+        for i, (start, end) in enumerate(zip(starts, starts[1:])):
+            rng = next(rngs, None)
+            if rng is None:
+                raise ValueError(f"{len(lams)} segment lengths but {i} seed Generators")
+            if not isinstance(rng, np.random.Generator):
+                raise ValueError(
+                    f"a seed iterable must yield numpy Generators, got {rng!r}"
+                )
             seg = perms[:, start:end]
             rng.permuted(seg, axis=1, out=seg)
-    if seeds is None:
-        for _ in rngs:  # run the iterator out, which checks its count
-            pass
+        if next(rngs, None) is not None:
+            raise ValueError(f"{len(lams)} segment lengths but more seed Generators")
     _block_template(n, k, desired)  # built with the plan, not on first answer
     return QueryPlan(n, k, desired, starts[-1], perms, starts)
 

@@ -17,13 +17,14 @@ through numpy's ``ISeedSequence`` interface, so numpy's own C seeding runs
 PCG64's two LCG steps.  Every generator it gives draws exactly what
 ``generator(seed)`` draws.  ``derive_seeds`` likewise derives a range of
 sibling seeds in one ``uint64`` array pass and returns that array, which
-``seed_array`` and ``generators`` take as is.  Both keep the per-seed
-functions below ``_ARRAY_SEEDS`` seeds.
+``generators`` takes as is.  Both keep the per-seed functions below
+``_ARRAY_SEEDS`` seeds.
 
 The hash pass has a fixed cost of a few dozen tiny numpy calls, so a caller
 makes one pass per call over every seed it will need: a retrieval over all
-its sessions, a privacy test over all of its sessions, and hands each plan
-its slice of the generators.
+its sessions, a privacy test over all of its sessions.  It hands each query
+plan an ``islice`` of the stream, one generator per segment; only a plan of
+one session takes its integer seed itself.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def derive_seeds(master: int, *path: int, indices: range) -> np.ndarray:
     From ``_ARRAY_SEEDS`` indices on, the last path element and the last mix
     run on ``uint64`` arrays, whose arithmetic wraps modulo ``2**64`` just as
     ``derive_seed`` and ``_mix`` mask, so indices past the ``int64`` range
-    derive the same seeds.
+    derive the same seeds.  :func:`generators` takes the array as is.
     """
     if len(indices) < _ARRAY_SEEDS:
         return np.array(
@@ -194,29 +195,22 @@ def _state_words() -> type:
     return _StateWords
 
 
-def seed_array(seeds: Sequence[int]) -> np.ndarray:
-    """``seeds`` taken modulo ``2**64``, as a ``uint64`` array.
-
-    A ``uint64`` array is returned as is.  A seed that is not an integer
-    raises ``TypeError``.
-    """
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
-        return seeds
-    return np.array([operator.index(s) & _MASK64 for s in seeds], dtype=np.uint64)
-
-
 def generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     """For each seed in turn, a generator that draws what ``generator(seed)`` draws.
 
-    From ``_ARRAY_SEEDS`` seeds on, every seed's ``SeedSequence`` words are
-    hashed in one array pass, when the first generator is taken.  The
-    generators share no state, so any number of them may be held and drawn
-    from in any order, and callers may hand out consecutive runs of one
-    call's generators to separate plans.
+    Seeds are integers taken modulo ``2**64``; a ``uint64`` array, such as
+    :func:`derive_seeds` returns, is taken as is.  From ``_ARRAY_SEEDS``
+    seeds on, every seed's ``SeedSequence`` words are hashed in one array
+    pass, when the first generator is taken.  The generators share no state,
+    so any number of them may be held and drawn from in any order, and
+    callers hand out consecutive runs of one call's generators to separate
+    plans, each an ``islice`` of the stream.
     """
     if len(seeds) < _ARRAY_SEEDS:
         return map(generator, seeds)
-    return _reseeded(seed_array(seeds))
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        seeds = np.array([operator.index(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    return _reseeded(seeds)
 
 
 def _reseeded(seeds: np.ndarray) -> Iterator[np.random.Generator]:

@@ -264,6 +264,21 @@ def test_sweep_over_storage_with_envelope(tmp_path):
     assert Fraction(rows[-1][2]) == Fraction(rows[-1][1])
 
 
+def test_envelope_needs_a_storage_sweep(tmp_path, capsys):
+    # The centralized envelope is a curve in mu at fixed N: a sweep over N
+    # would print the column blank rather than fill it.
+    out = tmp_path / "sweep.csv"
+    code = main(
+        [
+            "sweep", "--vary", "n", "--k", "3", "--mu", "1/2",
+            "--start", "0", "--to", "2", "--envelope", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    _assert_one_line_error(capsys, "--envelope applies only with --vary mu")
+    assert not out.exists()
+
+
 def test_sweep_with_simulation_columns(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

@@ -39,7 +39,7 @@ from decpir.protocol import (
     plan_transcripts,
     structural_privacy_histogram,
 )
-from decpir.rng import generator
+from decpir.rng import generator, generators
 
 
 def reference_plan(n, k, desired, num_symbols, seed):
@@ -176,7 +176,7 @@ def test_segmented_plan_joins_single_plans(n, k):
     starts = np.cumsum([0] + lams)
     symbols = generator(500 * n + k).integers(0, 2, (k, starts[-1]), dtype=np.uint8)
     for desired in range(k):
-        joined = generate_query_plan(n, k, desired, lams, seeds)
+        joined = generate_query_plan(n, k, desired, lams, generators(seeds))
         singles = [
             generate_query_plan(n, k, desired, lam, seed)
             for lam, seed in zip(lams, seeds)
@@ -221,7 +221,7 @@ def test_segment_lengths_must_fill_blocks():
     with pytest.raises(ValueError, match="multiple"):
         generate_query_plan(2, 2, 0, [4, 6, 8], [1, 2, 3])
     with pytest.raises(ValueError, match="segment"):
-        generate_query_plan(2, 2, 0, [4, 8], [1])
+        generate_query_plan(2, 2, 0, [4, 8], generators([1]))
 
 
 @given(
@@ -241,7 +241,7 @@ def test_block_wise_plan_matches_tiled_record(n, k, blocks, seed):
     seeds = [seed + i for i in range(len(lams))]
     symbols = generator(seed).integers(0, 2, (k, sum(lams)), dtype=np.uint8)
     for desired in range(k):
-        joined = generate_query_plan(n, k, desired, lams, seeds)
+        joined = generate_query_plan(n, k, desired, lams, generators(seeds))
         answers = answer_queries(joined, symbols)
         assert answers.tolist() == xor_answers(joined, symbols)
         assert np.array_equal(decode_desired(joined, answers), symbols[desired])
@@ -272,7 +272,7 @@ def test_template_histogram_matches_the_coded_record(n, k):
     block = n**k
     lams = [b * block for b in (1, 2, 3)]
     for desired in range(k):
-        plan = generate_query_plan(n, k, desired, lams, [7, 8, 9])
+        plan = generate_query_plan(n, k, desired, lams, generators([7, 8, 9]))
         for part in [plan] + [segment(plan, i) for i in range(len(lams))]:
             assert structural_privacy_histogram(part) == coded_histogram(part)
 

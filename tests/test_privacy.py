@@ -26,6 +26,7 @@ from decpir.privacy import (
     two_sample_chisquare,
 )
 from decpir.protocol import generate_query_plan
+from decpir.rng import generators
 
 try:
     import mpmath
@@ -187,7 +188,7 @@ def test_session_keys_stay_exact(n, k, lam):
     # needs several words; at lam = 3 a word of 32 base-4 places would
     # reach 2**64.
     sessions = 3
-    plan = generate_query_plan(n, k, 0, [lam] * sessions, [3, 4, 5])
+    plan = generate_query_plan(n, k, 0, [lam] * sessions, generators([3, 4, 5]))
     keys = _session_keys(plan, sessions).reshape(n, sessions, -1).tolist()
     per_word = min(63 // lam.bit_length(), k)
     words = -(-k // per_word)
@@ -213,7 +214,7 @@ def test_session_keys_stay_exact(n, k, lam):
 def test_session_keys_memory_follows_the_permutations(n, k, lam, sessions):
     # The codes are summed one term slot at a time through a per-block
     # table, never scattered into a dense array per (file, symbol).
-    plan = generate_query_plan(n, k, 0, [lam] * sessions, range(sessions))
+    plan = generate_query_plan(n, k, 0, [lam] * sessions, generators(range(sessions)))
     tracemalloc.start()
     try:
         _session_keys(plan, sessions)

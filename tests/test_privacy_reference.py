@@ -29,7 +29,7 @@ from decpir.protocol import (
     plan_transcripts,
     structural_privacy_histogram,
 )
-from decpir.rng import derive_seed
+from decpir.rng import derive_seed, generators
 
 
 def reference_chisquare(counts_a, counts_b):
@@ -194,7 +194,7 @@ def test_one_hash_pass_per_test(monkeypatch, hash_passes, per_chunk):
 def test_first_session_is_the_separate_plan(k, n, blocks, desired):
     lam = blocks * n**k
     seeds = [derive_seed(9, desired, s) for s in range(12)]
-    plan = generate_query_plan(n, k, desired, [lam] * 12, seeds)
+    plan = generate_query_plan(n, k, desired, [lam] * 12, generators(seeds))
     alone = generate_query_plan(n, k, desired, lam, seeds[0])
     first = segment(plan, 0)
     assert first.num_symbols == alone.num_symbols
@@ -210,7 +210,7 @@ def test_session_keys_hold_each_sessions_queries(k, n, lam):
     # a row.
     sessions = 3
     seeds = [derive_seed(4, s) for s in range(sessions)]
-    plan = generate_query_plan(n, k, 1, [lam] * sessions, seeds)
+    plan = generate_query_plan(n, k, 1, [lam] * sessions, generators(seeds))
     keys = privacy._session_keys(plan, sessions).reshape(n, sessions, -1)
     per_word = min(63 // lam.bit_length(), k)
     words = -(-k // per_word)

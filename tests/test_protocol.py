@@ -11,7 +11,7 @@ import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from itertools import islice
+from itertools import accumulate, islice
 from fractions import Fraction
 from math import comb
 
@@ -150,7 +150,8 @@ def test_answer_rows_match_per_query_xor_on_segments(n, k):
     # Row d of the answer matrix is store d's answers, query by query, for
     # a plan of several segments and for each segment cut out of it.
     block = n**k
-    plan = generate_query_plan(n, k, k - 1, [block, 3 * block, 2 * block], [4, 5, 6])
+    lams = [block, 3 * block, 2 * block]
+    plan = generate_query_plan(n, k, k - 1, lams, generators([4, 5, 6]))
     rng = np.random.Generator(np.random.PCG64(n * 10 + k))
     symbols = rng.integers(0, 2, (k, plan.num_symbols), dtype=np.uint8)
     answers = answer_queries(plan, symbols)
@@ -420,9 +421,9 @@ def test_non_integer_lengths_are_refused(lam, seed, shown):
 
 
 def test_numpy_integer_lengths_count_as_ints():
-    want = generate_query_plan(3, 3, 1, [27, 54], [5, 6])
+    want = generate_query_plan(3, 3, 1, [27, 54], generators([5, 6]))
     for lam in ([np.int64(27), np.uint16(54)], np.array([27, 54])):
-        got = generate_query_plan(3, 3, 1, lam, [5, 6])
+        got = generate_query_plan(3, 3, 1, lam, generators([5, 6]))
         assert got.segment_starts == want.segment_starts == (0, 27, 81)
         assert all(type(start) is int for start in got.segment_starts)
         assert np.array_equal(got.permutations, want.permutations)
@@ -440,8 +441,8 @@ def test_seeds_are_taken_mod_2_to_the_64(seed):
     want = generate_query_plan(3, 3, 1, 27, int(seed) % 2**64)
     got = generate_query_plan(3, 3, 1, 27, seed)
     assert plan_transcripts(got) == plan_transcripts(want)
-    # The batch seeding of a many-segment plan masks the same way.
-    many = generate_query_plan(3, 3, 1, [27] * 9, [seed] * 9)
+    # The batch seeding of a many-segment plan's generators masks the same way.
+    many = generate_query_plan(3, 3, 1, [27] * 9, generators([seed] * 9))
     shifted = many.permutations.reshape(3, 9, 27) - 27 * np.arange(9)[:, None]
     assert (shifted == want.permutations[:, None, :]).all()
 
@@ -459,27 +460,39 @@ SEGMENT_CASES = [
 
 @pytest.mark.parametrize("n, k, lams", SEGMENT_CASES)
 def test_caller_generators_draw_what_their_seeds_draw(n, k, lams):
-    # A plan handed the generators of its seeds is the plan of those seeds.
+    # Each segment of a plan handed its seeds' generators, as a list, as a
+    # stream or hashed from a uint64 array, is the integer-seed plan of its
+    # own seed.
     seeds = [derive_seed(41, n, k, i) for i in range(len(lams))]
-    want = generate_query_plan(n, k, k - 1, lams, seeds)
     as_array = derive_seeds(41, n, k, indices=range(len(lams)))
-    for given in (list(generators(seeds)), generators(seeds), as_array):
+    alone = [generate_query_plan(n, k, k - 1, lam, s) for lam, s in zip(lams, seeds)]
+    for given in (list(generators(seeds)), generators(seeds), generators(as_array)):
         got = generate_query_plan(n, k, k - 1, lams, given)
-        assert got.segment_starts == want.segment_starts
-        assert np.array_equal(got.permutations, want.permutations)
-    alone = generate_query_plan(n, k, k - 1, lams[0], generator(seeds[0]))
-    assert np.array_equal(alone.permutations, segment(want, 0).permutations)
+        assert got.segment_starts == tuple(accumulate(lams, initial=0))
+        for i, want in enumerate(alone):
+            assert np.array_equal(segment(got, i).permutations, want.permutations)
+
+
+@pytest.mark.parametrize("n, k, lam", [(1, 3, 2), (2, 3, 16), (3, 2, 27)])
+def test_one_segment_takes_either_seed_form(n, k, lam):
+    # The seed's type picks its form, whether the length is listed or not.
+    want = generate_query_plan(n, k, 0, lam, 5)
+    for lams in (lam, [lam]):
+        for seed in (5, [generator(5)], iter([generator(5)])):
+            got = generate_query_plan(n, k, 0, lams, seed)
+            assert got.segment_starts == (0, lam)
+            assert np.array_equal(got.permutations, want.permutations)
 
 
 @pytest.mark.parametrize(
     "seeds, match",
     [
-        (lambda rngs: [5, rngs[1], 7], "all integers or all numpy Generators"),
-        (lambda rngs: [rngs[0], 6, rngs[2]], "all integers or all numpy Generators"),
-        (lambda rngs: [rngs[0], 1.5, rngs[2]], "integers or numpy Generators, got 1.5"),
-        (lambda rngs: rngs[:2], "3 segment lengths but 2 segment seeds"),
-        (lambda rngs: rngs + rngs[:1], "3 segment lengths but 4 segment seeds"),
-        (lambda rngs: rngs[0], "need a sequence of seeds"),
+        (lambda rngs: [5, rngs[1], 7], "must yield numpy Generators, got 5$"),
+        (lambda rngs: [rngs[0], 6, rngs[2]], "must yield numpy Generators, got 6$"),
+        (lambda rngs: [rngs[0], 1.5, rngs[2]], "must yield numpy Generators, got 1.5$"),
+        (lambda rngs: rngs[:2], "3 segment lengths but 2 seed Generators"),
+        (lambda rngs: rngs + rngs[:1], "3 segment lengths but more seed Generators"),
+        (lambda rngs: rngs[0], "an integer or an iterable of numpy Generators"),
     ],
 )
 def test_mixed_or_miscounted_generators_are_refused(seeds, match):
@@ -488,19 +501,18 @@ def test_mixed_or_miscounted_generators_are_refused(seeds, match):
         generate_query_plan(2, 2, 0, [4, 8, 4], seeds(rngs))
 
 
-@pytest.mark.parametrize("permute", [True, False])
 @pytest.mark.parametrize(
     "seeds, match",
     [
-        (lambda rngs: [rngs[0], 6, rngs[2]], "must yield numpy Generators, got 6"),
-        (lambda rngs: rngs[:2], "3 segment lengths but 2 segment generators"),
-        (lambda rngs: rngs + rngs[:1], "3 segment lengths but more"),
+        (lambda rngs: [rngs[0], 6, rngs[2]], "must yield numpy Generators, got 6$"),
+        (lambda rngs: rngs[:2], "3 segment lengths but 2 seed Generators"),
+        (lambda rngs: rngs + rngs[:1], "3 segment lengths but more seed Generators"),
     ],
 )
-def test_mixed_or_miscounted_generator_iterators_are_refused(seeds, match, permute):
+def test_mixed_or_miscounted_generator_iterators_are_refused(seeds, match):
     rngs = list(generators([1, 2, 3]))
     with pytest.raises(ValueError, match=match):
-        generate_query_plan(2, 2, 0, [4, 8, 4], iter(seeds(rngs)), permute=permute)
+        generate_query_plan(2, 2, 0, [4, 8, 4], iter(seeds(rngs)))
 
 
 def test_plans_take_no_more_than_their_slice_of_a_stream():
@@ -510,8 +522,9 @@ def test_plans_take_no_more_than_their_slice_of_a_stream():
     stream = generators(seeds)
     got = [generate_query_plan(2, 2, 1, [4] * 3, islice(stream, 3)) for _ in range(3)]
     for i, plan in enumerate(got):
-        want = generate_query_plan(2, 2, 1, [4] * 3, seeds[3 * i : 3 * i + 3])
-        assert np.array_equal(plan.permutations, want.permutations)
+        for j in range(3):
+            want = generate_query_plan(2, 2, 1, 4, seeds[3 * i + j])
+            assert np.array_equal(segment(plan, j).permutations, want.permutations)
     assert next(stream, None) is None
 
 
@@ -522,3 +535,14 @@ def test_unpermuted_plans_draw_from_no_generator():
     for seed, rng in zip([1, 2], rngs):
         want = generator(seed).integers(0, 2**62, 4).tolist()
         assert rng.integers(0, 2**62, 4).tolist() == want
+
+    # Nor do they take a generator from the seed.
+    class Untouchable:
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            raise AssertionError("an unpermuted plan took a seed")
+
+    plan = generate_query_plan(2, 2, 0, [4, 8], Untouchable(), permute=False)
+    assert np.array_equal(plan.permutations, np.tile(np.arange(12), (2, 1)))

@@ -10,7 +10,7 @@ import pytest
 from oracles import segment, xor_answers
 
 from decpir.protocol import decode_desired, generate_query_plan, plan_transcripts
-from decpir.rng import generator
+from decpir.rng import generator, generators
 
 
 def single_plan():
@@ -18,7 +18,7 @@ def single_plan():
 
 
 def middle_segment():
-    return segment(generate_query_plan(3, 2, 0, [9, 18, 9], [5, 6, 7]), 1)
+    return segment(generate_query_plan(3, 2, 0, [9, 18, 9], generators([5, 6, 7])), 1)
 
 
 PINS = [
