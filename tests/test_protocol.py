@@ -494,6 +494,14 @@ def test_one_segment_takes_either_seed_form(n, k, lam):
         (lambda rngs: rngs + rngs[:1], "3 segment lengths but more seed Generators"),
         (lambda rngs: rngs[0], "an integer or an iterable of numpy Generators"),
     ],
+    # Ids name the expected message, but for the first three inputs, which
+    # keep the ids of the seed forms they break: a list of integers mixed
+    # with Generators, and one item that is neither.
+    ids=lambda v: {
+        "must yield numpy Generators, got 5$": "all integers or all numpy Generators",
+        "must yield numpy Generators, got 6$": "all integers or all numpy Generators",
+        "must yield numpy Generators, got 1.5$": "integers or numpy Generators, got 1.5",
+    }.get(v, v if isinstance(v, str) else None),
 )
 def test_mixed_or_miscounted_generators_are_refused(seeds, match):
     rngs = list(generators([1, 2, 3]))
