@@ -243,25 +243,32 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     if args.envelope and args.vary != "mu":
         raise ValueError("--envelope applies only with --vary mu")
+    # The other mode's options are refused rather than silently ignored.
+    other = "mu" if args.vary == "n" else "n"
+    for name in ("n", "points") if args.vary == "n" else ("mu", "start", "to"):
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} applies only with --vary {other}")
     mu = parse_mu(args.mu) if args.mu is not None else None
     # One (param, N, mu) triple per row.
     if args.vary == "n":
         if args.k is None or mu is None:
             raise ValueError("sweeping N requires --k and --mu")
-        if args.to < args.start:
+        start = 0 if args.start is None else args.start
+        to = 30 if args.to is None else args.to
+        if to < start:
             raise ValueError(
-                f"sweeping N needs --to >= --start, got --start {args.start} "
-                f"--to {args.to}"
+                f"sweeping N needs --to >= --start, got --start {start} --to {to}"
             )
-        grid = [(n, n, mu) for n in range(args.start, args.to + 1)]
+        grid = [(n, n, mu) for n in range(start, to + 1)]
     else:
         if args.k is None or args.n is None:
             raise ValueError("sweeping mu requires --k and --n")
-        if args.points < 2:
+        points = 21 if args.points is None else args.points
+        if points < 2:
             raise ValueError(
-                f"sweeping mu needs --points >= 2 to span [0, 1], got {args.points}"
+                f"sweeping mu needs --points >= 2 to span [0, 1], got {points}"
             )
-        ratios = (Fraction(i, args.points - 1) for i in range(args.points))
+        ratios = (Fraction(i, points - 1) for i in range(points))
         grid = [(ratio, args.n, ratio) for ratio in ratios]
     env = centralized_envelope(args.k, args.n) if args.envelope else None
 
@@ -434,9 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, help="fixed N when varying mu")
     p.add_argument("--mu", help="fixed ratio when varying N")
-    p.add_argument("--start", type=int, default=0, help="first N when varying N")
-    p.add_argument("--to", type=int, default=30, help="last N when varying N")
-    p.add_argument("--points", type=int, default=21, help="grid size when varying mu")
+    p.add_argument("--start", type=int, help="first N when varying N (default 0)")
+    p.add_argument("--to", type=int, help="last N when varying N (default 30)")
+    p.add_argument("--points", type=int, help="grid size when varying mu (default 21)")
     p.add_argument("--envelope", action="store_true", help="add the centralized column")
     p.add_argument("--trials", type=int, default=0, help="add simulated columns")
     p.add_argument("--file-bits", type=int, default=1080)

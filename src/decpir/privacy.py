@@ -12,17 +12,19 @@ through the block template like answers, so it compares the store-visible
 query set rather than the construction order.  Each comparison is a row of
 two count matrices, and one statistics pass takes a batch of ``K * n``
 rows, so a batch is no larger than the count matrix; up to three files that
-is every comparison.  The p-values are chi-square upper tails at integer
+is every comparison.  A pass computes the terms of each distinct (row,
+count pair) once, with its multiplicity, and the p-value of each distinct
+statistic once.  The p-values are chi-square upper tails at integer
 degrees of freedom, which have a closed form (:func:`_chisquare_tail`), so
 the test needs numpy and nothing more.
 
 Session ``s`` for desired file ``d`` has seed ``derive_seed(seed, d, s)``.
-The seeds of all ``K * sessions`` sessions are derived desired file by
-desired file and hashed in one pass, and each plan takes an ``islice`` of
-their generators, one per session.  The sessions of one desired file run
-as the equal segments of one plan, as many at a time as fit in
-``_CHUNK_SYMBOLS`` symbols, and keys are folded into the bins about as
-often, so memory stays bounded for any session count but for the seeds'
+The seeds of all ``K * sessions`` sessions are derived in one array pass,
+desired file by desired file, and hashed in one pass, and each plan takes
+an ``islice`` of their generators, one per session.  The sessions of one
+desired file run as the equal segments of one plan, as many at a time as
+fit in ``_CHUNK_SYMBOLS`` symbols, and keys are folded into the bins about
+as often, so memory stays bounded for any session count but for the seeds'
 hashed words, 32 bytes a session; every session keeps its own seed, so the
 result does not depend on the chunking.
 """
@@ -41,7 +43,7 @@ from .protocol import (
     plan_transcripts,  # unused here; the benchmark's tracer looks it up in this module
     structural_privacy_histogram,
 )
-from .rng import derive_seeds, generators
+from .rng import derive_seed_grid, generators
 
 # Symbols per plan (a plan takes at least one session): a plan's arrays grow
 # with its symbols, so this bounds memory for any session count and length.
@@ -51,6 +53,9 @@ _CHUNK_SYMBOLS = 1 << 16
 # sum runs directly; at or above it, in units of its largest term.
 _EXP_FLOOR = 700.0
 _GAMMA_3_2 = math.gamma(1.5)
+# Veltkamp's splitter 2**27 + 1: ``c = x * _SPLITTER`` and ``c - (c - x)``
+# round x to its high 26 bits, and the rest of x fits in 26 bits too.
+_SPLITTER = float(2**27 + 1)
 
 
 def two_sample_chisquare(counts_a, counts_b):
@@ -60,8 +65,8 @@ def two_sample_chisquare(counts_a, counts_b):
     left out.  Returns (statistic, degrees of freedom, p-value); identical
     single-support samples have zero degrees of freedom and p-value 1.  The
     terms are summed exactly rounded, so the order of the bins is moot.
-    Unequal lengths, a negative count or an empty sample raise ``ValueError``.
-    This is one comparison of :func:`_chisquare_rows`.
+    Unequal lengths, a negative or fractional count or an empty sample raise
+    ``ValueError``.  This is one comparison of :func:`_chisquare_rows`.
     """
     a, b = np.asarray(counts_a), np.asarray(counts_b)
     if a.ndim != 1 or a.shape != b.shape:
@@ -70,37 +75,63 @@ def two_sample_chisquare(counts_a, counts_b):
 
 
 def _chisquare_rows(counts_a, counts_b) -> list[tuple[float, int, float]]:
-    """:func:`two_sample_chisquare` of each row pair of two count matrices.
+    """:func:`two_sample_chisquare` of each row pair of two integer count matrices.
 
     ``counts_a`` and ``counts_b`` have one row per comparison and one column
-    per bin.  Python's float power squares each distinct difference, as
-    numpy's square can differ from it in the last bit; the quotients are
-    IEEE divisions either way, and the counts are exact while their
-    products stay below 2**53.  Each row is summed exactly rounded, and its
-    p-value is :func:`_chisquare_tail` of its statistic.
+    per bin.  A bin's two terms depend only on its row and its two counts,
+    so they are computed once per distinct (row, count_a, count_b) triple:
+    each row's pairs, coded ``a * (max b + 1) + b``, are sorted, and a run
+    of one code is one triple, its length the triple's multiplicity.  While
+    the counts' products stay below 2**53, every count of a kept bin is
+    below 2**27, so the codes stay below 2**54, the counts are exact, and
+    so are the expected counts' products; the quotients are IEEE divisions,
+    and Python's float power squares each difference, as numpy's square can
+    differ from it in the last bit.  Each term is split into two halves of
+    at most 26 bits (Veltkamp), whose products with a multiplicity below
+    2**27 are exact, and each row's products are summed exactly rounded,
+    which is the exactly rounded sum of its bins' terms.  Each distinct
+    (dof, statistic) takes one :func:`_chisquare_tail`.
     """
     observed = np.stack([counts_a, counts_b])
     if observed.min(initial=0) < 0:
         raise ValueError("counts must be non-negative")
+    # Fractional counts could share a code: with b at most 1.5, the pairs
+    # (1, 0.5) and (0.5, 1.5) both code 2.5.
+    if observed.dtype.kind == "f" and (observed % 1).any():
+        raise ValueError("counts must be integers")
     sizes = observed.sum(axis=2)
     if not sizes.all():
         raise ValueError("each sample needs at least one observation")
-    # The kept bins, row by row: each comparison's terms are one run.
-    rows, bins = np.nonzero(observed.any(axis=0))
-    observed, kept_sizes = observed[:, rows, bins], sizes[:, rows]
-    expected = kept_sizes * observed.sum(axis=0) / kept_sizes.sum(axis=0)
-    distinct, where = np.unique((observed - expected).ravel(), return_inverse=True)
-    squares = np.array([d**2 for d in distinct.tolist()])
-    terms = (squares[where].reshape(expected.shape) / expected).tolist()
-    kept = np.bincount(rows, minlength=sizes.shape[1])
-    ends = np.cumsum(kept).tolist()
-    stats = [
-        math.fsum(terms[0][start:end] + terms[1][start:end])
-        for start, end in zip([0, *ends], ends)
-    ]
+    a, b = observed
+    span = int(b.max(initial=0)) + 1
+    codes = a * span + b
+    codes.sort(axis=1)
+    # Code 0 is the bins empty in both samples, which sort first in a row.
+    kept = np.count_nonzero(codes, axis=1)
+    first = np.ones(codes.shape, dtype=bool)
+    np.not_equal(codes[:, 1:], codes[:, :-1], out=first[:, 1:])
+    starts = np.flatnonzero(first)
+    runs = np.diff(starts, append=codes.size)
+    distinct = codes.ravel()[starts]
+    full = distinct != 0
+    row, runs = starts[full] // codes.shape[1], runs[full]
+    pairs = np.divmod(distinct[full], span)
+    n = sizes[:, row]
+    expected = n * (pairs[0] + pairs[1]) / n.sum(axis=0)
+    diffs = (pairs - expected).ravel().tolist()
+    terms = np.array([d**2 for d in diffs]).reshape(expected.shape) / expected
+    scaled = terms * _SPLITTER
+    high = scaled - (scaled - terms)
+    # Each triple's four exact products in a run, the triples row by row.
+    parts = (np.stack([high, terms - high]) * runs).reshape(4, -1).T.ravel().tolist()
+    ends = (4 * np.searchsorted(row, np.arange(len(codes)), side="right")).tolist()
+    stats = [math.fsum(parts[start:end]) for start, end in zip([0, *ends], ends)]
     dof = (kept - 1).tolist()
-    p_values = [_chisquare_tail(d, x) if d else 1.0 for d, x in zip(dof, stats)]
-    return list(zip(stats, dof, p_values))
+    tails = {}
+    for d, x in zip(dof, stats):
+        if d and (d, x) not in tails:
+            tails[d, x] = _chisquare_tail(d, x)
+    return [(x, d, tails[d, x] if d else 1.0) for d, x in zip(dof, stats)]
 
 
 def _chisquare_tail(dof: int, x: float) -> float:
@@ -300,8 +331,9 @@ def transcript_distribution_test(
     chunk = max(1, _CHUNK_SYMBOLS // num_symbols)
     # Desired-major, as the plans take them.  The hash pass runs when the
     # first generator is taken, so unpermuted plans, which take none, run none.
-    seeds = [derive_seeds(seed, d, indices=range(sessions)) for d in range(num_files)]
-    stream = generators(np.concatenate(seeds))
+    stream = generators(
+        derive_seed_grid(seed, outer=range(num_files), inner=range(sessions))
+    )
     for desired in range(num_files):
         for first in range(0, sessions, chunk):
             if sum(len(keys) for _, keys in pending) >= chunk * num_replicas:

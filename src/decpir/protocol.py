@@ -235,14 +235,16 @@ def generate_query_plan(
         bad = _first_non_integer(lams)
         raise ValueError(f"symbol counts must be integers, got {bad!r}") from None
     block = n**k
-    for lam in lams:
+    # Segments repeat their lengths, so each distinct length is checked once;
+    # the first bad one in order is reported.
+    if any(lam < 0 or lam % block for lam in set(lams)):
+        lam = next(lam for lam in lams if lam < 0 or lam % block)
         if lam < 0:
             raise ValueError(f"symbol count must be non-negative, got {lam}")
-        if lam % block != 0:
-            raise ValueError(
-                f"symbol count {lam} is not a multiple of the block size "
-                f"n**K = {n}**{k}"
-            )
+        raise ValueError(
+            f"symbol count {lam} is not a multiple of the block size "
+            f"n**K = {n}**{k}"
+        )
     try:
         seed = operator.index(seed)
     except TypeError:
@@ -258,7 +260,8 @@ def generate_query_plan(
             raise ValueError(f"an integer seed seeds one segment, not {len(lams)}")
         rngs = generators([seed])
     starts = tuple(accumulate(lams, initial=0))
-    perms = np.tile(np.arange(starts[-1]), (k, 1))
+    perms = np.empty((k, starts[-1]), dtype=np.int64)
+    perms[:] = np.arange(starts[-1])
     if permute:
         # Permuting a segment's rows in place draws exactly what ``k`` calls
         # of ``permutation(lam)`` would, already offset by the segment start.

@@ -17,8 +17,9 @@ through numpy's ``ISeedSequence`` interface, so numpy's own C seeding runs
 PCG64's two LCG steps.  Every generator it gives draws exactly what
 ``generator(seed)`` draws.  ``derive_seeds`` likewise derives a range of
 sibling seeds in one ``uint64`` array pass and returns that array, which
-``generators`` takes as is.  Both keep the per-seed functions below
-``_ARRAY_SEEDS`` seeds.
+``generators`` takes as is; ``derive_seed_grid`` derives the siblings of a
+range of parents, one row a parent, in one pass.  Both keep the per-seed
+functions below ``_ARRAY_SEEDS`` seeds, the grid for its parents only.
 
 The hash pass has a fixed cost of a few dozen tiny numpy calls, so a caller
 makes one pass per call over every seed it will need: a retrieval over all
@@ -70,10 +71,26 @@ def derive_seeds(master: int, *path: int, indices: range) -> np.ndarray:
         return np.array(
             [derive_seed(master, *path, i) for i in indices], dtype=np.uint64
         )
-    last = np.arange(len(indices), dtype=np.uint64)
-    last *= np.uint64(indices.step & _MASK64)
-    last += np.uint64(indices.start & _MASK64)
-    return _mix(last ^ (derive_seed(master, *path) ^ _GOLDEN))
+    return _mix(_index_words(indices) ^ (derive_seed(master, *path) ^ _GOLDEN))
+
+
+def derive_seed_grid(master: int, outer: range, inner: range) -> np.ndarray:
+    """The ``uint64`` array of ``derive_seed(master, i, j)``, ``i``-major.
+
+    ``i`` runs over ``outer`` and ``j`` over ``inner``: the parents
+    ``derive_seed(master, i)`` come from :func:`derive_seeds`, and every
+    pair's last mix runs in one ``uint64`` array pass.
+    """
+    parents = derive_seeds(master, indices=outer)[:, None]
+    return _mix(_index_words(inner) ^ (parents ^ np.uint64(_GOLDEN))).reshape(-1)
+
+
+def _index_words(indices: range) -> np.ndarray:
+    """Each index of ``indices`` modulo ``2**64``, as a ``uint64`` array."""
+    words = np.arange(len(indices), dtype=np.uint64)
+    words *= np.uint64(indices.step & _MASK64)
+    words += np.uint64(indices.start & _MASK64)
+    return words
 
 
 def generator(seed: int) -> np.random.Generator:

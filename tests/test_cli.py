@@ -279,6 +279,44 @@ def test_envelope_needs_a_storage_sweep(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "vary, fixed, flag, value",
+    [
+        ("n", ["--mu", "1/2"], "--n", "7"),
+        ("n", ["--mu", "1/2"], "--points", "7"),
+        ("mu", ["--n", "2"], "--mu", "1/3"),
+        ("mu", ["--n", "2"], "--start", "5"),
+        ("mu", ["--n", "2"], "--to", "9"),
+    ],
+)
+def test_sweep_refuses_the_other_modes_options(
+    tmp_path, capsys, vary, fixed, flag, value
+):
+    # A sweep over N has no grid size and one over mu no range of N: each
+    # such flag was once silently ignored.
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--vary", vary, "--k", "3", *fixed, flag, value]
+    assert main([*argv, "--out", str(out)]) == 1
+    other = "mu" if vary == "n" else "n"
+    _assert_one_line_error(capsys, f"{flag} applies only with --vary {other}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["--vary", "n", "--mu", "1/2"], [str(n) for n in range(31)]),
+        (["--vary", "mu", "--n", "2"], [str(Fraction(i, 20)) for i in range(21)]),
+    ],
+)
+def test_sweep_defaults_fill_the_grid(tmp_path, argv, params):
+    # N runs over 0..30 and mu over 21 points unless the flags say otherwise.
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *argv, "--k", "3", "--out", str(out)]) == 0
+    _, rows, _ = read_csv(out)
+    assert [row[0] for row in rows] == params
+
+
 def test_sweep_with_simulation_columns(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

@@ -140,6 +140,16 @@ def test_chisquare_refuses_malformed_counts(a, b, match):
         two_sample_chisquare(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
 
 
+def test_chisquare_refuses_fractional_counts():
+    # Count pairs are coded as one number each, so a fractional count could
+    # share a code with another pair; integral floats count as integers.
+    with pytest.raises(ValueError, match="integers"):
+        two_sample_chisquare([1.0, 0.5, 3.0], [0.5, 1.5, 1.0])
+    assert two_sample_chisquare([40.0, 60.0, 10.0], [35.0, 70.0, 5.0]) == (
+        two_sample_chisquare([40, 60, 10], [35, 70, 5])
+    )
+
+
 def test_honest_scheme_passes():
     result = transcript_distribution_test(2, 2, 4, sessions=2500, seed=101)
     assert result.structural_ok

@@ -269,6 +269,56 @@ def test_batched_chisquare_equals_the_dict_loop_row_by_row(matrices):
         assert repr(row) == repr(two_sample_chisquare(row_a, row_b))
 
 
+@st.composite
+def repeated_pairs(draw):
+    """Count matrices whose rows repeat a few distinct (a, b) pairs over many bins.
+
+    Counts reach 2**20 over up to 500 bins, so the counts' products stay
+    below 2**53; the pair (0, 0) leaves a bin empty in both samples.
+    """
+    rows, bins = draw(st.integers(1, 4)), draw(st.integers(1, 500))
+    count = st.integers(0, 2**20) | st.sampled_from([0, 1, 2**20])
+    layout = np.random.default_rng(draw(st.integers(0, 2**32)))
+    a, b = np.zeros((2, rows, bins), dtype=np.int64)
+    for row in range(rows):
+        pairs = draw(st.lists(st.tuples(count, count), min_size=1, max_size=4))
+        pairs = np.array(pairs)
+        a[row], b[row] = pairs[layout.integers(0, len(pairs), bins)].T
+        # No sample stays empty.
+        a[row, 0], b[row, -1] = a[row, 0] or 1, b[row, -1] or 1
+    return a, b
+
+
+@given(repeated_pairs())
+def test_repeated_pairs_equal_the_dict_loop(matrices):
+    # A row's terms are computed once per distinct pair, with its
+    # multiplicity: its statistic must still be every bin's, to the last bit.
+    a, b = matrices
+    for row, (row_a, row_b) in zip(privacy._chisquare_rows(a, b), zip(a, b)):
+        dict_a = {i: int(c) for i, c in enumerate(row_a) if c}
+        dict_b = {i: int(c) for i, c in enumerate(row_b) if c}
+        assert repr(row) == repr(dict_loop_chisquare(dict_a, dict_b))
+
+
+def test_equal_statistics_share_one_tail(monkeypatch):
+    # K=3, n=3 over 54 symbols: every sorted transcript is distinct, so the
+    # nine comparisons share one (dof, statistic) and one tail evaluation.
+    calls = []
+    chisquare_tail = privacy._chisquare_tail
+
+    def spy(dof, x):
+        calls.append((dof, x))
+        return chisquare_tail(dof, x)
+
+    monkeypatch.setattr(privacy, "_chisquare_tail", spy)
+    result = transcript_distribution_test(3, 3, 54, 50, 0)
+    assert calls == [(99, 100.0)]
+    p_value = chisquare_tail(99, 100.0)
+    assert [(c.dof, c.statistic, c.p_value) for c in result.comparisons] == [
+        (99, 100.0, p_value)
+    ] * 9
+
+
 @pytest.mark.parametrize(
     "bad_a, bad_b, match",
     [

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from decpir import rng as rng_module
-from decpir.rng import derive_seed, derive_seeds, generator, generators
+from decpir.rng import (
+    derive_seed,
+    derive_seed_grid,
+    derive_seeds,
+    generator,
+    generators,
+)
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 EDGE_SEEDS += [-1, -(2**40), 2**64, 2**64 + 5, 2**100]  # generator masks these
@@ -113,6 +119,19 @@ def test_derive_seeds_matches_derive_seed(master, path):
         got = derive_seeds(master, *path, indices=indices)
         assert got.dtype == np.uint64  # on both sides of the array pass
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("master", [0, -5, 2**70 + 3])
+def test_derive_seed_grid_matches_derive_seed(master):
+    # Both sides of the parents' array pass, and inner ranges past int64.
+    outers = [range(0), range(1), range(3), range(8), range(5, -20, -3)]
+    inners = [range(0), range(2), range(50), range(2**64 - 3, 2**64 + 3)]
+    for outer in outers:
+        for inner in inners:
+            want = [derive_seed(master, i, j) for i in outer for j in inner]
+            got = derive_seed_grid(master, outer=outer, inner=inner)
+            assert got.dtype == np.uint64
+            assert got.tolist() == want
 
 
 def test_numpy_integers_count_as_the_ints_they_equal():

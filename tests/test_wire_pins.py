@@ -1,14 +1,18 @@
-"""The wire text and decoded symbols of two fixed plans, pinned literally.
+"""The wire text and decoded symbols of two fixed plans, and the statistics
+of two privacy tests, pinned literally.
 
 The transcripts are what a store receives, in generation order and sorted,
 so any change to how a plan lays out its queries shows here first.  Answers
 come from the per-query XOR oracle, so only decoding is the code under test.
+The privacy tests' statistics and p-values are pinned by ``repr``, so a
+change to how they are summed or evaluated shows in the last bit.
 """
 
 import numpy as np
 import pytest
 from oracles import segment, xor_answers
 
+from decpir.privacy import transcript_distribution_test
 from decpir.protocol import decode_desired, generate_query_plan, plan_transcripts
 from decpir.rng import generator, generators
 
@@ -70,3 +74,35 @@ def test_plan_text_and_decoded_symbols_are_pinned(
     assert xor_answers(plan, symbols) == answers
     got = decode_desired(plan, np.array(answers, dtype=np.uint8))
     assert got.tolist() == decoded == symbols[plan.desired].tolist()
+
+
+PRIVACY_PINS = [
+    # Sessions repeat transcripts at 4 bits, so bins hold unequal counts.
+    (
+        (2, 2, 4, 200, 1),
+        [
+            (0, 0, 1, "143.615873015873", 134, "0.26947789667934374"),
+            (1, 0, 1, "140.6", 138, "0.4224579528560621"),
+        ],
+    ),
+    # Every sorted transcript is distinct: each statistic is its bin count.
+    (
+        (3, 3, 54, 50, 0),
+        [
+            (store, a, b, "100.0", 99, "0.45295851132093146")
+            for a, b in [(0, 1), (0, 2), (1, 2)]
+            for store in range(3)
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("args, pinned", PRIVACY_PINS)
+def test_privacy_statistics_are_pinned(args, pinned):
+    result = transcript_distribution_test(*args)
+    assert result.ok
+    got = [
+        (c.store, c.desired_a, c.desired_b, repr(c.statistic), c.dof, repr(c.p_value))
+        for c in result.comparisons
+    ]
+    assert got == pinned
