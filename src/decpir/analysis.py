@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb, lcm
+from math import lcm
 from operator import itemgetter, mul
 
 import numpy as np
@@ -37,9 +37,20 @@ def capacity_classical(num_files: int, num_replicas: int) -> Fraction:
     return Fraction(k) if n == 1 else Fraction(n**k - 1, (n - 1) * n ** (k - 1))
 
 
+@lru_cache(maxsize=None)
 def harmonic_weight(set_size: int, num_files: int) -> Fraction:
     """``1/l + 1/l**2 + ... + 1/l**(K-1)`` for storage-set size ``l``."""
     return capacity_classical(num_files, set_size) - 1
+
+
+@lru_cache(maxsize=256)
+def _binomial_row(n: int) -> tuple:
+    """``(C(n, 0), ..., C(n, n))`` from ``C(n, j+1) = C(n, j) (n-j) / (j+1)``,
+    each division exact."""
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    return tuple(row)
 
 
 def _power_products(a, c, top: int) -> list:
@@ -67,7 +78,8 @@ def capacity_decentralized(num_files: int, num_dbs: int, mu):
     ``sum_n C(N, n-1) mu^(n-1) (1-mu)^(N+1-n) * (1 + 1/n + ... + 1/n^(K-1))``.
     Exact when ``mu = a/b`` is a Fraction or int: the integer weights
     ``C(N, n-1) a^(n-1) (b-a)^(N+1-n)`` meet the classical costs' numerators
-    over one common denominator.  Float ``mu`` gives a float.
+    over one common denominator.  Float ``mu`` gives a float.  Both read
+    ``C(N, .)`` from one cached binomial row.
     """
     if num_files < 1:
         raise ValueError(f"need at least one file, got {num_files}")
@@ -75,17 +87,16 @@ def capacity_decentralized(num_files: int, num_dbs: int, mu):
         raise ValueError(f"database count must be non-negative, got {num_dbs}")
     if not 0 <= mu <= 1:
         raise ValueError(f"storage ratio must lie in [0, 1], got {mu}")
-    n = num_dbs
+    n, row = num_dbs, _binomial_row(num_dbs)
     if isinstance(mu, (int, Fraction)):
         a, b = mu.numerator, mu.denominator
         nums, den = _classical_numerators(num_files, n + 1)
-        terms = zip(_power_products(a, b - a, n), nums)
-        total = sum(comb(n, j) * t * c for j, (t, c) in enumerate(terms))
+        terms = zip(row, _power_products(a, b - a, n), nums)
+        total = sum(r * t * c for r, t, c in terms)
         return Fraction(total, b**n * den)
     return sum(
-        comb(n, j) * mu**j * (1 - mu) ** (n - j)
-        * float(capacity_classical(num_files, j + 1))
-        for j in range(n + 1)
+        r * mu**j * (1 - mu) ** (n - j) * float(capacity_classical(num_files, j + 1))
+        for j, r in enumerate(row)
     )
 
 
@@ -231,15 +242,19 @@ def expected_converse_bound(
 ):
     """Expectation of the realization bound under independent per-bit caching.
 
-    At the uniform profile ``p == mu`` this equals
+    ``L + sum_l C(N+1, l) h(l) m(l)`` over sizes ``l = 1..N+1``, with the
+    masses ``m`` of :func:`expected_size_masses`, the cached harmonic
+    weights ``h`` and the cached binomial row ``C(N+1, .)``: one product
+    per size.  At the uniform profile ``p == mu`` this equals
     ``L * capacity_decentralized(K, N, mu)`` exactly.
     """
     if mu is not None:
         profile.check_budget(mu)
     k, length, n = profile.num_files, profile.file_len, num_dbs
+    masses = expected_size_masses(profile, n)
+    row = _binomial_row(n + 1)
     return length + sum(
-        comb(n + 1, l) * harmonic_weight(l, k) * mass
-        for l, mass in enumerate(expected_size_masses(profile, n), start=1)
+        row[l] * harmonic_weight(l, k) * mass for l, mass in enumerate(masses, start=1)
     )
 
 

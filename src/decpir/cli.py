@@ -34,7 +34,7 @@ from .placement import (
     policy_from_dict,
     sample_placement,
 )
-from .privacy import check_instance, transcript_distribution_test
+from .privacy import transcript_distribution_test
 from .retrieval import simulate_trials
 from .rng import derive_seed
 
@@ -43,11 +43,6 @@ INVARIANT_EXIT = 2
 # Exact costs are fractions over powers such as n**K, of K * log10(n) digits:
 # past this many files they grow too long to evaluate and print quickly.
 MAX_FILES = 1000
-# Bits one privacy test's sessions may download, one per sum query.
-MAX_PRIVACY_DOWNLOAD_BITS = 50_000_000
-# Terms of the block templates one privacy test builds, one per desired file
-# of K * n**K terms each: up to K = 13 at n = 2, about 0.1 s of builds.
-MAX_TEMPLATE_TERMS = 1 << 21
 
 
 class _Parser(argparse.ArgumentParser):
@@ -356,20 +351,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_privacy_test(args) -> int:
-    check_instance(args.k, args.n, args.file_bits)
-    # One bit per query: what the sessions of all K desired files download.
-    bits = args.k * args.sessions * args.file_bits * capacity_classical(args.k, args.n)
-    if bits > MAX_PRIVACY_DOWNLOAD_BITS:
-        raise ValueError(
-            f"privacy test too large: its sessions would download more than "
-            f"the {MAX_PRIVACY_DOWNLOAD_BITS}-bit cap"
-        )
-    if args.k**2 * args.n**args.k > MAX_TEMPLATE_TERMS:
-        raise ValueError(
-            f"privacy test too large: its block templates, K * n**K terms for "
-            f"each of the K desired files, would hold more than "
-            f"{MAX_TEMPLATE_TERMS} terms"
-        )
     result = transcript_distribution_test(
         args.k,
         args.n,

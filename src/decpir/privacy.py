@@ -37,6 +37,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
+from .analysis import capacity_classical
 from .protocol import (
     QueryPlan,
     generate_query_plan,
@@ -44,6 +45,12 @@ from .protocol import (
     structural_privacy_histogram,
 )
 from .rng import derive_seed_grid, generators
+
+# Bits one test's sessions may download, one per sum query.
+MAX_PRIVACY_DOWNLOAD_BITS = 50_000_000
+# Terms of the block templates one test builds, one per desired file of
+# K * n**K terms each: up to K = 13 at n = 2, about 0.1 s of builds.
+MAX_TEMPLATE_TERMS = 1 << 21
 
 # Symbols per plan (a plan takes at least one session): a plan's arrays grow
 # with its symbols, so this bounds memory for any session count and length.
@@ -312,9 +319,23 @@ def transcript_distribution_test(
     compared pairwise, every pair as one row of :func:`_chisquare_rows`.
     ``permute=False`` is the negative control: without per-file permutations
     transcripts are deterministic and distinguish the desired file, so the
-    test must fail.
+    test must fail.  A test past the download or template-term cap is
+    refused with ``ValueError`` before any plan or template is built.
     """
     check_instance(num_files, num_replicas, num_symbols)
+    # One bit per query: what the sessions of all K desired files download.
+    per_file = sessions * num_symbols * capacity_classical(num_files, num_replicas)
+    if num_files * per_file > MAX_PRIVACY_DOWNLOAD_BITS:
+        raise ValueError(
+            f"privacy test too large: its sessions would download more than "
+            f"the {MAX_PRIVACY_DOWNLOAD_BITS}-bit cap"
+        )
+    if num_files**2 * num_replicas**num_files > MAX_TEMPLATE_TERMS:
+        raise ValueError(
+            f"privacy test too large: its block templates, K * n**K terms for "
+            f"each of the K desired files, would hold more than "
+            f"{MAX_TEMPLATE_TERMS} terms"
+        )
     if not 0 < significance < 1:
         # At or below 0 no p-value is significant, at or above 1 every one
         # is, so the verdict would not depend on the transcripts.

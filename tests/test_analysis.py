@@ -232,11 +232,13 @@ def test_converse_bound_k3n2_requires_shape():
 
 
 def test_expected_bound_matches_capacity_at_uniform():
+    # K = 10 makes every point of the benchmark's analysis grid (N = 0..30,
+    # mu = i/20, L = 7).
     length = 7
     for k in (1, 2, 3, 5, 10):
-        for n in (0, 1, 2, 5, 10, 30):
-            for i in range(11):
-                mu = Fraction(i, 10)
+        for n in range(31):
+            for i in range(21):
+                mu = Fraction(i, 20)
                 profile = uniform_profile(k, length, mu)
                 expected = expected_converse_bound(profile, n, mu=mu)
                 assert expected == length * capacity_decentralized(k, n, mu)

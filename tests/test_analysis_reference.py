@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from decpir.analysis import (
     MarginalProfile,
+    _binomial_row,
     capacity_decentralized,
     centralized_envelope,
     converse_bound_realization,
@@ -120,6 +121,23 @@ def test_capacity_matches_reference_on_figure_grid():
         for n in range(31):
             for mu in GRID_MU:
                 assert_same(capacity_decentralized(k, n, mu), ref_capacity_decentralized(k, n, mu))
+
+
+def test_binomial_rows_match_comb():
+    for n in [*range(301), 3000]:
+        assert _binomial_row(n) == tuple(math.comb(n, j) for j in range(n + 1))
+
+
+@pytest.mark.parametrize("n", [200, 600])
+@pytest.mark.parametrize("mu", [Fraction(1, 3), Fraction(1, 2), 1 / 3, 0.5])
+def test_large_n_matches_per_term_reference(n, mu):
+    # The cached binomial rows and harmonic weights against one comb per term.
+    k, length = 3, 2
+    assert_same(capacity_decentralized(k, n, mu), ref_capacity_decentralized(k, n, mu))
+    probs = np.full((k, length), mu, dtype=object if isinstance(mu, Fraction) else float)
+    assert_same(
+        expected_converse_bound(MarginalProfile(probs), n), ref_converse_bound(probs, n)
+    )
 
 
 def test_envelope_corners_are_their_lower_hull():

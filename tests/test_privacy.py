@@ -19,6 +19,7 @@ from oracles import assert_p_value_close, segment, store_view
 from scipy.special import chdtrc
 from scipy.stats import chi2_contingency
 
+from decpir import privacy, protocol
 from decpir.privacy import (
     _chisquare_tail,
     _session_keys,
@@ -232,3 +233,38 @@ def test_session_keys_memory_follows_the_permutations(n, k, lam, sessions):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * plan.permutations.nbytes
+
+
+def test_template_term_cap_refuses_before_any_template(monkeypatch):
+    # 14 files at n = 2 download under 2% of the cap, but their 14 templates
+    # of 14 * 2**14 terms, 3.2M in all, pass the term cap.
+    def build(*args):
+        raise AssertionError("a block template was built")
+
+    monkeypatch.setattr(protocol, "_block_template", build)
+    with pytest.raises(ValueError, match="would hold more than 2097152 terms"):
+        transcript_distribution_test(14, 2, 16384, 2, 0)
+
+
+def test_download_cap_refuses_before_any_plan(monkeypatch):
+    # 3 files x 10**6 sessions x 54 symbols x 13/9 bits a symbol.
+    def plan(*args, **kwargs):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(privacy, "generate_query_plan", plan)
+    with pytest.raises(ValueError, match="more than the 50000000-bit cap"):
+        transcript_distribution_test(3, 3, 54, 10**6, 0)
+
+
+def test_size_caps_admit_templates_up_to_the_term_cap(monkeypatch):
+    # 13 files at n = 2: 13 templates of 13 * 2**13 terms, 1.4M in all, so
+    # the test goes on to build its first plan.
+    class Admitted(Exception):
+        pass
+
+    def plan(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(privacy, "generate_query_plan", plan)
+    with pytest.raises(Admitted):
+        transcript_distribution_test(13, 2, 8192, 2, 0)
