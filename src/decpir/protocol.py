@@ -46,7 +46,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -210,9 +210,16 @@ def generate_query_plan(
     as it permutes and draws from it what a plan of its own would, offset by
     its start, so the permutations are block-diagonal and its queries,
     decode sources and decoded symbols are the separate plan's, shifted;
-    after the last segment the iterable must be empty.  Other seeds, items
-    that are not Generators (so integer lists) and miscounts raise
-    ``ValueError``.  ``permute=False`` takes nothing from the seed.
+    after the last segment the iterable must be empty.  ``permute=False``
+    takes nothing from the seed.
+
+    Every check raises ``ValueError``.  Before anything is drawn: the shape,
+    the lengths (integers, non-negative, whole blocks) and the seed's form,
+    an integer for one segment or else an iterable.  The segment loop only
+    slices and permutes, taking at most one Generator per segment; an item
+    that is not a Generator (so an integer list) has no ``permuted`` and is
+    refused when its segment fails, and too few or too many Generators are
+    refused after the loop.
     """
     n, k = num_replicas, num_files
     if n < 1:
@@ -265,16 +272,25 @@ def generate_query_plan(
     if permute:
         # Permuting a segment's rows in place draws exactly what ``k`` calls
         # of ``permutation(lam)`` would, already offset by the segment start.
-        for i, (start, end) in enumerate(zip(starts, starts[1:])):
-            rng = next(rngs, None)
-            if rng is None:
-                raise ValueError(f"{len(lams)} segment lengths but {i} seed Generators")
-            if not isinstance(rng, np.random.Generator):
-                raise ValueError(
-                    f"a seed iterable must yield numpy Generators, got {rng!r}"
-                )
-            seg = perms[:, start:end]
-            rng.permuted(seg, axis=1, out=seg)
+        # Only a Generator has ``permuted``, so a wrong item fails the call
+        # and is refused then; the counts are checked after the loop.
+        bounds, rng = zip(starts, starts[1:]), None
+        try:
+            for rng in islice(rngs, len(lams)):
+                start, end = next(bounds)
+                seg = perms[:, start:end]
+                rng.permuted(seg, axis=1, out=seg)
+        except AttributeError:
+            if isinstance(rng, np.random.Generator):
+                raise
+            raise ValueError(
+                f"a seed iterable must yield numpy Generators, got {rng!r}"
+            ) from None
+        missing = sum(1 for _ in bounds)
+        if missing:
+            raise ValueError(
+                f"{len(lams)} segment lengths but {len(lams) - missing} seed Generators"
+            )
         if next(rngs, None) is not None:
             raise ValueError(f"{len(lams)} segment lengths but more seed Generators")
     _block_template(n, k, desired)  # built with the plan, not on first answer

@@ -3,7 +3,7 @@
 For each storage set of the partition the retriever runs one protocol session
 over exactly the nodes of that set: replicated arrays for sets of two or more
 nodes, each file zero-padded to a multiple of ``|S| ** K`` symbols
-(:func:`_size_groups` is the one place that rule lives).  The
+(:func:`_padded_blocks` is the one place that rule lives).  The
 data-center-only set is downloaded whole at raw per-file lengths: its answer
 string is the stored bits themselves, one per bit.
 Decoded pieces are scattered back to their original addresses; the result
@@ -14,18 +14,21 @@ All storage sets of one size share a block template, so their sessions run
 as the segments of one plan: one padded ``(K, sum of lambda_S)`` symbol
 matrix, one answer pass for all its stores and one decode per size.  Each
 segment keeps its own permutation seed, so its queries, answers and decoded
-bits are exactly those of the set's separate session.  A size's plan and
-answers are dropped once its sets are decoded and charged; the result is
-the recovered file and its cost report.
+bits are exactly those of the set's separate session.
 
 The partition lists its sets in canonical order, sizes ascending, so the
-sets of one size are one contiguous range of its arrays.  A size's padded
-matrix is filled with one scatter of that range's bits, and its costs,
-recovered bits and padding check come from the same arrays.  The only work
-done per set is building the generator of its permutation seed: the seeds
-of every set of two or more nodes are derived and hashed in one pass per
-retrieval, and each size's plan takes the next run of those generators,
-one at a time as it permutes.
+sets of one size are one contiguous range of its arrays.  Everything but
+the plan, answers and decode runs once per retrieval, over every set at
+once: one array step gives every set's padded length, one pass the cell of
+every cached bit in its size's padded matrix, and one pass hashes the
+permutation seeds of every set of two or more nodes.  Per size, a plan
+takes the next run of those generators, one at a time as it permutes; its
+padded matrix is filled with one scatter, and the desired file's decoded
+symbols land in that size's part of one row holding every set's segment,
+the data-center-only set's raw bits first.  A size's plan and matrix are
+released before the next size's are built.  Then one padding check over
+that row and one scatter reassemble the file, and every set's charge comes
+from the same arrays.
 """
 
 from __future__ import annotations
@@ -88,30 +91,25 @@ class RetrievalResult:
     report: CostReport
 
 
-def _size_groups(partition: StorageSetPartition) -> list:
-    """Runs of equal-size storage sets, with each set's padded length.
+def _padded_blocks(partition: StorageSetPartition) -> tuple[list, np.ndarray]:
+    """Runs of equal-size storage sets of two or more nodes, and every set's padding.
 
-    Returns ``(size, first, end, blocks)`` per run of sets ``first .. end - 1``
-    in canonical order, where ``blocks[i]`` is set ``first + i``'s padded
-    per-file length in ``size ** K``-symbol blocks (``None`` for the
-    data-center-only set, downloaded raw).  This is the padding rule: each
-    file of a set is zero-padded to the smallest multiple of ``size ** K``
-    symbols that holds the set's longest file.
+    Returns ``(groups, blocks)``: ``groups`` lists ``(size, first, end)`` per
+    run of sets ``first .. end - 1`` in canonical order, and ``blocks[i]`` is
+    set ``i``'s padded per-file length in ``size ** K``-symbol blocks, 0 for
+    the data-center-only set, which is downloaded raw.  This is the padding
+    rule: each file of a set is zero-padded to the smallest multiple of
+    ``size ** K`` symbols that holds the set's longest file.
     """
-    k, length = partition.num_files, partition.file_len
-    sizes = partition.sizes
-    max_lens = partition.lengths().max(axis=1)
+    k, length, sizes = partition.num_files, partition.file_len, partition.sizes
     bounds = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
-    groups = []
-    for first, end in zip(bounds[:-1], bounds[1:]):
-        size = int(sizes[first])
-        if size == 1:
-            groups.append((size, first, end, None))
-            continue
-        # max_len <= L, so a block longer than a file holds any set in one.
-        blocks = -(-max_lens[first:end] // min(size**k, length))
-        groups.append((size, first, end, blocks))
-    return groups
+    runs = [(int(sizes[first]), first, end) for first, end in zip(bounds, bounds[1:])]
+    # max_len <= L, so a block longer than a file holds any set in one.
+    units = [min(size**k, length) for size, _, _ in runs]
+    blocks = -(-partition.lengths().max(axis=1) // np.repeat(units, np.diff(bounds)))
+    if runs[0][0] == 1:
+        blocks[0] = 0
+    return [run for run in runs if run[0] > 1], blocks
 
 
 def retrieve_file(
@@ -132,11 +130,15 @@ def retrieve_file(
         raise ValueError("partition and store disagree on corpus shape")
     if not 0 <= desired < k:
         raise ValueError(f"desired file {desired} out of range for K={k}")
-    groups = _size_groups(partition)
-    # Padded symbols, a Python int however large the block.
-    padded = sum(
-        int(partition.starts[k]) if blocks is None else k * size**k * int(blocks.sum())
-        for size, _, _, blocks in groups
+    groups, blocks = _padded_blocks(partition)
+    sizes, starts, addresses = partition.sizes, partition.starts, partition.addresses
+    first_multi = int(sizes[0] == 1)  # the data-center-only set, first if present
+    firsts = [first for _, first, _ in groups]
+    counts = [end - first for _, first, end in groups]
+    # Padded symbols, a Python int: |S|**K overflows int64 at large K.
+    padded = int(starts[k]) * first_multi + sum(
+        k * size**k * b
+        for (size, _, _), b in zip(groups, np.add.reduceat(blocks, firsts).tolist())
     )
     if padded > MAX_PADDED_SYMBOLS:
         raise ValueError(
@@ -144,38 +146,81 @@ def retrieve_file(
             "padded block sizes grow as |S|**K, so shrink K, N, or the storage ratio"
         )
 
-    recovered = np.zeros(length, dtype=np.uint8)
-    sizes = partition.sizes
-    # charged[i]: the bits downloaded from each node of storage set i.
-    charged = np.empty(len(sizes), dtype=np.int64)
-    ideal = Fraction(0)
+    # Under the cap every block fits int64.  ``row`` holds the desired file's
+    # symbols set after set, set i's segment width[i] symbols from seg[i]:
+    # its padded length, or the data-center-only set's raw bits.
+    lengths = partition.lengths()
+    lens = lengths[:, desired]
+    width = blocks * np.repeat([1] + [s**k for s, _, _ in groups], [first_multi] + counts)
+    width[:first_multi] = lens[:first_multi]
+    seg = np.cumsum(width) - width
+    row = np.empty(int(width.sum()), dtype=np.uint8)
     bits = store.bits.reshape(-1)
-    addresses, starts = partition.addresses, partition.starts
+    if first_multi:
+        row[: lens[0]] = bits[addresses[starts[desired] : starts[desired + 1]]]
+
+    # cells: where each cached bit of the sets from first_multi on lands in
+    # its size's flat (K, symbols) padded matrix.  Run i * K + j holds set
+    # i's bits of file j, and bit r of it lands in row j at column r plus
+    # set i's segment start within its size.
+    lo = int(starts[first_multi * k])
+    # total[i - first_multi]: the padded symbols per file of set i's size.
+    total = np.repeat(np.add.reduceat(width, firsts), counts)
+    column = seg[first_multi:] - np.repeat(seg[firsts], counts)
+    run_starts = (starts[first_multi * k : -1] - lo).reshape(-1, k)
+    shift = np.arange(k) * total[:, None] + column[:, None] - run_starts
+    cells = np.repeat(shift.reshape(-1), np.diff(starts[first_multi * k :]))
+    cells += np.arange(len(cells))
+    values = bits[addresses[lo:]]
+
     # Set i's session draws from derive_seed(seed, i).  Every set but the
-    # data-center-only one, first if present, has a session, so one pass
-    # hashes all their seeds, and each size's plan takes the next end - first
-    # as it permutes: a list of them, up to ~170 sets a size at N=20, would
-    # hold ~4 tracked objects a set and run the cyclic garbage collector.
-    first_multi = int(sizes[0] == 1)
+    # data-center-only one has a session, so one pass hashes all their
+    # seeds, and each size's plan takes the next end - first as it permutes:
+    # a list of them, up to ~170 sets a size at N=20, would hold ~4 tracked
+    # objects a set and run the cyclic garbage collector.
     stream = generators(derive_seeds(seed, indices=range(first_multi, len(sizes))))
-
-    for size, first, end, blocks in groups:
-        if blocks is not None:
-            ideal += _retrieve_group(
-                bits, partition, desired, islice(stream, end - first),
-                size, first, end, blocks, recovered, charged,
+    block_queries = []
+    for size, first, end in groups:
+        a, b = starts[first * k] - lo, starts[end * k] - lo
+        block_queries.append(
+            _decode_size(
+                size, k, desired, width[first:end].tolist(),
+                islice(stream, end - first), cells[a:b], values[a:b],
+                row[seg[first] : seg[first] + total[first - first_multi]],
             )
-            continue
-        # Data-center-only bits (set 0): download every stored bit of every file.
-        answers = bits[addresses[: starts[k]]]
-        a, b = starts[desired], starts[desired + 1]
-        recovered[addresses[a:b] - desired * length] = answers[a:b]
-        charged[0] = len(answers)
-        ideal += len(answers)
+        )
 
+    # Set i's desired bits are the first lens[i] symbols of its segment and
+    # the rest is padding, which decodes to zero exactly when no non-zero
+    # symbol lies outside those columns.
+    before = np.cumsum(lens) - lens
+    cols = np.repeat(seg - before, lens)
+    cols += np.arange(len(cols))
+    got = row[cols]
+    if np.count_nonzero(row) != np.count_nonzero(got):
+        padding = np.ones(len(row), dtype=bool)
+        padding[cols] = False
+        bad = np.flatnonzero(padding & (row != 0))[0]
+        nodes = partition.node_tuples()[np.searchsorted(seg, bad, "right") - 1]
+        raise ReliabilityError(
+            f"padding symbols decoded non-zero in partition {list(nodes)}"
+        )
+    where = np.repeat(starts[desired:-1:k] - before, lens)
+    where += np.arange(len(where))
+    recovered = np.zeros(length, dtype=np.uint8)
+    recovered[addresses[where] - desired * length] = got
     if not np.array_equal(recovered, store.bits[desired]):
         raise ReliabilityError(f"recovered file {desired} differs from the source")
 
+    # charged[i]: the bits downloaded from each node of storage set i; the
+    # data-center-only set's one node sends every bit it alone stores.
+    charged = blocks * np.repeat([0] + block_queries, [first_multi] + counts)
+    charged[:first_multi] = starts[k]
+    max_lens = np.add.reduceat(lengths.max(axis=1), firsts).tolist()
+    ideal = sum(
+        (capacity_classical(k, s) * m for (s, _, _), m in zip(groups, max_lens)),
+        Fraction(int(starts[k]) * first_multi),
+    )
     # Float weights are exact: the download, at most the padded symbols, is
     # below MAX_PADDED_SYMBOLS, far below 2**53.
     per_node = np.bincount(
@@ -193,69 +238,31 @@ def retrieve_file(
     return RetrievalResult(recovered, report)
 
 
-def _retrieve_group(
-    bits: np.ndarray,
-    partition: StorageSetPartition,
-    desired: int,
-    rngs: Iterator,
+def _decode_size(
     size: int,
-    first: int,
-    end: int,
-    blocks: np.ndarray,
-    recovered: np.ndarray,
-    charged: np.ndarray,
-) -> Fraction:
-    """Run storage sets ``first .. end - 1``, all of ``size`` nodes, as one plan.
+    k: int,
+    desired: int,
+    lams: list,
+    rngs: Iterator,
+    cells: np.ndarray,
+    values: np.ndarray,
+    into: np.ndarray,
+) -> int:
+    """Run storage sets of ``size`` nodes, ``lams`` padded symbols each, as one plan.
 
-    ``bits`` is the flat corpus.  Set ``first + i`` is segment ``i`` of the
-    plan, ``blocks[i]`` blocks of ``size ** K`` symbols of every file, and
-    its permutations are drawn from the ``i``-th of ``rngs``, the generator of
-    ``derive_seed(seed, first + i)``, so each segment's queries, answers and
-    decoded bits are those of the set's own session.  Fills ``recovered``
-    and ``charged[first:end]`` and returns the group's ideal cost.
+    Set ``i`` of the run is segment ``i`` of the plan and draws its
+    permutations from the ``i``-th of ``rngs``, so its queries, answers and
+    decoded symbols are those of the set's own session.  The padded
+    ``(K, sum(lams))`` matrix holds ``values`` at the flat ``cells`` and
+    zeros elsewhere; the desired file's decoded symbols go to ``into``.
+    Returns each store's queries per block.  The plan and the matrix are
+    released on return, before the next size's are built.
     """
-    k, length = partition.num_files, partition.file_len
-    plan = generate_query_plan(
-        size, k, desired, (blocks * size**k).tolist(), rngs
-    )
-    seg = np.array(plan.segment_starts)
-    total = plan.num_symbols
-
-    # Run i * K + j holds set first + i's bits of file j; bit r of it lands
-    # in row j, column seg[i] + r of the padded matrix.
-    starts = partition.starts[first * k : end * k + 1]
-    lo = int(starts[0])
-    run_lens = np.diff(starts)
-    run_shift = (
-        np.arange(k) * total + seg[:-1, None] - (starts[:-1] - lo).reshape(-1, k)
-    ).reshape(-1)
-    target = np.repeat(run_shift, run_lens)
-    target += np.arange(len(target))
-    padded = np.zeros((k, total), dtype=np.uint8)
-    padded.reshape(-1)[target] = bits[partition.addresses[lo : int(starts[-1])]]
-
-    decoded = decode_desired(plan, answer_queries(plan, padded))
-    # Set i's desired bits are the first lens[i] symbols of its segment and
-    # the rest is padding, which decodes to zero exactly when no non-zero
-    # symbol lies outside those columns.
-    lens = run_lens[desired::k]
-    before = np.cumsum(lens) - lens
-    cols = np.arange(lens.sum()) + np.repeat(seg[:-1] - before, lens)
-    got = decoded[cols]
-    if np.count_nonzero(decoded) != np.count_nonzero(got):
-        padding = np.ones(total, dtype=bool)
-        padding[cols] = False
-        bad = np.flatnonzero(padding & (decoded != 0))[0]
-        nodes = partition.node_tuples()[first + np.searchsorted(seg, bad, "right") - 1]
-        raise ReliabilityError(
-            f"padding symbols decoded non-zero in partition {list(nodes)}"
-        )
-    where = np.arange(len(cols)) + np.repeat(starts[desired:-1:k] - before, lens)
-    recovered[partition.addresses[where] - desired * length] = got
-
-    charged[first:end] = blocks * plan.block_queries
-    max_lens = run_lens.reshape(-1, k).max(axis=1)
-    return capacity_classical(k, size) * int(max_lens.sum())
+    plan = generate_query_plan(size, k, desired, lams, rngs)
+    padded = np.zeros((k, plan.num_symbols), dtype=np.uint8)
+    padded.reshape(-1)[cells] = values
+    into[:] = decode_desired(plan, answer_queries(plan, padded))
+    return plan.block_queries
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,11 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Below this many seeds, the fixed cost of an array pass over all of them (a
-# few to a few dozen tiny numpy calls) exceeds what it saves per seed.
-_ARRAY_SEEDS = 8
+# few to a few dozen tiny numpy calls) exceeds what it saves per seed:
+# deriving n seeds and building their generators took ~11 us a seed one by
+# one, against ~50 us plus ~1 us a seed in one pass (``timeit``, 2-vCPU VM),
+# 54 against 57 us at 5 seeds and 64 against 57 us at 6.
+_ARRAY_SEEDS = 6
 
 
 def _mix(x: int) -> int:

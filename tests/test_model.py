@@ -17,7 +17,7 @@ from decpir.model import (
     storage_budget,
 )
 from decpir.placement import UniformRandomPlacement, sample_placement
-from decpir.retrieval import _size_groups
+from decpir.retrieval import _padded_blocks
 
 
 def test_file_store_is_deterministic():
@@ -124,8 +124,8 @@ def test_partition_full_replication():
     part = partition_by_storage_set(real)
     assert set(part.entries) == {frozenset({0, 1, 2, 3})}
     assert part.lengths().tolist() == [[6, 6]]
-    [(size, _, _, blocks)] = _size_groups(part)
-    assert size == 4 and (blocks[0] * size**2) % 4**2 == 0
+    [(size, _, _)], blocks = _padded_blocks(part)
+    assert size == 4 and blocks.tolist() == [1]
 
 
 def test_partition_empty_caches():
@@ -133,8 +133,8 @@ def test_partition_empty_caches():
     part = partition_by_storage_set(real)
     assert set(part.entries) == {frozenset({0})}
     assert part.lengths().tolist() == [[6, 6]]
-    [(size, _, _, blocks)] = _size_groups(part)
-    assert size == 1 and blocks is None
+    assert _padded_blocks(part)[0] == []  # one set, downloaded raw
+    assert _padded_blocks(part)[1].tolist() == [0]
 
 
 def test_partition_law_of_large_numbers():
@@ -202,11 +202,11 @@ def test_partition_padding_invariant(k, length, n, mu_num, seed):
     real = _uniform_realization(k, length, n, Fraction(mu_num, 4), seed)
     part = partition_by_storage_set(real)
     max_lens = part.lengths().max(axis=1).tolist()
-    for size, first, end, blocks in _size_groups(part):
-        if size == 1:
-            assert blocks is None
-            continue
+    groups, blocks = _padded_blocks(part)
+    if part.sizes[0] == 1:
+        assert blocks[0] == 0
+    for size, first, end in groups:
         block = size**k
-        for i, padded in enumerate((blocks * block).tolist()):
+        for i, padded in enumerate((blocks[first:end] * block).tolist()):
             assert padded % block == 0
             assert 0 <= padded - max_lens[first + i] < block

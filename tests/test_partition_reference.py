@@ -5,7 +5,7 @@ integer, so any database count fits), scans all addresses once per distinct
 mask, and sorts the sets into canonical order afterwards.
 :func:`partition_by_storage_set` must give the same sets in the same order,
 the same positions, and the padded lengths retrieval's one padding rule
-(:func:`decpir.retrieval._size_groups`) gives must equal the reference's.
+(:func:`decpir.retrieval._padded_blocks`) gives must equal the reference's.
 """
 
 from fractions import Fraction
@@ -21,7 +21,7 @@ from decpir.model import (
     partition_by_storage_set,
 )
 from decpir.placement import UniformRandomPlacement, sample_placement
-from decpir.retrieval import _size_groups
+from decpir.retrieval import _padded_blocks
 
 
 def reference_partition(realization):
@@ -52,14 +52,13 @@ def assert_matches_reference(realization):
 
     assert list(part.entries) == [s for s, _ in ref]
     assert len(part.entries) == len(part.sizes)
-    padded_lens = []
-    for size, first, end, blocks in _size_groups(part):
+    groups, blocks = _padded_blocks(part)
+    padded_lens = [None] * int(part.sizes[0] == 1)
+    for size, first, end in groups:
         assert part.sizes[first:end].tolist() == [size] * (end - first)
-        if blocks is None:
-            padded_lens += [None] * (end - first)
-        else:
-            padded_lens += (blocks * size**k).tolist()
+        padded_lens += (blocks[first:end] * size**k).tolist()
     assert padded_lens == [padded for _, (_, padded) in ref]
+    assert not blocks[: int(part.sizes[0] == 1)].any()  # the raw set
 
     assert part.starts.tolist()[0] == 0 and len(part.starts) == len(ref) * k + 1
     assert part.sizes.tolist() == [len(s) for s, _ in ref]

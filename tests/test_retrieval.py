@@ -38,7 +38,7 @@ from decpir.protocol import (
     generate_query_plan,
     plan_transcripts,
 )
-from decpir.retrieval import _size_groups, retrieve_file, simulate_trials
+from decpir.retrieval import _padded_blocks, retrieve_file, simulate_trials
 from decpir.rng import _ARRAY_SEEDS, derive_seed, generators
 
 
@@ -241,9 +241,9 @@ def check_queries_stay_local(k, n, mu, length):
     assert len(sessions) == len(part.entries)
     lengths = part.lengths().tolist()
     padded_lens = {}
-    for size, first, end, blocks in _size_groups(part):
-        if blocks is not None:
-            padded_lens.update(zip(range(first, end), (blocks * size**k).tolist()))
+    groups, blocks = _padded_blocks(part)
+    for size, first, end in groups:
+        padded_lens.update(zip(range(first, end), (blocks[first:end] * size**k).tolist()))
     starts = part.starts.tolist()
     for i, (session, s) in enumerate(zip(sessions, part.entries)):
         assert session.nodes == tuple(sorted(s))
@@ -351,11 +351,7 @@ def test_one_hash_pass_per_retrieval(trial, hash_passes):
     policy = UniformRandomPlacement(Fraction(1, 20))
     real = sample_placement(policy, 3, 600, 20, derive_seed(trial_seed, 1))
     part = partition_by_storage_set(real)
-    groups = [
-        end - first
-        for _, first, end, blocks in _size_groups(part)
-        if blocks is not None
-    ]
+    groups = [end - first for _, first, end in _padded_blocks(part)[0]]
     assert sum(count >= _ARRAY_SEEDS for count in groups) >= 3
     hash_passes.clear()
     retrieve_file(store, part, trial % 3, derive_seed(trial_seed, 2))
@@ -384,6 +380,28 @@ def test_retrieval_holds_one_session_generator_at_a_time(monkeypatch):
     retrieve_file(store, part, 0, seed=5)
     assert live["now"] == 0
     assert live["peak"] <= 2 and len(part.sizes) > 100
+
+
+def test_retrieval_releases_each_size_before_the_next(monkeypatch):
+    # One plan's permutations are 8 bytes a padded symbol; at K=8, N=5 a
+    # size's plan holding on while the next size's is built took max RSS from
+    # 484 to 639 MB.  So when size g + 1's plan is asked for, size g's is gone.
+    plans, sizes = [], []
+    generate = retrieval.generate_query_plan
+
+    def record(*args, **kwargs):
+        assert [plan() for plan in plans] == [None] * len(plans)
+        plan = generate(*args, **kwargs)
+        plans.append(weakref.ref(plan))
+        sizes.append(plan.num_replicas)
+        return plan
+
+    monkeypatch.setattr(retrieval, "generate_query_plan", record)
+    store = build_file_store(3, 600, seed=3)
+    real = sample_placement(UniformRandomPlacement(Fraction(1, 20)), 3, 600, 20, 4)
+    retrieve_file(store, partition_by_storage_set(real), 0, seed=5)
+    assert len(sizes) >= 4 and sizes == sorted(set(sizes))
+    assert [plan() for plan in plans] == [None] * len(plans)
 
 
 @given(
@@ -506,18 +524,41 @@ def test_nonzero_padding_is_caught(monkeypatch):
     store = build_file_store(2, 40, seed=38)
     real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 2, 40, 3, seed=39)
     part = partition_by_storage_set(real)
-    [(first, end, blocks)] = [
-        (first, end, blocks)
-        for size, first, end, blocks in _size_groups(part)
-        if size == 2
-    ]
+    groups, blocks = _padded_blocks(part)
+    [(first, end)] = [(first, end) for size, first, end in groups if size == 2]
     last = end - 1
-    assert end - first > 1 and blocks[-1] * 2**2 > part.lengths()[last][0]
+    assert end - first > 1 and blocks[last] * 2**2 > part.lengths()[last][0]
     original = retrieval.decode_desired
 
     def corrupt(plan, answers):
         out = original(plan, answers)
         if plan.num_replicas == 2:
+            out = out.copy()
+            out[-1] ^= 1
+        return out
+
+    monkeypatch.setattr(retrieval, "decode_desired", corrupt)
+    with pytest.raises(ReliabilityError, match=re.escape(str(sorted(part.entries[last])))):
+        retrieve_file(store, part, 0, seed=40)
+
+
+def test_nonzero_padding_is_caught_in_a_later_size(monkeypatch):
+    # The padding check spans every size at once: corrupt the last padding
+    # symbol of the last set of the largest size, after the smaller sizes'
+    # segments, and the retrieval must name that set.
+    store = build_file_store(2, 40, seed=38)
+    real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 2, 40, 3, seed=39)
+    part = partition_by_storage_set(real)
+    groups, blocks = _padded_blocks(part)
+    size, first, end = groups[-1]
+    last = end - 1
+    assert len(groups) == 3 and size == 4 and last == len(part.sizes) - 1
+    assert blocks[last] * size**2 > part.lengths()[last][0]
+    original = retrieval.decode_desired
+
+    def corrupt(plan, answers):
+        out = original(plan, answers)
+        if plan.num_replicas == size:
             out = out.copy()
             out[-1] ^= 1
         return out

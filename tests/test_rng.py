@@ -55,10 +55,11 @@ def test_batch_generators_are_independent():
         assert rng.integers(0, 2**62, 8).tolist() == want
 
 
-@pytest.mark.parametrize("count", [7, 8, 50])
+@pytest.mark.parametrize("count", [5, 6, 7, 8, 50])
 def test_array_pass_seeds_through_state_words(count, monkeypatch):
     # From _ARRAY_SEEDS seeds on, every generator is seeded from its hashed
     # words, one generate_state call per seed; below it, none is.
+    assert 5 < rng_module._ARRAY_SEEDS <= 50  # both sides are covered
     calls = []
     state_words = rng_module._state_words()
     original = state_words.generate_state
@@ -70,7 +71,7 @@ def test_array_pass_seeds_through_state_words(count, monkeypatch):
     monkeypatch.setattr(state_words, "generate_state", counted)
     seeds = [derive_seed(11, i) for i in range(count)]
     assert_same_draws(seeds)
-    assert calls == ([(4, np.uint64)] * count if count >= 8 else [])
+    assert calls == ([(4, np.uint64)] * count if count >= rng_module._ARRAY_SEEDS else [])
 
 
 def test_importing_decpir_loads_no_numpy_random():
@@ -107,7 +108,8 @@ def test_empty_batch_yields_nothing():
 @pytest.mark.parametrize("master", [0, 7, -5, 2**64 - 1, 2**70 + 3])
 @pytest.mark.parametrize("path", [(), (3,), (2**64 + 1, -2)])
 def test_derive_seeds_matches_derive_seed(master, path):
-    ranges = [range(0), range(3), range(7), range(8), range(10, 300), range(-4, 20)]
+    ranges = [range(0), range(3), range(5), range(6), range(7), range(8), range(10, 300)]
+    ranges += [range(-4, 20)]
     ranges += [range(0, 90, 7), range(50, 0, -3)]
     # Past the int64 range, each index is masked modulo 2**64 as derive_seed
     # masks it.

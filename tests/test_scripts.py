@@ -57,15 +57,24 @@ def run_perfbench_smoke(workload):
     assert result["correct"] is True
     assert result["failed"] == 0 and detail["failed"] == 0
     assert detail["absent"] == []
+    return result["metrics"]
+
+
+def check_plans_traced(metrics, queries):
+    # Retrieval builds every plan through protocol.generate_query_plan, so
+    # the per-layer view sees them: the leading ops' query count is pinned
+    # at seed 0.
+    assert metrics["protocol.generate_query_plan.calls"]["value"] > 0
+    assert metrics["protocol.queries"]["value"] == queries
 
 
 def test_perfbench_smoke():
-    run_perfbench_smoke("many-sets")
+    check_plans_traced(run_perfbench_smoke("many-sets"), 20383.0)
 
 
 def test_perfbench_headline_smoke():
     # The acceptance fixture: a few large storage sets and the data center.
-    run_perfbench_smoke("headline")
+    check_plans_traced(run_perfbench_smoke("headline"), 25878.5)
 
 
 def test_perfbench_analysis_smoke():
