@@ -191,12 +191,15 @@ def cmd_classical(args) -> int:
 
 
 def cmd_envelope(args) -> int:
+    # --mu is parsed, and its line formatted, before any output (see _exact).
+    mu = parse_mu(args.mu) if args.mu is not None else None
     env = centralized_envelope(args.k, args.n)
-    rows = [(t, mu, cost) for t, (mu, cost) in enumerate(env.corners)]
+    rows = [(t, ratio, cost) for t, (ratio, cost) in enumerate(env.corners)]
+    label = f"envelope(K={args.k}, N={args.n}, mu={mu})"
+    line = _value_line(label, env.evaluate(mu)) if mu is not None else None
     _write_csv(args.out, ["t", "mu", "cost"], rows)
-    if args.mu is not None:
-        mu = parse_mu(args.mu)
-        _print_value(f"envelope(K={args.k}, N={args.n}, mu={mu})", env.evaluate(mu))
+    if line is not None:
+        print(line)
     return 0
 
 
@@ -296,6 +299,8 @@ def cmd_converse(args) -> int:
     mu = parse_mu(args.mu)
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
+    if args.trials and args.file_bits < 1:
+        raise ValueError(f"--trials needs --file-bits >= 1, got {args.file_bits}")
     profile = uniform_profile(args.k, args.file_bits, mu)
     expected = expected_converse_bound(profile, args.n, mu=mu)
     _print_value(

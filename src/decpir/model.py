@@ -9,14 +9,14 @@ Conventions used throughout the package:
 * a "flat address" encodes bit ``(file, position)`` as ``file * file_len +
   position``.
 
-The partition by storage set is arrays in canonical order: sets by size,
-then by sorted member list, and within a set file by file with positions
-ascending.  :func:`partition_by_storage_set` builds it with one stable sort
-of all addresses.  Up to eight databases, an address's storage set fits in
-one code byte and the sort key is that byte's canonical rank; beyond that
-the key is the number of caching databases, then one byte per eight
-databases with a database's bit cleared where it caches the address, so
-any number of databases works.  See :class:`StorageSetPartition` for the
+A cache realization is one ``(N, K, L)`` boolean array.  The partition by
+storage set is arrays in canonical order: sets by size, then by sorted
+member list, and within a set file by file with positions ascending.
+:func:`partition_by_storage_set` builds it with one stable sort of all
+addresses, keyed by one storage byte per eight databases per address.  Up
+to eight databases the key is that byte's canonical rank; beyond that it
+is the number of caching databases, then the complemented bytes, so any
+number of databases works.  See :class:`StorageSetPartition` for the
 layout.  The partition is these arrays only: padding each set for its
 protocol session is retrieval's business.
 """
@@ -32,10 +32,6 @@ import numpy as np
 
 from .errors import BudgetViolation
 from .rng import generator
-
-
-def flat_address(file: int, position: int, file_len: int) -> int:
-    return file * file_len + position
 
 
 @dataclass(frozen=True)
@@ -87,60 +83,37 @@ def storage_budget(mu, num_files: int, file_len: int) -> int:
 
 @dataclass(frozen=True)
 class CacheRealization:
-    """Per-database index sets of cached bits (node 0 holds everything).
+    """Which bits each caching database stores (node 0 holds everything).
 
-    ``sets[d]`` lists the flat addresses cached by database ``d + 1`` as a
-    sorted array without duplicates; every set obeys the bit budget.
+    ``cached[d, j, i]`` is true where database ``d + 1`` caches bit ``i`` of
+    file ``j``; no database caches more than ``budget`` bits.
     """
 
-    num_files: int
-    file_len: int
-    num_dbs: int
     budget: int
-    sets: tuple[np.ndarray, ...]
+    cached: np.ndarray  # shape (num_dbs, num_files, file_len), dtype bool
 
     def __post_init__(self) -> None:
+        if self.cached.dtype != bool or self.cached.ndim != 3:
+            raise ValueError(
+                f"a realization is a boolean (N, K, L) array, got {self.cached.dtype} "
+                f"of shape {self.cached.shape}"
+            )
         if self.num_files < 1 or self.file_len < 1:
             raise ValueError(
                 f"need at least one file of at least one bit, got K={self.num_files}, "
                 f"L={self.file_len}"
             )
-        if len(self.sets) != self.num_dbs:
-            raise ValueError(
-                f"expected {self.num_dbs} cache sets, got {len(self.sets)}"
+        counts = np.count_nonzero(self.cached, axis=(1, 2))
+        over = np.flatnonzero(counts > self.budget)
+        if len(over):
+            raise BudgetViolation(
+                f"database {over[0] + 1} stores {counts[over[0]]} bits, "
+                f"budget is {self.budget}"
             )
-        total = self.num_files * self.file_len
-        # One pass over all sets screens for a fault; only a faulty
-        # realization walks the sets, to name the first faulty database.
-        lengths = np.array([len(addrs) for addrs in self.sets], dtype=np.int64)
-        flat = np.concatenate([np.zeros(0, np.int64), *self.sets])
-        steps = np.diff(flat)
-        ends = np.cumsum(lengths)
-        starts = ends[:-1]
-        # A set's first address is not compared with the previous set's last.
-        steps[starts[(starts > 0) & (starts < len(flat))] - 1] = 1
-        # Once every set is strictly increasing, its first and last entries
-        # are its least and greatest addresses.
-        held = lengths > 0
-        if not (
-            (steps <= 0).any()
-            or (flat[(ends - lengths)[held]] < 0).any()
-            or (flat[ends[held] - 1] >= total).any()
-            or lengths.max(initial=0) > self.budget
-        ):
-            return
-        for d, addrs in enumerate(self.sets):
-            if (np.diff(addrs) <= 0).any():
-                raise ValueError(
-                    f"database {d + 1} caches addresses that are not strictly "
-                    "increasing (unsorted or duplicate)"
-                )
-            if len(addrs) and (addrs.min() < 0 or addrs.max() >= total):
-                raise ValueError(f"database {d + 1} caches an out-of-range address")
-            if len(addrs) > self.budget:
-                raise BudgetViolation(
-                    f"database {d + 1} stores {len(addrs)} bits, budget is {self.budget}"
-                )
+
+    num_dbs = property(lambda self: self.cached.shape[0])
+    num_files = property(lambda self: self.cached.shape[1])
+    file_len = property(lambda self: self.cached.shape[2])
 
 
 def realization_from_addresses(
@@ -152,20 +125,21 @@ def realization_from_addresses(
     """Build a realization from per-database iterables of (file, position) pairs.
 
     Raises ``ValueError`` unless every pair holds two integers with
-    ``0 <= file < num_files`` and ``0 <= position < file_len``.
+    ``0 <= file < num_files`` and ``0 <= position < file_len``, and no
+    database lists a pair twice.
     """
-    sets = []
+    cached = np.zeros((len(address_sets), num_files, file_len), dtype=bool)
     for d, pairs in enumerate(address_sets):
-        flat = []
         for f, p in pairs:
             if not (_is_index(f, num_files) and _is_index(p, file_len)):
                 raise ValueError(
                     f"database {d + 1} caches ({f!r}, {p!r}), not a bit of "
                     f"{num_files} files of {file_len} bits"
                 )
-            flat.append(flat_address(f, p, file_len))
-        sets.append(np.asarray(sorted(flat), dtype=np.int64))
-    return CacheRealization(num_files, file_len, len(sets), budget, tuple(sets))
+            if cached[d, f, p]:
+                raise ValueError(f"database {d + 1} lists ({f}, {p}) twice")
+            cached[d, f, p] = True
+    return CacheRealization(budget, cached)
 
 
 def _is_index(value, bound) -> bool:
@@ -246,16 +220,28 @@ class StorageSetPartition:
         }
 
 
-# Up to eight databases, database d sets bit 0x80 >> (d - 1) of an address's
-# code byte where it caches the address.  _RANK[code] is the code's place in
-# canonical order: by size (the set bits), then by sorted member list, which
-# for one size is the complemented byte ascending.  _CODE_BY_RANK inverts it.
+# Database d sets bit 0x80 >> ((d - 1) % 8) of storage byte (d - 1) // 8
+# where it caches an address.  Up to eight databases, _RANK[byte] is the
+# byte's place in canonical order: by size (the set bits), then by sorted
+# member list, for one size the complemented byte ascending.
 _CODES = np.arange(256, dtype=np.uint8)
 _CODE_BY_RANK = _CODES[
     np.lexsort((~_CODES, np.unpackbits(_CODES[:, None], axis=1).sum(axis=1)))
 ]
 _RANK = np.empty(256, dtype=np.uint8)
 _RANK[_CODE_BY_RANK] = _CODES
+_BIT_WEIGHTS = (0x80 >> np.arange(8, dtype=np.uint8))[:, None]
+
+
+def _storage_bytes(realization: CacheRealization) -> np.ndarray:
+    """Every address's storage bytes, one row per eight databases (at least
+    one), as a weighted sum: ``np.packbits`` over databases is ten times slower.
+    """
+    n, total = realization.num_dbs, realization.num_files * realization.file_len
+    rows = max(1, -(-n // 8))
+    bits = np.zeros((rows * 8, total), dtype=bool)
+    bits[:n] = realization.cached.reshape(n, total)
+    return (bits.reshape(rows, 8, total) * _BIT_WEIGHTS).sum(axis=1, dtype=np.uint8)
 
 
 def partition_by_storage_set(realization: CacheRealization) -> StorageSetPartition:
@@ -268,10 +254,8 @@ def partition_by_storage_set(realization: CacheRealization) -> StorageSetPartiti
     that its size and key bytes (see :func:`_sort_by_key_bytes`).
     """
     k, n = realization.num_files, realization.num_dbs
-    if n <= 8:
-        addresses, runs, in_set = _sort_by_code_byte(realization)
-    else:
-        addresses, runs, in_set = _sort_by_key_bytes(realization)
+    sort = _sort_by_code_byte if n <= 8 else _sort_by_key_bytes
+    addresses, runs, in_set = sort(realization)
     starts = np.zeros(len(runs) + 1, dtype=np.int64)
     np.cumsum(runs, out=starts[1:])
     held = np.hstack((np.ones((len(in_set), 1), dtype=np.uint8), in_set))
@@ -289,9 +273,7 @@ def _sort_by_code_byte(realization: CacheRealization):
     the ``S`` occupied sets, and their ``(S, N)`` membership bits.
     """
     k, length, n = realization.num_files, realization.file_len, realization.num_dbs
-    code = np.zeros(k * length, dtype=np.uint8)
-    for d, addrs in enumerate(realization.sets):
-        code[addrs] |= 0x80 >> d
+    code = _storage_bytes(realization)[0]
     rank = _RANK.take(code)  # about twice as fast as _RANK[code] on bytes
     # numpy's stable sort of 8-bit integers is one radix pass.
     addresses = np.argsort(rank, kind="stable")
@@ -307,33 +289,26 @@ def _sort_by_code_byte(realization: CacheRealization):
 def _sort_by_key_bytes(realization: CacheRealization):
     """Canonical order from key bytes, for any number of databases.
 
-    Each address gets one key byte per eight databases, starting at ``0xFF``
-    with database ``d``'s bit (``0x80 >> ((d - 1) % 8)`` of byte
-    ``(d - 1) // 8``) cleared where it caches the address.  For sets of one
-    size, comparing these complemented bytes in order is comparing sorted
-    member lists, so one stable sort by (size, key bytes) gives canonical
-    order.  Returns what :func:`_sort_by_code_byte` returns.
+    An address's key bytes are the complement of its storage bytes (see
+    :func:`_storage_bytes`): database ``d``'s bit is clear where it caches
+    the address.  For sets of one size, comparing these complemented bytes
+    in order is comparing sorted member lists, so one stable sort by
+    (size, key bytes) gives canonical order.  Returns what
+    :func:`_sort_by_code_byte` returns.
     """
     k, length, n = realization.num_files, realization.file_len, realization.num_dbs
     total = k * length
-    keys = np.full(((n + 7) // 8, total), 0xFF, dtype=np.uint8)
-    for d, addrs in enumerate(realization.sets):
-        row = keys[d // 8]
-        row[addrs] &= ~(0x80 >> (d % 8)) & 0xFF
+    keys = ~_storage_bytes(realization)
     # Narrow keys keep the sort cheap: numpy's stable sort of 8- and 16-bit
     # integers is a radix sort.
-    cached = np.bincount(
-        np.concatenate((np.zeros(0, np.int64), *realization.sets)), minlength=total
-    ).astype(np.min_scalar_type(n))
+    cached = realization.cached.sum(axis=0, dtype=np.min_scalar_type(n)).reshape(-1)
     addresses = np.lexsort((*keys[::-1], cached))
 
     # Equal keys imply equal sizes, so a set starts exactly where a key
     # changes, and a run of one set's bits of one file where either changes.
-    sorted_keys = [row[addresses] for row in keys]
-    new_set = np.zeros(total, dtype=bool)
-    new_set[0] = True
-    for row in sorted_keys:
-        new_set[1:] |= row[1:] != row[:-1]
+    sorted_keys = keys[:, addresses]
+    new_set = np.ones(total, dtype=bool)
+    new_set[1:] = (sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)
     files = addresses // length
     new_run = new_set.copy()
     new_run[1:] |= files[1:] != files[:-1]
@@ -343,5 +318,5 @@ def _sort_by_key_bytes(realization: CacheRealization):
     runs[(np.cumsum(new_set[run_firsts]) - 1) * k + files[run_firsts]] = np.diff(
         run_firsts, append=total
     )
-    in_set = np.unpackbits(~keys[:, addresses[firsts]].T, axis=1, count=n)
+    in_set = np.unpackbits(~sorted_keys[:, firsts].T, axis=1, count=n)
     return addresses, runs, in_set

@@ -67,7 +67,8 @@ def policy_from_dict(doc: dict) -> PlacementPolicy:
     """Parse a policy description as used in experiment config files.
 
     Raises ``ValueError`` for anything malformed: a document that is not an
-    object, an unknown kind, or a missing or mistyped field.
+    object, an unknown kind, a missing or mistyped field, or a file or
+    position that is not an integer.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a placement policy must be a JSON object, got {doc!r}")
@@ -77,10 +78,10 @@ def policy_from_dict(doc: dict) -> PlacementPolicy:
             mu = Fraction(doc["mu"]) if "mu" in doc else None
             return UniformRandomPlacement(mu)
         if kind == "whole-file-prefix":
-            return WholeFilePrefixPlacement(tuple(int(f) for f in doc["files"]))
+            return WholeFilePrefixPlacement(_integers(*doc["files"]))
         if kind == "explicit-sets":
             return ExplicitSetsPlacement(
-                tuple(tuple((int(f), int(p)) for f, p in s) for s in doc["sets"])
+                tuple(tuple(_integers(f, p) for f, p in s) for s in doc["sets"])
             )
     except KeyError as exc:
         raise ValueError(
@@ -89,6 +90,14 @@ def policy_from_dict(doc: dict) -> PlacementPolicy:
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed {kind!r} placement policy: {exc}") from None
     raise ValueError(f"unknown placement kind {kind!r}")
+
+
+def _integers(*values) -> tuple[int, ...]:
+    # int() would truncate 1.9 to 1 and read true or "1" as 1.
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"placement entries must be integers, got {value!r}")
+    return values
 
 
 def _resolve_mu(policy: PlacementPolicy, mu) -> Fraction:
@@ -116,10 +125,10 @@ def sample_placement(
     Uniform placement samples database ``d`` from what
     ``generator(derive_seed(seed, d))`` draws, all databases seeded in one
     pass by :func:`decpir.rng.generators`; deterministic policies ignore the
-    randomness but still validate the budget.  The draw passes
-    ``shuffle=False``, which selects the same subset: by default numpy
-    shuffles a subset drawn by Floyd's algorithm (at most 10,000 addresses,
-    or a budget of at most 1/50 of them), an order that sorting throws away.
+    randomness but still validate the budget.  A draw only marks its
+    database's row, so it passes ``shuffle=False``, which selects the same
+    subset: by default numpy shuffles a subset drawn by Floyd's algorithm (at
+    most 10,000 addresses, or a budget of at most 1/50 of them).
     """
     if num_dbs < 0:
         raise ValueError(f"database count must be non-negative, got {num_dbs}")
@@ -127,14 +136,19 @@ def sample_placement(
     budget = storage_budget(mu, num_files, file_len)
     total = num_files * file_len
 
+    if isinstance(policy, ExplicitSetsPlacement):
+        if len(policy.sets) != num_dbs:
+            raise ValueError(
+                f"policy lists {len(policy.sets)} sets for {num_dbs} databases"
+            )
+        return realization_from_addresses(num_files, file_len, budget, policy.sets)
+
+    cached = np.zeros((num_dbs, num_files, file_len), dtype=bool)
     if isinstance(policy, UniformRandomPlacement):
-        sets = tuple(
-            rng.choice(total, size=budget, replace=False, shuffle=False)
-            for rng in generators(derive_seeds(seed, indices=range(num_dbs)))
-        )
-        for drawn in sets:
-            drawn.sort()
-        return CacheRealization(num_files, file_len, num_dbs, budget, sets)
+        rngs = generators(derive_seeds(seed, indices=range(num_dbs)))
+        for row, rng in zip(cached.reshape(num_dbs, total), rngs):
+            row[rng.choice(total, size=budget, replace=False, shuffle=False)] = True
+        return CacheRealization(budget, cached)
 
     if isinstance(policy, WholeFilePrefixPlacement):
         files = sorted(set(policy.files))
@@ -147,16 +161,7 @@ def sample_placement(
                 f"caching {len(files)} whole files needs {len(files) * file_len} "
                 f"bits, budget is {budget}"
             )
-        column = np.array(files, dtype=np.int64)[:, None]
-        addrs = (column * file_len + np.arange(file_len)).reshape(-1)
-        sets = tuple(addrs.copy() for _ in range(num_dbs))
-        return CacheRealization(num_files, file_len, num_dbs, budget, sets)
-
-    if isinstance(policy, ExplicitSetsPlacement):
-        if len(policy.sets) != num_dbs:
-            raise ValueError(
-                f"policy lists {len(policy.sets)} sets for {num_dbs} databases"
-            )
-        return realization_from_addresses(num_files, file_len, budget, policy.sets)
+        cached[:, files] = True
+        return CacheRealization(budget, cached)
 
     raise TypeError(f"unknown policy type {type(policy).__name__}")

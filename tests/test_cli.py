@@ -77,6 +77,16 @@ def test_bad_mu_is_usage_error(capsys):
     assert main(["capacity", "--k", "3", "--n", "2", "--mu", "7/3"]) == 1
 
 
+def test_envelope_refuses_a_bad_mu_before_writing(tmp_path, capsys):
+    out = tmp_path / "env.csv"
+    for extra in ([], ["--out", str(out)]):
+        assert main(["envelope", "--k", "3", "--n", "2", "--mu", "7/3", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: storage ratio must lie in [0, 1], got 7/3\n"
+    assert not out.exists()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -186,6 +196,13 @@ def test_files_needs_whole_file_policy(capsys, policy):
         ({"kind": "explicit-sets"}, "'sets'"),
         ({"kind": "explicit-sets", "sets": 3}, "malformed"),
         ([1, 2], "JSON object"),
+        # int() would read each of these entries as an integer.
+        ({"kind": "explicit-sets", "sets": [[[0, 1.9], [True, 0]]]}, "got 1.9"),
+        ({"kind": "explicit-sets", "sets": [[[True, 0]]]}, "got True"),
+        ({"kind": "explicit-sets", "sets": [[["0", 1]]]}, "got '0'"),
+        ({"kind": "whole-file-prefix", "files": [0.7]}, "got 0.7"),
+        ({"kind": "whole-file-prefix", "files": [True]}, "got True"),
+        ({"kind": "whole-file-prefix", "files": ["1"]}, "got '1'"),
     ],
 )
 def test_config_policy_errors_are_one_line(tmp_path, capsys, policy, message):
@@ -343,6 +360,19 @@ def test_converse_command(capsys):
     out = capsys.readouterr().out
     assert f"{9 * Fraction(184, 81)}" in out  # expected bound L * formula
     assert "mean realization bound" in out
+
+
+def test_converse_refuses_sampling_empty_files_before_printing(capsys):
+    argv = ["converse", "--k", "3", "--n", "2", "--mu", "1/2", "--file-bits", "0"]
+    assert main(argv + ["--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--file-bits >= 1" in captured.err
+    # Without sampled placements, zero-bit files have an expected bound of 0.
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(
+        "expected_bound(K=3, N=2, mu=1/2, L=0) = 0 "
+    )
 
 
 def test_converse_refuses_negative_trials(capsys):

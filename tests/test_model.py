@@ -11,7 +11,6 @@ from decpir.errors import BudgetViolation
 from decpir.model import (
     CacheRealization,
     build_file_store,
-    flat_address,
     partition_by_storage_set,
     realization_from_addresses,
     storage_budget,
@@ -48,11 +47,6 @@ def test_file_store_rejects_bad_sizes(k, length):
         build_file_store(k, length, seed=0)
 
 
-def test_flat_address_round_trip():
-    assert flat_address(2, 3, 7) == 17
-    assert flat_address(0, 0, 5) == 0
-
-
 def test_storage_budget_floors():
     assert storage_budget(Fraction(1, 3), 3, 4) == 4
     assert storage_budget(Fraction(1, 3), 4, 4) == 5  # floor(16/3)
@@ -71,46 +65,53 @@ def test_realization_rejects_duplicates_and_overflow():
         realization_from_addresses(2, 3, 1, [[(0, 0), (0, 1)]])
 
 
-def test_realization_rejects_unsorted_sets():
-    # Sorted order is part of the set contract; a direct constructor is checked.
-    with pytest.raises(ValueError, match="strictly increasing"):
-        CacheRealization(2, 3, 1, 4, (np.array([0, 4, 2], dtype=np.int64),))
+def test_realization_names_the_pair_a_database_lists_twice():
+    sets = [[(1, 2)], [(0, 0), (1, 2), (0, 1), (1, 2)], [(0, 0), (0, 0)]]
+    with pytest.raises(ValueError, match=r"database 2 lists \(1, 2\) twice"):
+        realization_from_addresses(2, 3, 4, sets)
+
+
+def _cached(*rows):
+    """An ``(N, 2, 3)`` array from each database's flat addresses."""
+    cached = np.zeros((len(rows), 2 * 3), dtype=bool)
+    for row, addrs in zip(cached, rows):
+        row[addrs] = True
+    return cached.reshape(len(rows), 2, 3)
+
+
+def test_realization_names_the_first_database_over_budget():
+    # Databases 2 and 4 are both over budget; the first of them is named.
+    cached = _cached([4, 5], [0, 1, 2], [3], [0, 2, 4, 5])
+    with pytest.raises(BudgetViolation, match="database 2 stores 3 bits, budget is 2"):
+        CacheRealization(2, cached)
 
 
 @pytest.mark.parametrize(
-    "middle, error, message",
+    "cached",
     [
-        ([4, 2], ValueError, "database 2 caches addresses that are not strictly"),
-        ([3, 3], ValueError, "database 2 caches addresses that are not strictly"),
-        ([-1, 2], ValueError, "database 2 caches an out-of-range address"),
-        ([2, 6], ValueError, "database 2 caches an out-of-range address"),
-        ([0, 1, 2], BudgetViolation, "database 2 stores 3 bits, budget is 2"),
-        # The first failing database is named, with its first failing check.
-        ([5, 1, 9], ValueError, "database 2 caches addresses that are not strictly"),
+        np.zeros((1, 2, 3), dtype=np.uint8),
+        np.zeros((1, 2, 3), dtype=np.int64),
+        np.zeros((2, 3), dtype=bool),
+        np.zeros((1, 1, 2, 3), dtype=bool),
     ],
+    ids=["uint8", "int64", "rank-2", "rank-4"],
 )
-def test_realization_names_a_faulty_middle_database(middle, error, message):
-    # Each set starts at or below the previous one's end, which is no fault;
-    # the last database's set is faulty too, but the middle one is named.
-    sets = ([4, 5], middle, [5, 4, 4])
-    with pytest.raises(error, match=message):
-        CacheRealization(2, 3, 3, 2, tuple(np.array(a, dtype=np.int64) for a in sets))
+def test_realization_refuses_a_non_boolean_or_non_3d_array(cached):
+    with pytest.raises(ValueError, match=r"boolean \(N, K, L\) array"):
+        CacheRealization(2, cached)
 
 
-@pytest.mark.parametrize("middle", [[-1, 2], [2, 6]])
-def test_realization_screens_every_sets_first_and_last_address(middle):
-    # Every set is strictly increasing, so only the range screen sees the
-    # fault: its first or last address, neither at an end of all the sets.
-    sets = ([0, 5], [], middle, [1, 3])
-    with pytest.raises(ValueError, match="database 3 caches an out-of-range address"):
-        CacheRealization(2, 3, 4, 2, tuple(np.array(a, dtype=np.int64) for a in sets))
+@pytest.mark.parametrize("shape", [(1, 0, 3), (1, 2, 0), (0, 0, 0)])
+def test_realization_refuses_no_files_or_no_bits(shape):
+    with pytest.raises(ValueError, match="at least one file of at least one bit"):
+        CacheRealization(2, np.zeros(shape, dtype=bool))
 
 
 def test_realization_accepts_empty_and_overlapping_sets():
-    sets = ([4, 5], [], [0, 1], [5], [])
-    real = CacheRealization(2, 3, 5, 2, tuple(np.array(a, dtype=np.int64) for a in sets))
-    assert [len(a) for a in real.sets] == [2, 0, 2, 1, 0]
-    assert CacheRealization(2, 3, 0, 2, ()).sets == ()
+    real = CacheRealization(2, _cached([4, 5], [], [0, 1], [5], []))
+    assert (real.num_dbs, real.num_files, real.file_len) == (5, 2, 3)
+    assert np.count_nonzero(real.cached, axis=(1, 2)).tolist() == [2, 0, 2, 1, 0]
+    assert CacheRealization(2, _cached()).num_dbs == 0
 
 
 def _uniform_realization(k, length, n, mu, seed):
@@ -180,7 +181,6 @@ def test_partition_is_disjoint_cover(k, length, n, mu_num, seed):
 def test_partition_membership_consistency(k, length, n, mu_num, seed):
     real = _uniform_realization(k, length, n, Fraction(mu_num, 4), seed)
     part = partition_by_storage_set(real)
-    cached = [set(s.tolist()) for s in real.sets]
     starts = part.starts.tolist()
     for i, s in enumerate(part.entries):
         for j in range(k):
@@ -188,7 +188,7 @@ def test_partition_membership_consistency(k, length, n, mu_num, seed):
             for addr in run.tolist():
                 assert addr // length == j
                 for d in range(1, n + 1):
-                    assert (addr in cached[d - 1]) == (d in s)
+                    assert real.cached[d - 1, j, addr % length] == (d in s)
 
 
 @given(

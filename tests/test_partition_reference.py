@@ -1,8 +1,9 @@
 """The array partition against a scan-based reference builder.
 
 ``reference_partition`` keys every address by its membership mask (a Python
-integer, so any database count fits), scans all addresses once per distinct
-mask, and sorts the sets into canonical order afterwards.
+integer, so any database count fits), read from the realization's ``cached``
+array, scans all addresses once per distinct mask, and sorts the sets into
+canonical order afterwards.
 :func:`partition_by_storage_set` must give the same sets in the same order,
 the same positions, and the padded lengths retrieval's one padding rule
 (:func:`decpir.retrieval._padded_blocks`) gives must equal the reference's.
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from decpir.model import (
+    CacheRealization,
     _sort_by_code_byte,
     _sort_by_key_bytes,
     partition_by_storage_set,
@@ -29,8 +32,8 @@ def reference_partition(realization):
     canonical order: by size, then by sorted member list."""
     k, length, n = realization.num_files, realization.file_len, realization.num_dbs
     membership = np.zeros(k * length, dtype=object)
-    for d, addrs in enumerate(realization.sets):
-        membership[addrs] |= 1 << d
+    for d, row in enumerate(realization.cached.reshape(n, k * length)):
+        membership[row] |= 1 << d
     entries = {}
     for mask in set(membership.tolist()):
         addrs = np.flatnonzero(membership == mask)
@@ -90,6 +93,25 @@ def assert_matches_reference(realization):
 def test_partition_matches_reference(k, length, n, mu_num, seed):
     policy = UniformRandomPlacement(Fraction(mu_num, 4))
     assert_matches_reference(sample_placement(policy, k, length, n, seed))
+
+
+@given(
+    data=st.data(),
+    n=st.sampled_from([0, 1, 8, 9, 64, 70]),
+    k=st.integers(1, 3),
+    length=st.integers(1, 12),
+)
+@settings(max_examples=80)
+def test_partition_of_arbitrary_arrays_matches_reference(data, n, k, length):
+    # Any boolean array is a realization, whatever its rows' counts; some
+    # rows are forced empty or full, the rest drawn bit by bit.
+    cached = data.draw(arrays(bool, (n, k, length), fill=st.booleans()), label="cached")
+    kinds = data.draw(
+        st.lists(st.sampled_from("def"), min_size=n, max_size=n), label="rows"
+    )
+    cached[np.array(kinds, dtype="U1") == "e"] = False
+    cached[np.array(kinds, dtype="U1") == "f"] = True
+    assert_matches_reference(CacheRealization(k * length, cached))
 
 
 def test_partition_beyond_63_databases():

@@ -32,7 +32,7 @@ def empirical_marginals(policy, num_files, file_len, trials, seed, mu=None):
         realization = sample_placement(
             policy, num_files, file_len, 1, derive_seed(seed, t), mu=mu
         )
-        counts[realization.sets[0]] += 1
+        counts += realization.cached[0].reshape(-1)
     return (counts / trials).reshape(num_files, file_len)
 
 
@@ -40,35 +40,32 @@ def test_uniform_sample_sizes():
     # K=3, L=4, mu=1/3: every database stores exactly 4 of the 12 bits.
     real = sample_placement(UniformRandomPlacement(Fraction(1, 3)), 3, 4, 4, seed=0)
     assert real.budget == 4
-    for addrs in real.sets:
-        assert len(addrs) == 4
-        assert len(set(addrs.tolist())) == 4
+    assert real.cached.shape == (4, 3, 4)
+    assert np.count_nonzero(real.cached, axis=(1, 2)).tolist() == [4] * 4
 
 
 def test_uniform_mu_one_stores_everything():
     real = sample_placement(UniformRandomPlacement(Fraction(1)), 3, 4, 2, seed=5)
-    for addrs in real.sets:
-        assert sorted(addrs.tolist()) == list(range(12))
+    assert real.cached.all()
 
 
 def test_whole_file_prefix():
     real = sample_placement(
         WholeFilePrefixPlacement((0,)), 3, 4, 3, seed=0, mu=Fraction(1, 3)
     )
-    expected = list(range(4))  # all bits of file 0
-    for addrs in real.sets:
-        assert addrs.tolist() == expected
+    for row in real.cached:
+        assert row[0].all() and not row[1:].any()  # all bits of file 0
 
 
 @pytest.mark.parametrize("files, k, length", [((2, 0), 4, 5), ((1,), 2, 1), ((), 3, 4)])
 def test_whole_file_prefix_caches_each_listed_file_whole(files, k, length):
-    # Each listed file's bits, files ascending, at every database.
+    # Each listed file's bits, and no others, at every database.
     real = sample_placement(
         WholeFilePrefixPlacement(files), k, length, 3, seed=0, mu=Fraction(len(files), k)
     )
     want = [f * length + p for f in sorted(files) for p in range(length)]
-    for addrs in real.sets:
-        assert addrs.dtype == np.int64 and addrs.tolist() == want
+    for row in real.cached:
+        assert np.flatnonzero(row).tolist() == want
 
 
 def test_whole_file_prefix_budget_violation():
@@ -87,7 +84,8 @@ def test_explicit_sets_budget_violation():
 def test_uniform_sample_always_ok():
     for mu in (Fraction(0), Fraction(1, 4), Fraction(2, 3), Fraction(1)):
         real = sample_placement(UniformRandomPlacement(mu), 2, 6, 3, seed=9)
-        assert all(len(s) <= storage_budget(mu, 2, 6) for s in real.sets)
+        counts = np.count_nonzero(real.cached, axis=(1, 2))
+        assert (counts <= storage_budget(mu, 2, 6)).all()
 
 
 def test_empirical_marginals_uniform():
@@ -130,7 +128,7 @@ def test_databases_cache_independently():
         real = sample_placement(
             UniformRandomPlacement(mu), 2, 3, 2, derive_seed(77, t)
         )
-        joint += int(0 in real.sets[0]) and int(0 in real.sets[1])
+        joint += int(real.cached[:, 0, 0].all())
     p2 = float(mu) ** 2
     se = math.sqrt(p2 * (1 - p2) / trials)
     assert abs(joint / trials - p2) < 3 * se
@@ -140,7 +138,7 @@ def test_databases_cache_independently():
 def test_sampling_is_deterministic(seed, n):
     a = sample_placement(UniformRandomPlacement(Fraction(1, 3)), 2, 6, n, seed)
     b = sample_placement(UniformRandomPlacement(Fraction(1, 3)), 2, 6, n, seed)
-    assert all(np.array_equal(x, y) for x, y in zip(a.sets, b.sets))
+    assert np.array_equal(a.cached, b.cached)
 
 
 @pytest.mark.parametrize(
@@ -158,11 +156,11 @@ def test_databases_draw_from_their_own_derived_seed(num_dbs, length):
         UniformRandomPlacement(Fraction(1, 4)), 3, length, num_dbs, seed=2024
     )
     total, budget = 3 * length, 3 * length // 4
-    assert len(real.sets) == num_dbs
-    for d, cached in enumerate(real.sets):
+    assert real.cached.shape == (num_dbs, 3, length)
+    for d, cached in enumerate(real.cached):
         rng = generator(derive_seed(2024, d))
         want = np.sort(rng.choice(total, budget, replace=False))
-        assert cached.dtype == np.int64 and np.array_equal(cached, want)
+        assert np.array_equal(np.flatnonzero(cached), want)
 
 
 def test_policy_from_dict_round_trip():

@@ -236,7 +236,7 @@ def check_queries_stay_local(k, n, mu, length):
     store = build_file_store(k, length, seed=19)
     real = sample_placement(UniformRandomPlacement(mu), k, length, n, seed=20)
     part = partition_by_storage_set(real)
-    cached = [set(s.tolist()) for s in real.sets]
+    cached = real.cached.reshape(n, k * length)
     _, sessions = retrieve_with_sessions(store, part, k - 1, seed=21)
     assert len(sessions) == len(part.entries)
     lengths = part.lengths().tolist()
@@ -260,7 +260,7 @@ def check_queries_stay_local(k, n, mu, length):
                 addr = int(part.addresses[starts[i * k + f] + idx])
                 assert addr // length == f
                 if node > 0:
-                    assert addr in cached[node - 1]
+                    assert cached[node - 1, addr]
 
 
 def test_queries_stay_local_to_each_store():
