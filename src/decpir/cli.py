@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,6 +125,8 @@ def _load_config(args) -> ExperimentConfig:
         "seed": args.seed if args.seed is not None else doc.get("seed", 0),
         "out": args.out if args.out is not None else doc.get("out"),
     }
+    if unknown := ", ".join(sorted(set(doc) - {*merged, "policy"})):
+        raise ValueError(f"config file {args.config} has unknown fields: {unknown}")
     missing = [key for key in ("k", "n", "mu", "file_bits") if merged[key] is None]
     if missing:
         raise ValueError(f"missing required config fields: {', '.join(missing)}")
@@ -468,7 +471,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "k", None) is not None and args.k > MAX_FILES:
             raise ValueError(f"--k must be at most {MAX_FILES}, got {args.k}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (``... | head``): no error, and a quiet exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (BudgetViolation, ReliabilityError, InvariantViolation, ProtocolError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return INVARIANT_EXIT

@@ -80,8 +80,9 @@ def policy_from_dict(doc: dict) -> PlacementPolicy:
         if kind == "whole-file-prefix":
             return WholeFilePrefixPlacement(_integers(*doc["files"]))
         if kind == "explicit-sets":
+            sets = enumerate(doc["sets"], 1)
             return ExplicitSetsPlacement(
-                tuple(tuple(_integers(f, p) for f, p in s) for s in doc["sets"])
+                tuple(tuple(_pair(d, p) for p in s) for d, s in sets)
             )
     except KeyError as exc:
         raise ValueError(
@@ -90,6 +91,12 @@ def policy_from_dict(doc: dict) -> PlacementPolicy:
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed {kind!r} placement policy: {exc}") from None
     raise ValueError(f"unknown placement kind {kind!r}")
+
+
+def _pair(db: int, pair) -> tuple[int, ...]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"database {db} lists {pair!r}, not a [file, position] pair")
+    return _integers(*pair)
 
 
 def _integers(*values) -> tuple[int, ...]:

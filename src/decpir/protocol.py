@@ -33,10 +33,10 @@ each query's padded terms for all blocks and all stores at once, giving the
 ``(n, queries)`` answer matrix, block-major; decoding reads each desired
 counter's answer and side answer the same way and scatters them through the
 desired file's permutation.  Sessions of one shape can share a plan as
-segments, each permuted from its own numpy ``Generator``, which the caller
-hands over, and offset by its start; a one-session plan also takes an
-integer seed.  The only view derived from the template and the
-permutations is the text of each store's queries, :func:`plan_transcripts`.
+segments, offset by their starts and permuted from one numpy ``Generator``
+or from one each; a one-session plan also takes an integer seed.  The only
+view derived from the template and the permutations is the text of each
+store's queries, :func:`plan_transcripts`.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations, groupby, islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ProtocolError
-from .rng import generators
+from .rng import generator
 
 
 @dataclass(frozen=True)
@@ -202,24 +202,22 @@ def generate_query_plan(
     only as a negative control for privacy tests.
 
     Several sessions of one shape run as one plan when ``num_symbols`` is a
-    sequence of integer lengths, one per segment.  An integer ``seed``,
-    taken modulo ``2**64``, seeds a plan of one segment (a single length or
-    a one-element list), which draws what ``rng.generator(seed)`` draws.
-    Any other seed must be an iterable of numpy ``Generator`` objects, such
-    as an ``islice`` of ``rng.generators``: segment ``i`` takes the next one
-    as it permutes and draws from it what a plan of its own would, offset by
-    its start, so the permutations are block-diagonal and its queries,
-    decode sources and decoded symbols are the separate plan's, shifted;
-    after the last segment the iterable must be empty.  ``permute=False``
-    takes nothing from the seed.
+    sequence of integer lengths, one per segment, each offset by its start.
+    A numpy ``Generator`` seed permutes every segment: each maximal run of
+    ``count`` consecutive segments of one length ``lam`` is one in-place
+    ``permuted`` call over their ``(K, count, lam)`` rows, file-major.  An
+    integer seed, taken modulo ``2**64``, is ``rng.generator(seed)`` for a
+    plan of one segment (a single length or a one-element list).  Any other
+    seed must be an iterable of Generators, such as an ``islice`` of
+    ``rng.generators``, one per segment and none left over.  Either way a
+    segment's queries and decoded symbols are those of a plan of its own
+    permutations, shifted.  ``permute=False`` takes nothing from the seed.
 
     Every check raises ``ValueError``.  Before anything is drawn: the shape,
-    the lengths (integers, non-negative, whole blocks) and the seed's form,
-    an integer for one segment or else an iterable.  The segment loop only
-    slices and permutes, taking at most one Generator per segment; an item
-    that is not a Generator (so an integer list) has no ``permuted`` and is
-    refused when its segment fails, and too few or too many Generators are
-    refused after the loop.
+    the lengths (integers, non-negative, whole blocks) and the seed's form.
+    An iterable's segment loop only slices and permutes: an item that is not
+    a Generator (so an integer list) has no ``permuted`` and is refused when
+    its segment fails, and too few or too many are refused after the loop.
     """
     n, k = num_replicas, num_files
     if n < 1:
@@ -252,24 +250,33 @@ def generate_query_plan(
             f"symbol count {lam} is not a multiple of the block size "
             f"n**K = {n}**{k}"
         )
+    rng = seed if isinstance(seed, np.random.Generator) else None
     try:
         seed = operator.index(seed)
     except TypeError:
         try:
-            rngs = iter(seed)
+            rngs = iter(seed) if rng is None else None
         except TypeError:
             raise ValueError(
-                f"a seed must be an integer or an iterable of numpy Generators, "
-                f"got {seed!r}"
+                f"a seed must be an integer, a numpy Generator or an iterable "
+                f"of numpy Generators, got {seed!r}"
             ) from None
     else:
         if len(lams) != 1:
             raise ValueError(f"an integer seed seeds one segment, not {len(lams)}")
-        rngs = generators([seed])
+        rng, rngs = generator(seed), None
     starts = tuple(accumulate(lams, initial=0))
     perms = np.empty((k, starts[-1]), dtype=np.int64)
     perms[:] = np.arange(starts[-1])
-    if permute:
+    if permute and rngs is None:
+        # In place, on views; one segment draws what ``k`` permutation(lam) would.
+        a = 0
+        for lam, run in groupby(lams):
+            count = sum(1 for _ in run)
+            view = perms[:, a : a + count * lam].reshape(k, count, lam)
+            rng.permuted(view, axis=2, out=view)
+            a += count * lam
+    elif permute:
         # Permuting a segment's rows in place draws exactly what ``k`` calls
         # of ``permutation(lam)`` would, already offset by the segment start.
         # Only a Generator has ``permuted``, so a wrong item fails the call

@@ -12,20 +12,20 @@ included) is charged to the cost report.
 
 All storage sets of one size share a block template, so their sessions run
 as the segments of one plan: one padded ``(K, sum of lambda_S)`` symbol
-matrix, one answer pass for all its stores and one decode per size.  Each
-segment keeps its own permutation seed, so its queries, answers and decoded
-bits are exactly those of the set's separate session.
+matrix, one answer pass for all its stores and one decode per size.  One
+``generator(seed)`` permutes every plan, sizes ascending, by the plan's
+draw rule; each (set, file) row is still its own uniform permutation, so
+each set's queries, answers and decoded bits are those of a session of its
+own, drawn from the retrieval's seed and the canonical order.
 
 The partition lists its sets in canonical order, sizes ascending, so the
 sets of one size are one contiguous range of its arrays.  Everything but
 the plan, answers and decode runs once per retrieval, over every set at
-once: one array step gives every set's padded length, one pass the cell of
-every cached bit in its size's padded matrix, and one pass hashes the
-permutation seeds of every set of two or more nodes.  Per size, a plan
-takes the next run of those generators, one at a time as it permutes; its
-padded matrix is filled with one scatter, and the desired file's decoded
-symbols land in that size's part of one row holding every set's segment,
-the data-center-only set's raw bits first.  A size's plan and matrix are
+once: one array step gives every set's padded length and one pass the cell
+of every cached bit in its size's padded matrix.  Per size, that matrix is
+filled with one scatter, and the desired file's decoded symbols land in
+that size's part of one row holding every set's segment, the
+data-center-only set's raw bits first.  A size's plan and matrix are
 released before the next size's are built.  Then one padding check over
 that row and one scatter reassemble the file, and every set's charge comes
 from the same arrays.
@@ -33,10 +33,8 @@ from the same arrays.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -54,7 +52,7 @@ from .model import (
 )
 from .placement import PlacementPolicy, sample_placement
 from .protocol import answer_queries, decode_desired, generate_query_plan
-from .rng import derive_seed, derive_seeds, generators
+from .rng import derive_seed, generator
 
 # Refuse retrievals of more padded symbols, K * |S|**K per block of a set of
 # |S| nodes plus each data-center-only bit: they bound the block templates
@@ -173,20 +171,14 @@ def retrieve_file(
     cells += np.arange(len(cells))
     values = bits[addresses[lo:]]
 
-    # Set i's session draws from derive_seed(seed, i).  Every set but the
-    # data-center-only one has a session, so one pass hashes all their
-    # seeds, and each size's plan takes the next end - first as it permutes:
-    # a list of them, up to ~170 sets a size at N=20, would hold ~4 tracked
-    # objects a set and run the cyclic garbage collector.
-    stream = generators(derive_seeds(seed, indices=range(first_multi, len(sizes))))
+    rng = generator(seed)  # every size's plan draws from it in turn
     block_queries = []
     for size, first, end in groups:
         a, b = starts[first * k] - lo, starts[end * k] - lo
         block_queries.append(
             _decode_size(
-                size, k, desired, width[first:end].tolist(),
-                islice(stream, end - first), cells[a:b], values[a:b],
-                row[seg[first] : seg[first] + total[first - first_multi]],
+                size, k, desired, width[first:end].tolist(), rng, cells[a:b],
+                values[a:b], row[seg[first] : seg[first] + total[first - first_multi]],
             )
         )
 
@@ -243,22 +235,22 @@ def _decode_size(
     k: int,
     desired: int,
     lams: list,
-    rngs: Iterator,
+    rng: np.random.Generator,
     cells: np.ndarray,
     values: np.ndarray,
     into: np.ndarray,
 ) -> int:
     """Run storage sets of ``size`` nodes, ``lams`` padded symbols each, as one plan.
 
-    Set ``i`` of the run is segment ``i`` of the plan and draws its
-    permutations from the ``i``-th of ``rngs``, so its queries, answers and
-    decoded symbols are those of the set's own session.  The padded
+    Set ``i`` of the run is segment ``i`` of the plan, its permutations
+    drawn from ``rng`` by the plan's run rule, so its queries, answers and
+    decoded symbols are those of a session of its own.  The padded
     ``(K, sum(lams))`` matrix holds ``values`` at the flat ``cells`` and
     zeros elsewhere; the desired file's decoded symbols go to ``into``.
     Returns each store's queries per block.  The plan and the matrix are
     released on return, before the next size's are built.
     """
-    plan = generate_query_plan(size, k, desired, lams, rngs)
+    plan = generate_query_plan(size, k, desired, lams, rng)
     padded = np.zeros((k, plan.num_symbols), dtype=np.uint8)
     padded.reshape(-1)[cells] = values
     into[:] = decode_desired(plan, answer_queries(plan, padded))

@@ -6,26 +6,26 @@ element, and mixed again.  The rule is fixed so that trial workers can run in
 any order (or in parallel) and still produce identical results, and nested
 contexts extend the path, e.g. ``derive_seed(m, trial, session)``.
 
-``generator(seed)`` is numpy's PCG64 seeded through ``SeedSequence``.  A plan
-with hundreds of segments needs one such generator per segment, and building
-each costs far more than its shuffles, almost all of it in ``SeedSequence``
-hashing.  ``generators(seeds)`` therefore runs numpy's documented
-``SeedSequence`` hash (pool of four 32-bit words) of all seeds at once as
-``uint32`` array arithmetic, whose hash constants do not depend on the seeds,
-and hands each seed's four hashed ``uint64`` words to a fresh ``PCG64``
-through numpy's ``ISeedSequence`` interface, so numpy's own C seeding runs
-PCG64's two LCG steps.  Every generator it gives draws exactly what
-``generator(seed)`` draws.  ``derive_seeds`` likewise derives a range of
-sibling seeds in one ``uint64`` array pass and returns that array, which
-``generators`` takes as is; ``derive_seed_grid`` derives the siblings of a
-range of parents, one row a parent, in one pass.  Both keep the per-seed
-functions below ``_ARRAY_SEEDS`` seeds, the grid for its parents only.
+``generator(seed)`` is numpy's PCG64 seeded through ``SeedSequence``.  A
+privacy test needs one per session, and building each costs far more than its
+shuffles, almost all of it in ``SeedSequence`` hashing.  ``generators(seeds)``
+therefore runs numpy's documented ``SeedSequence`` hash (pool of four 32-bit
+words) of all seeds at once as ``uint32`` array arithmetic, whose hash
+constants do not depend on the seeds, and hands each seed's four hashed
+``uint64`` words to a fresh ``PCG64`` through numpy's ``ISeedSequence``
+interface, so numpy's own C seeding runs PCG64's two LCG steps.  Every
+generator it gives draws exactly what ``generator(seed)`` draws.
+``derive_seeds`` likewise derives a range of sibling seeds in one ``uint64``
+array pass and returns that array, which ``generators`` takes as is;
+``derive_seed_grid`` derives the siblings of a range of parents, one row a
+parent, in one pass.  Both keep the per-seed functions below ``_ARRAY_SEEDS``
+seeds, the grid for its parents only.
 
 The hash pass has a fixed cost of a few dozen tiny numpy calls, so a caller
-makes one pass per call over every seed it will need: a retrieval over all
-its sessions, a privacy test over all of its sessions.  It hands each query
-plan an ``islice`` of the stream, one generator per segment; only a plan of
-one session takes its integer seed itself.
+makes one pass over every seed it will need: a placement over its
+databases, a privacy test over all its sessions, handing each query plan an
+``islice`` of the stream.  A retrieval needs none: one ``generator(seed)``
+permutes all its plans.
 """
 
 from __future__ import annotations
@@ -222,9 +222,9 @@ def generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     :func:`derive_seeds` returns, is taken as is.  From ``_ARRAY_SEEDS``
     seeds on, every seed's ``SeedSequence`` words are hashed in one array
     pass, when the first generator is taken.  The generators share no state,
-    so any number of them may be held and drawn from in any order, and
-    callers hand out consecutive runs of one call's generators to separate
-    plans, each an ``islice`` of the stream.
+    so any number of them may be held and drawn from in any order, and a
+    privacy test hands out consecutive runs of one call's generators to
+    separate plans, each an ``islice`` of the stream.
     """
     if len(seeds) < _ARRAY_SEEDS:
         return map(generator, seeds)

@@ -1,7 +1,9 @@
 """Command-line harness tests: outputs, config handling, exit discipline."""
 
 import csv
+import errno
 import json
+import os
 import subprocess
 import sys
 import time
@@ -203,6 +205,10 @@ def test_files_needs_whole_file_policy(capsys, policy):
         ({"kind": "whole-file-prefix", "files": [0.7]}, "got 0.7"),
         ({"kind": "whole-file-prefix", "files": [True]}, "got True"),
         ({"kind": "whole-file-prefix", "files": ["1"]}, "got '1'"),
+        (
+            {"kind": "explicit-sets", "sets": [[[0, 1]], [[0, 1, 2]]]},
+            "database 2 lists [0, 1, 2], not a [file, position] pair",
+        ),
     ],
 )
 def test_config_policy_errors_are_one_line(tmp_path, capsys, policy, message):
@@ -211,6 +217,16 @@ def test_config_policy_errors_are_one_line(tmp_path, capsys, policy, message):
     path.write_text(json.dumps(config))
     assert main(["simulate", "--config", str(path)]) == 1
     _assert_one_line_error(capsys, message)
+
+
+def test_config_unknown_fields_are_refused(tmp_path, capsys):
+    # A misspelt field would otherwise be ignored: "placement" for "policy"
+    # ran the default uniform policy.
+    path = tmp_path / "config.json"
+    config = {"k": 2, "n": 1, "mu": "1/2", "file_bits": 4, "trial": 3}
+    path.write_text(json.dumps({**config, "placement": {}}))
+    assert main(["simulate", "--config", str(path)]) == 1
+    _assert_one_line_error(capsys, "has unknown fields: placement, trial")
 
 
 @pytest.mark.parametrize(
@@ -713,3 +729,37 @@ def test_privacy_test_refuses_significance_outside_unit_interval(capsys, signifi
     assert "PASS" not in out and "FAIL" not in out
     assert err.startswith("error:") and err.count("\n") == 1
     assert "significance" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "--k", "3", "--n", "2", "--mu", "1/3"],
+        ["simulate", "--k", "2", "--n", "1", "--mu", "1/2", "--file-bits", "4"],
+    ],
+)
+def test_closed_stdout_pipe_exits_quietly(tmp_path, monkeypatch, capsys, argv):
+    # The reader of a pipe stopped early (``... | head``): exit 0, print no
+    # error, and point stdout's descriptor at devnull for the exit flush.
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        now, devnull = os.fstat(fd), os.stat(os.devnull)
+        assert (now.st_dev, now.st_ino) == (devnull.st_dev, devnull.st_ino)
+    finally:
+        os.close(fd)

@@ -11,7 +11,7 @@ import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from itertools import accumulate, islice
+from itertools import accumulate, groupby, islice
 from fractions import Fraction
 from math import comb
 
@@ -484,6 +484,38 @@ def test_one_segment_takes_either_seed_form(n, k, lam):
             assert np.array_equal(got.permutations, want.permutations)
 
 
+@pytest.mark.parametrize("lams", [[4, 8, 4], [8, 8, 16, 8], [0, 4, 0, 0]])
+def test_a_lone_generator_draws_one_call_per_run(lams):
+    # One Generator permutes every segment: each run of equal lengths is one
+    # ``permuted`` call over its (file, segment) rows, file-major.
+    got = generate_query_plan(2, 2, 0, lams, generator(1))
+    rng, drawn = generator(1), []
+    for lam, run in groupby(lams):
+        rows = np.tile(np.arange(lam), (2, len(list(run)), 1))
+        drawn.extend(rng.permuted(rows, axis=2).transpose(1, 0, 2))
+    assert got.segment_starts == tuple(accumulate(lams, initial=0))
+    for i, (lam, want) in enumerate(zip(lams, drawn, strict=True)):
+        part = segment(got, i).permutations
+        assert np.array_equal(part, want)
+        assert (np.sort(part, axis=1) == np.arange(lam)).all()
+    # A plan of one segment draws what the integer seed draws.
+    for lam in set(lams):
+        alone = generate_query_plan(2, 2, 0, [lam], generator(1))
+        want = generate_query_plan(2, 2, 0, lam, 1)
+        assert np.array_equal(alone.permutations, want.permutations)
+
+
+def test_generator_seeded_plan_text_is_pinned():
+    # Segments permuted from one Generator, as a retrieval's plans are.
+    plan = generate_query_plan(2, 2, 1, [4, 4, 8], generator(11))
+    assert plan_transcripts(plan) == (
+        "0:3\n1:2\n0:1 1:0\n0:5\n1:6\n0:7 1:4"
+        "\n0:10\n1:12\n0:11 1:15\n0:9\n1:13\n0:12 1:14",
+        "0:1\n1:1\n0:3 1:3\n0:7\n1:5\n0:5 1:7"
+        "\n0:11\n1:10\n0:10 1:9\n0:12\n1:11\n0:9 1:8",
+    )
+
+
 @pytest.mark.parametrize(
     "seeds, match",
     [
@@ -492,7 +524,6 @@ def test_one_segment_takes_either_seed_form(n, k, lam):
         (lambda rngs: [rngs[0], 1.5, rngs[2]], "must yield numpy Generators, got 1.5$"),
         (lambda rngs: rngs[:2], "3 segment lengths but 2 seed Generators"),
         (lambda rngs: rngs + rngs[:1], "3 segment lengths but more seed Generators"),
-        (lambda rngs: rngs[0], "an integer or an iterable of numpy Generators"),
     ],
     # Ids name the expected message, but for the first three inputs, which
     # keep the ids of the seed forms they break: a list of integers mixed

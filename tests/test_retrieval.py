@@ -12,7 +12,9 @@ import json
 import re
 import weakref
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -39,15 +41,19 @@ from decpir.protocol import (
     plan_transcripts,
 )
 from decpir.retrieval import _padded_blocks, retrieve_file, simulate_trials
-from decpir.rng import _ARRAY_SEEDS, derive_seed, generators
+from decpir.rng import _ARRAY_SEEDS, derive_seed, generator
 
 
 def reference_retrieve(store, realization, desired, seed):
     """One session per storage set, in canonical order.
 
-    Returns the recovered bits, ``per_node``, ``per_partition``, ``total``,
-    ``ideal`` and, per storage set, its node tuple, answer strings and (for
-    sets of two or more nodes) its plan.
+    Every set of two or more nodes draws its ``(K, lambda)`` permutations
+    from one ``generator(seed)``: each run of consecutive sets of one size
+    and one padded length is one ``permuted`` call over ``(K, count,
+    lambda)`` identity rows, file-major.  Returns the recovered bits,
+    ``per_node``, ``per_partition``, ``total``, ``ideal`` and, per storage
+    set, its node tuple, answer strings and (for sets of two or more nodes)
+    its plan.
     """
     k, length = store.num_files, store.file_len
     partition = partition_by_storage_set(realization)
@@ -58,6 +64,19 @@ def reference_retrieve(store, realization, desired, seed):
     sessions = []
     starts = partition.starts.tolist()
     all_lengths = partition.lengths().tolist()
+    # Each set of two or more nodes: its size and padded length, the smallest
+    # multiple of |S|**K that holds its longest file.
+    shapes = [
+        (len(s), -(-max(lengths) // len(s) ** k) * len(s) ** k)
+        for s, lengths in zip(partition.entries, all_lengths)
+        if len(s) > 1
+    ]
+    rng, drawn = generator(seed), []
+    for (size, lam), run in groupby(shapes):
+        count = len(list(run))
+        rows = np.tile(np.arange(lam), (k, count, 1))
+        drawn.extend(rng.permuted(rows, axis=2).transpose(1, 0, 2))
+    drawn = iter(drawn)
     for index, (s, lengths) in enumerate(zip(partition.entries, all_lengths)):
         nodes = tuple(sorted(s))
         positions = [
@@ -76,10 +95,12 @@ def reference_retrieve(store, realization, desired, seed):
             ideal += len(answers)
             sessions.append((nodes, (answers,), None))
             continue
-        # The smallest multiple of |S|**K that holds the longest file.
-        block = len(s) ** k
-        lam = -(-max(lengths) // block) * block
-        plan = generate_query_plan(len(s), k, desired, lam, derive_seed(seed, index))
+        perms = next(drawn)
+        lam = perms.shape[1]
+        plan = replace(
+            generate_query_plan(len(s), k, desired, lam, 0, permute=False),
+            permutations=perms,
+        )
         padded = np.zeros((k, lam), dtype=np.uint8)
         for j in range(k):
             padded[j, : lengths[j]] = store.bits[j][positions[j]]
@@ -343,9 +364,9 @@ def test_batched_retrieval_matches_per_set_sessions(
 
 
 @pytest.mark.parametrize("trial", range(3))
-def test_one_hash_pass_per_retrieval(trial, hash_passes):
-    # The many-sets shape: each of several sizes has enough sets for an
-    # array pass of its own, but one pass hashes every session's seed.
+def test_retrieval_runs_no_hash_pass(trial, hash_passes):
+    # The many-sets shape: several sizes have enough sets for an array pass
+    # of their seeds, but one generator permutes every set, so none runs.
     trial_seed = derive_seed(1, trial)
     store = build_file_store(3, 600, derive_seed(trial_seed, 0))
     policy = UniformRandomPlacement(Fraction(1, 20))
@@ -355,31 +376,30 @@ def test_one_hash_pass_per_retrieval(trial, hash_passes):
     assert sum(count >= _ARRAY_SEEDS for count in groups) >= 3
     hash_passes.clear()
     retrieve_file(store, part, trial % 3, derive_seed(trial_seed, 2))
-    assert hash_passes == [sum(groups)]
+    assert hash_passes == []
 
 
 def test_retrieval_holds_one_session_generator_at_a_time(monkeypatch):
-    # A size can hold ~170 sets at N=20: its plan takes their generators one
-    # at a time as it permutes, so they are not all alive at once.
+    # A retrieval of ~310 sets at N=20 builds exactly one Generator, which
+    # every size's plan draws from.
     live = Counter()
 
     class Counted(np.random.Generator):
         def __init__(self, bit_generator):
             super().__init__(bit_generator)
+            live["built"] += 1
             live["now"] += 1
             live["peak"] = max(live["peak"], live["now"])
             weakref.finalize(self, live.subtract, ["now"])
 
-    def counted(seeds):
-        return (Counted(rng.bit_generator) for rng in generators(seeds))
-
-    monkeypatch.setattr(retrieval, "generators", counted)
     store = build_file_store(3, 600, seed=3)
     real = sample_placement(UniformRandomPlacement(Fraction(1, 20)), 3, 600, 20, 4)
     part = partition_by_storage_set(real)
+    monkeypatch.setattr(np.random, "Generator", Counted)
     retrieve_file(store, part, 0, seed=5)
+    monkeypatch.undo()
     assert live["now"] == 0
-    assert live["peak"] <= 2 and len(part.sizes) > 100
+    assert live["built"] == live["peak"] == 1 and len(part.sizes) > 100
 
 
 def test_retrieval_releases_each_size_before_the_next(monkeypatch):
