@@ -43,7 +43,10 @@ def harmonic_weight(set_size: int, num_files: int) -> Fraction:
     return capacity_classical(num_files, set_size) - 1
 
 
-@lru_cache(maxsize=256)
+# 64 entries hold every row and numerator tuple of the K=10, N <= 30 figure
+# grid, yet a sweep over large N, which reads each size once, keeps only the
+# last 64 of its big tuples.
+@lru_cache(maxsize=64)
 def _binomial_row(n: int) -> tuple:
     """``(C(n, 0), ..., C(n, n))`` from ``C(n, j+1) = C(n, j) (n-j) / (j+1)``,
     each division exact."""
@@ -60,7 +63,7 @@ def _power_products(a, c, top: int) -> list:
     return [u * d for u, d in zip(up, reversed(down))]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def _classical_numerators(num_files: int, max_replicas: int):
     """``capacity_classical(K, n)``, ``n = 1..max_replicas``, as integer
     numerators over the common denominator ``lcm(1..max_replicas)**(K-1)``."""

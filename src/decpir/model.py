@@ -38,9 +38,9 @@ from .rng import generator
 class FileStore:
     """The data center's corpus: ``num_files`` files of ``file_len`` bits.
 
-    Deterministically regenerable from ``(num_files, file_len, seed)``; the
-    bit array is frozen after construction and safe to share across trial
-    workers.
+    Deterministically regenerable from ``(num_files, file_len, seed)``, eight
+    bits from each random byte (see :func:`build_file_store`); the bit array
+    is frozen after construction and safe to share across trial workers.
     """
 
     num_files: int
@@ -59,15 +59,21 @@ class FileStore:
 
 
 def build_file_store(num_files: int, file_len: int, seed: int) -> FileStore:
-    """Generate a pseudo-random corpus, identical for identical arguments."""
+    """Generate a pseudo-random corpus, identical for identical arguments.
+
+    ``generator(seed)`` draws ``ceil(K * L / 8)`` uniform bytes, and
+    ``np.unpackbits`` spreads them, most significant bit first, over the
+    ``K * L`` bits file by file; the last byte's unused low bits are dropped.
+    """
     if num_files < 1:
         raise ValueError(f"need at least one file, got {num_files}")
     if file_len < 1:
         raise ValueError(f"need at least one bit per file, got {file_len}")
-    rng = generator(seed)
-    bits = rng.integers(0, 2, size=(num_files, file_len), dtype=np.uint8)
-    bits.flags.writeable = False
-    return FileStore(num_files, file_len, seed, bits)
+    total = num_files * file_len
+    drawn = generator(seed).integers(0, 256, -(-total // 8), dtype=np.uint8)
+    bits = np.unpackbits(drawn, count=total)
+    bits.flags.writeable = False  # before the reshape, so the view's base is frozen too
+    return FileStore(num_files, file_len, seed, bits.reshape(num_files, file_len))
 
 
 def storage_budget(mu, num_files: int, file_len: int) -> int:
@@ -235,13 +241,24 @@ _BIT_WEIGHTS = (0x80 >> np.arange(8, dtype=np.uint8))[:, None]
 
 def _storage_bytes(realization: CacheRealization) -> np.ndarray:
     """Every address's storage bytes, one row per eight databases (at least
-    one), as a weighted sum: ``np.packbits`` over databases is ten times slower.
+    one, all zeros without databases).
+
+    Each byte is a weighted sum of its databases' bits: the full groups of
+    eight take one sum, the remaining databases a second, so no database
+    row is padded with zeros.  ``np.packbits`` over databases is ten times
+    slower.
     """
     n, total = realization.num_dbs, realization.num_files * realization.file_len
-    rows = max(1, -(-n // 8))
-    bits = np.zeros((rows * 8, total), dtype=bool)
-    bits[:n] = realization.cached.reshape(n, total)
-    return (bits.reshape(rows, 8, total) * _BIT_WEIGHTS).sum(axis=1, dtype=np.uint8)
+    bits = realization.cached.reshape(n, total)
+    full, rest = divmod(n, 8)
+    out = np.zeros((max(1, -(-n // 8)), total), dtype=np.uint8)
+    if full:
+        weighted = bits[: 8 * full].reshape(full, 8, total) * _BIT_WEIGHTS
+        weighted.sum(axis=1, dtype=np.uint8, out=out[:full])
+    if rest:
+        weighted = bits[8 * full :] * _BIT_WEIGHTS[:rest]
+        weighted.sum(axis=0, dtype=np.uint8, out=out[full])
+    return out
 
 
 def partition_by_storage_set(realization: CacheRealization) -> StorageSetPartition:

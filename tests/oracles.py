@@ -17,6 +17,21 @@ from decpir.errors import ProtocolError
 from decpir.protocol import _block_template, _BlockTemplate
 
 
+def padded_storage_bytes(realization) -> np.ndarray:
+    """Storage bytes through one weighted sum over eight database rows per
+    byte row, the rows past the last database zero.
+
+    Reference for :func:`decpir.model._storage_bytes`, which weighs only the
+    databases the realization has.
+    """
+    n, total = realization.num_dbs, realization.num_files * realization.file_len
+    rows = max(1, -(-n // 8))
+    bits = np.zeros((rows * 8, total), dtype=bool)
+    bits[:n] = realization.cached.reshape(n, total)
+    weights = (0x80 >> np.arange(8, dtype=np.uint8))[:, None]
+    return (bits.reshape(rows, 8, total) * weights).sum(axis=1, dtype=np.uint8)
+
+
 def converse_bound_per_slot(partition):
     """The realization bound through per-slot averages: ``(avg, weights, bound)``.
 

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from decpir.analysis import (
+    _binomial_row,
+    _classical_numerators,
     capacity_classical,
     capacity_decentralized,
     centralized_envelope,
@@ -369,3 +371,29 @@ def test_harmonic_weight_values():
     assert harmonic_weight(2, 3) == Fraction(3, 4)
     assert harmonic_weight(3, 3) == Fraction(4, 9)
     assert harmonic_weight(2, 1) == 0
+
+
+def test_exact_caches_keep_at_most_64_entries_over_a_sweep():
+    # A sweep over N reads each size once: the caches must not keep them all.
+    for n in range(100, 180):
+        capacity_decentralized(3, n, Fraction(1, 2))
+        expected_converse_bound(uniform_profile(3, 1, Fraction(1, 2)), n)
+    for cache in (_binomial_row, _classical_numerators):
+        assert cache.cache_info().currsize <= 64
+
+
+def test_one_figure_round_misses_no_cache_once_warm():
+    # The figure grid at K=10, N=0..30 (32 binomial rows, 31 numerator
+    # tuples) fits the caches, so a second round computes nothing again.
+    def round_(shift):
+        for n in range(31):
+            mu = Fraction((n + shift) % 21, 20)
+            capacity_decentralized(10, n, mu)
+            if n:
+                centralized_envelope(10, n).evaluate(mu)
+            expected_converse_bound(uniform_profile(10, 7, mu), n, mu)
+
+    round_(0)
+    misses = [c.cache_info().misses for c in (_binomial_row, _classical_numerators)]
+    round_(5)
+    assert [c.cache_info().misses for c in (_binomial_row, _classical_numerators)] == misses

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from decpir.errors import BudgetViolation
 from decpir.model import (
     CacheRealization,
+    FileStore,
     build_file_store,
     partition_by_storage_set,
     realization_from_addresses,
@@ -17,6 +18,7 @@ from decpir.model import (
 )
 from decpir.placement import UniformRandomPlacement, sample_placement
 from decpir.retrieval import _padded_blocks
+from decpir.rng import generator
 
 
 def test_file_store_is_deterministic():
@@ -31,6 +33,33 @@ def test_file_store_size_contract():
     store = build_file_store(3, 8, seed=1)
     assert store.bits.shape == (3, 8)
     assert set(np.unique(store.bits)) <= {0, 1}
+
+
+@pytest.mark.parametrize("k,length,seed", [(3, 7, 5), (3, 8, 1), (1, 1, 99), (2, 9001, 4)])
+def test_file_store_unpacks_one_random_byte_per_eight_bits(k, length, seed):
+    # K * L = 21 and 18003 are not multiples of 8: the last byte's low
+    # bits are dropped.
+    drawn = generator(seed).integers(0, 256, -(-k * length // 8), dtype=np.uint8)
+    want = np.unpackbits(drawn, count=k * length).reshape(k, length)
+    store = build_file_store(k, length, seed)
+    assert store.bits.dtype == np.uint8
+    assert np.array_equal(store.bits, want)
+    assert not store.bits.flags.writeable and not store.bits.base.flags.writeable
+
+
+def test_file_store_golden_bits():
+    assert build_file_store(3, 7, seed=5).bits.tolist() == [
+        [1, 0, 1, 0, 1, 0, 0],
+        [0, 1, 1, 1, 0, 0, 1],
+        [0, 1, 1, 0, 1, 1, 1],
+    ]
+
+
+def test_file_store_refuses_a_value_above_one():
+    bits = np.zeros((2, 3), dtype=np.uint8)
+    bits[1, 2] = 2
+    with pytest.raises(ValueError, match="values in"):
+        FileStore(2, 3, 0, bits)
 
 
 def test_different_seeds_differ():

@@ -21,10 +21,13 @@ from decpir.model import (
     CacheRealization,
     _sort_by_code_byte,
     _sort_by_key_bytes,
+    _storage_bytes,
     partition_by_storage_set,
 )
 from decpir.placement import UniformRandomPlacement, sample_placement
 from decpir.retrieval import _padded_blocks
+
+from oracles import padded_storage_bytes
 
 
 def reference_partition(realization):
@@ -122,17 +125,29 @@ def test_partition_beyond_63_databases():
         assert max(len(s) for s in partition_by_storage_set(real).entries) > 33
 
 
-@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("n", [7, 8, 9, 16, 17])
 def test_partition_either_side_of_one_code_byte(n):
     # Up to eight databases the sort key is one code byte's rank, beyond
-    # that the key bytes.  At mu = 1/2 nearly all 2**n sets hold bits.
+    # that the key bytes; 7, 9 and 17 databases leave a partial byte.  At
+    # mu = 1/2 nearly every set holds bits, or nearly every address has a
+    # set of its own where there are more sets than addresses.
     real = sample_placement(UniformRandomPlacement(Fraction(1, 2)), 2, 1500, n, n)
     assert_matches_reference(real)
-    assert len(partition_by_storage_set(real).sizes) > 2**n * 0.9
+    assert len(partition_by_storage_set(real).sizes) > min(2**n, 2 * 1500) * 0.9
     if n <= 8:
         # Both builders are exact here, so they agree array for array.
         for got, want in zip(_sort_by_code_byte(real), _sort_by_key_bytes(real)):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 15, 16, 17, 20, 64, 70])
+def test_storage_bytes_match_the_zero_padded_sum(n):
+    # Full groups of eight databases and the remainder are weighed apart.
+    cached = np.random.default_rng(n).random((n, 3, 50)) < 0.5
+    got = _storage_bytes(CacheRealization(150, cached))
+    want = padded_storage_bytes(CacheRealization(150, cached))
+    assert got.dtype == want.dtype == np.uint8
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_partition_at_the_headline_size():
